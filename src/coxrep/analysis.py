@@ -282,6 +282,9 @@ class PairCheck:
     expected: int
     computed: Optional[int]     # None for infinite/indeterminate
     passed: bool
+    # the pair's ProductAnalysis, or the OrderMismatch it raised; None on
+    # the diagonal and when a generator is not a reflection
+    analysis: ProductAnalysis | OrderMismatch | None = None
 
     def as_dict(self) -> dict:
         return {"pair": [self.s, self.t], "expected": self.expected,
@@ -304,7 +307,8 @@ def verify_good_morphism(rep: ReflectionRep,
     """Per-pair table comparing expected orders m_st with computed orders.
 
     Failures are recorded, not raised: a report with failing rows is data
-    about the input, not an internal error.
+    about the input, not an internal error.  Each pair's check keeps its
+    ProductAnalysis, or the OrderMismatch it raised, for the caller.
     """
     m = matrix if matrix is not None else rep.diagram.m
     ctx = rep.ctx
@@ -331,18 +335,17 @@ def verify_good_morphism(rep: ReflectionRep,
             try:
                 analysis = product_analysis(reflections[s], reflections[t], max_order)
                 computed = analysis.order_class.finite_order
-            except OrderMismatch:
-                computed = None
+            except OrderMismatch as exc:
+                analysis, computed = exc, None
             ok = computed == expected
-            checks.append(PairCheck(s, t, expected, computed, ok))
+            checks.append(PairCheck(s, t, expected, computed, ok, analysis))
             all_ok &= ok
     return GoodMorphismReport(tuple(checks), all_ok)
 
 
 def commutant_dimension(rep: ReflectionRep) -> int:
-    """Dimension of {X : X zeta_s = zeta_s X for all s}, by exact nullspace."""
-    space = linalg.intertwiner_space(rep.ctx, rep.generators, rep.generators)
-    return len(space)
+    """Dimension of {X : X zeta_s = zeta_s X for all s}, by exact elimination."""
+    return linalg.intertwiner_dimension(rep.ctx, rep.generators, rep.generators)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,16 @@
 """Batch command line front end.
 
     coxrep build  --diagram F --root S [--tree F] [--params F] [--format ...]
-    coxrep verify --diagram F --root S [--tree F] [--params F]
+    coxrep verify --diagram F --root S [--tree F] [--params F] [--max-order K]
     coxrep form   --diagram F --root S [--theta J] [...]
-    coxrep equiv  --diagram F --root S [--root2 S] [--params2 F] [...]
+    coxrep equiv  --diagram F --root S [--root2 S] [--tree2 F] [--params2 F] [...]
     coxrep dual   --diagram F --root S [...]
 
 --diagram takes a path or the name of a bundled example (a3, b3, bc3, h3,
 affine_triangle, k4).  Exit codes: 0 success, 2 input validation, 3
-verification failure, 4 internal consistency error.  COXREP_MAX_ORDER
-bounds the order-classification search (default 60).
+verification failure, 4 internal consistency error.  verify's --max-order
+(at least 3; default COXREP_MAX_ORDER, else 60) bounds the
+order-classification search.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .analysis import (
     OrderMismatch,
     characters_distinguish,
     commutant_dimension,
-    product_analysis,
-    rep_reflection,
     verify_good_morphism,
 )
 from .construction import build, cartan_matrix, root_change_intertwiner
@@ -72,22 +71,24 @@ def _resolve_diagram(spec: str):
 
 
 def _job_rep(args, suffix: str = ""):
-    diagram_spec = getattr(args, "diagram2", None) if suffix else None
-    diagram = _resolve_diagram(diagram_spec or args.diagram)
-    root_label = getattr(args, "root" + suffix, None) or args.root
+    """The representation of the first job, or with suffix "2" the second
+    job of `equiv`, whose options each default to the first job's value."""
+    def option(name):
+        return getattr(args, name + suffix, None) or getattr(args, name)
+
+    diagram = _resolve_diagram(option("diagram"))
     try:
-        root = diagram.vertex_index(root_label) if isinstance(root_label, str) \
-            else int(root_label)
+        root = diagram.vertex_index(option("root"))
     except KeyError as exc:
-        raise CliError(str(exc)) from exc
-    tree_path = getattr(args, "tree" + suffix, None)
+        raise CliError(exc.args[0]) from exc
+    tree_path = option("tree")
     try:
         if tree_path:
             with open(tree_path) as fh:
                 tree = cio.tree_from_json(diagram, root, json.load(fh))
         else:
             tree = spanning_tree(diagram, root)
-        params = cio.load_params(tree, getattr(args, "params" + suffix, None))
+        params = cio.load_params(tree, option("params"))
         return build(tree, params)
     except (cio.InputError, ValueError, json.JSONDecodeError, OSError) as exc:
         raise CliError(f"bad job input: {exc}") from exc
@@ -125,20 +126,21 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_order < 3:
+        raise CliError("--max-order must be at least 3")
     rep = _job_rep(args)
     report = verify_good_morphism(rep, max_order=args.max_order)
-    char_ok = True
     pair_records = []
-    for s in range(rep.rank):
-        for t in range(s + 1, rep.rank):
-            analysis = product_analysis(rep_reflection(rep, s),
-                                        rep_reflection(rep, t), args.max_order)
+    for check in report.checks:
+        if isinstance(check.analysis, OrderMismatch):
+            raise check.analysis
+        if check.s != check.t:
             pair_records.append({
-                "pair": [rep.diagram.labels[s], rep.diagram.labels[t]],
-                "char_poly_closed_form": analysis.closed_form_matches,
+                "pair": [rep.diagram.labels[check.s], rep.diagram.labels[check.t]],
+                "char_poly_closed_form":
+                    check.analysis and check.analysis.closed_form_matches,
             })
-            if analysis.closed_form_matches is False:
-                char_ok = False
+    char_ok = all(r["char_poly_closed_form"] is not False for r in pair_records)
     dim = commutant_dimension(rep)
     passed = report.passed and char_ok and dim == 1
     document = {
@@ -235,31 +237,18 @@ def cmd_equiv(args) -> int:
     return EXIT_OK
 
 
-def _normalize_integral(rep, g):
-    """Scale an intertwiner to primitive integral form when possible."""
-    import math
-    from fractions import Fraction
-
-    den = 1
-    content = 0
-    for row in g:
-        for x in row:
-            den = math.lcm(den, x.den)
-            for v in x.num:
-                content = math.gcd(content, v)
-    if content:
-        g = linalg.mat_scale(g, Fraction(den, content))
-    for row in g:
-        for x in row:
-            if not x.is_zero():
-                if x.num[x.effective_degree] < 0:
-                    return linalg.mat_scale(g, -1)
-                return g
+def _normalize_integral(g):
+    """Scale an intertwiner to primitive integral form, its first nonzero
+    entry with a positive leading coordinate."""
+    g = linalg.mat_scale(g, linalg.primitive_factor(x for row in g for x in row))
+    lead = next((x for row in g for x in row if not x.is_zero()), None)
+    if lead is not None and lead.num[lead.effective_degree] < 0:
+        return linalg.mat_scale(g, -1)
     return g
 
 
 def _emit_equivalent(args, rep, g, document, lines) -> int:
-    g = _normalize_integral(rep, g)
+    g = _normalize_integral(g)
     ginv = linalg.inverse(rep.ctx, g)
     integral = all(x.is_integral() for row in g for x in row)
     inv_integral = all(x.is_integral() for row in ginv for x in row)
@@ -324,16 +313,18 @@ def make_parser() -> argparse.ArgumentParser:
     for name in ("build", "verify", "form", "equiv", "dual"):
         p = sub.add_parser(name)
         _add_job_arguments(p)
-        p.add_argument("--max-order", type=int,
-                       default=int(os.environ.get("COXREP_MAX_ORDER", "60")))
+        if name == "verify":
+            p.add_argument("--max-order", type=int,
+                           default=os.environ.get("COXREP_MAX_ORDER", "60"),
+                           help="largest pair order to classify (at least 3)")
         if name == "form":
             p.add_argument("--theta", type=int, default=1,
                            help="galois index of the twisting automorphism")
         if name == "equiv":
             p.add_argument("--diagram2", help="second diagram (defaults to first)")
             p.add_argument("--root2", help="second root (defaults to first)")
-            p.add_argument("--tree2", help="second tree file")
-            p.add_argument("--params2", help="second parameter file")
+            p.add_argument("--tree2", help="second tree file (defaults to first)")
+            p.add_argument("--params2", help="second parameter file (defaults to first)")
     return parser
 
 

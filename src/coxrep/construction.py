@@ -29,6 +29,7 @@ from .graph import (
     Diagram,
     DifferentDiagram,
     SpanningTree,
+    breadth_first,
     chord_circuit,
     precedes,
     spanning_tree,
@@ -299,23 +300,11 @@ def _component_scales(tree: SpanningTree, old_root: int, new_root: int,
                       alpha: FieldElement) -> list[FieldElement]:
     """Single root step old->new across a tree edge: the old root's side of
     the split tree rescales by alpha, the other side by 1."""
-    ctx = alpha.ctx
     n = tree.diagram.rank
-    cut = (old_root, new_root) if old_root < new_root else (new_root, old_root)
-    adjacency = {v: [] for v in range(n)}
-    for s, t in tree.tree_edges:
-        if (s, t) != cut:
-            adjacency[s].append(t)
-            adjacency[t].append(s)
-    side = {old_root}
-    stack = [old_root]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in side:
-                side.add(w)
-                stack.append(w)
-    return [alpha if v in side else ctx.one for v in range(n)]
+    # a search from old_root that never enters new_root stays on its side
+    _, depth = breadth_first(n, old_root, lambda v: [
+        w for w in range(n) if tree.is_tree_edge(v, w) and new_root not in (v, w)])
+    return [alpha if d >= 0 else alpha.ctx.one for d in depth]
 
 
 def root_change_intertwiner(rep: ReflectionRep, new_root: int | str) -> Intertwiner:

@@ -213,28 +213,16 @@ def gram_cartan_relation(rep: ReflectionRep, gram: GramMatrix) -> bool:
 
 def form_space_dimension(rep: ReflectionRep, theta: Automorphism) -> int:
     """Dimension of the space of invariant theta-sesquilinear forms, by
-    exact nullspace of the full invariance system (independent of the
-    constructive criterion)."""
-    ctx = rep.ctx
-    n = rep.rank
-    rows = []
-    for mat in rep.generators:
-        tm = theta.apply_matrix(mat)
-        # unknowns G_{rs}; equation (a, b): sum_{r,s} M_ra G_rs thetaM_sb = G_ab
-        cols_r = [[r for r in range(n) if not mat[r][a].is_zero()] for a in range(n)]
-        cols_s = [[s for s in range(n) if not tm[s][b].is_zero()] for b in range(n)]
-        for a in range(n):
-            for b in range(n):
-                row = [ctx.zero] * (n * n)
-                for r in cols_r[a]:
-                    for s in cols_s[b]:
-                        row[r * n + s] = row[r * n + s] + mat[r][a] * tm[s][b]
-                row[a * n + b] = row[a * n + b] - ctx.one
-                if any(not x.is_zero() for x in row):
-                    rows.append(row)
-    if not rows:
-        return n * n
-    return linalg.nullity(ctx, rows)
+    exact elimination (independent of the constructive criterion).
+
+    G is invariant when M^T G theta(M) = G for every generator M.  The
+    generators are involutions, so theta(M)^2 = theta(M^2) = I and the
+    condition is the intertwining system M^T G = G theta(M).
+    """
+    gens = rep.generators
+    return linalg.intertwiner_dimension(
+        rep.ctx, [linalg.transpose(m) for m in gens],
+        [theta.apply_matrix(m) for m in gens])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ spanning trees are connected by single add/remove edge exchanges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class NotSymmetric(ValueError):
@@ -115,20 +115,9 @@ def validate(matrix: CoxeterMatrix | Sequence[Sequence[int]],
                 raise InfiniteLabel(
                     f"m[{s}][{t}] = {m[s][t]}: labels must be finite and >= 2")
     edges = tuple((s, t) for s in range(n) for t in range(s + 1, n) if m[s][t] >= 3)
-    # connectivity via the edges
-    seen = {0}
-    queue = [0]
-    adjacency = {v: [] for v in range(n)}
-    for s, t in edges:
-        adjacency[s].append(t)
-        adjacency[t].append(s)
-    while queue:
-        v = queue.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != n:
+    _, depth = breadth_first(
+        n, 0, lambda s: [t for t in range(n) if t != s and m[s][t] >= 3])
+    if min(depth) < 0:
         raise Disconnected("diagram is not connected")
     if labels is None:
         labels = tuple(f"s{i + 1}" for i in range(n))
@@ -168,27 +157,33 @@ class SpanningTree:
         return f"SpanningTree(root={labels[self.root]}, edges=[{es}])"
 
 
-def _tree_from_edge_set(diagram: Diagram, root: int,
-                        edge_set: Iterable[tuple[int, int]]) -> SpanningTree:
-    n = diagram.rank
-    edge_set = frozenset(_edge_key(s, t) for s, t in edge_set)
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-    for s, t in edge_set:
-        if not diagram.is_edge(s, t):
-            raise ValueError(f"({s}, {t}) is not a diagram edge")
-        adjacency[s].append(t)
-        adjacency[t].append(s)
+def breadth_first(n: int, root: int, neighbors: Callable[[int], Iterable[int]]
+                  ) -> tuple[list[int | None], list[int]]:
+    """Parents and depths of a breadth-first search from the root, visiting
+    each vertex's neighbors in the order given; unreached vertices keep
+    parent None and depth -1."""
     parent: list[int | None] = [None] * n
     depth = [-1] * n
     depth[root] = 0
     queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w in sorted(adjacency[v]):
+    for v in queue:
+        for w in neighbors(v):
             if depth[w] < 0:
                 depth[w] = depth[v] + 1
                 parent[w] = v
                 queue.append(w)
+    return parent, depth
+
+
+def _tree_from_edge_set(diagram: Diagram, root: int,
+                        edge_set: Iterable[tuple[int, int]]) -> SpanningTree:
+    n = diagram.rank
+    edge_set = frozenset(_edge_key(s, t) for s, t in edge_set)
+    for s, t in edge_set:
+        if not diagram.is_edge(s, t):
+            raise ValueError(f"({s}, {t}) is not a diagram edge")
+    parent, depth = breadth_first(
+        n, root, lambda v: [w for w in range(n) if _edge_key(v, w) in edge_set])
     if any(d < 0 for d in depth):
         raise ValueError("edge set does not span the diagram")
     if len(edge_set) != n - 1:
@@ -206,24 +201,11 @@ def spanning_tree(diagram: Diagram, root: int | str) -> SpanningTree:
     n = diagram.rank
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range")
-    parent: list[int | None] = [None] * n
-    depth = [-1] * n
-    depth[root] = 0
-    queue = [root]
-    edges = []
-    while queue:
-        v = queue.pop(0)
-        for w in diagram.neighbors(v):
-            if depth[w] < 0:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                edges.append(_edge_key(v, w))
-                queue.append(w)
+    parent, depth = breadth_first(n, root, diagram.neighbors)
     if any(d < 0 for d in depth):
         raise Disconnected("diagram is not connected")
-    chords = tuple(sorted(e for e in diagram.edges if e not in set(edges)))
-    return SpanningTree(diagram, root, tuple(parent), tuple(depth),
-                        frozenset(edges), chords)
+    return _tree_from_edge_set(
+        diagram, root, [(v, p) for v, p in enumerate(parent) if p is not None])
 
 
 def spanning_tree_from_edges(diagram: Diagram, root: int | str,

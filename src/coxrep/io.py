@@ -50,8 +50,10 @@ def scalar_from_json(ctx: FieldContext, obj: Any) -> FieldElement:
         den = obj.get("den", 1)
         if not isinstance(num, Sequence) or isinstance(num, str):
             raise InputError('scalar record needs a "num" list')
-        coeffs = [_fraction_from(v) / _fraction_from(den) for v in num]
-        return ctx.from_coeffs(coeffs)
+        den = _fraction_from(den)
+        if den == 0:
+            raise InputError("scalar record has a zero denominator")
+        return ctx.from_coeffs([_fraction_from(v) / den for v in num])
     if isinstance(obj, Sequence) and not isinstance(obj, str):
         return ctx.from_coeffs([_fraction_from(v) for v in obj])
     return ctx.from_rational(_fraction_from(obj))
@@ -65,12 +67,6 @@ def matrix_from_json(ctx: FieldContext, obj: Any) -> list[list[FieldElement]]:
     if not isinstance(obj, Sequence):
         raise InputError("matrix must be a list of rows")
     return [[scalar_from_json(ctx, v) for v in row] for row in obj]
-
-
-def diagram_to_json(diagram: Diagram) -> dict:
-    return {"rank": diagram.rank,
-            "m": [list(row) for row in diagram.m],
-            "labels": list(diagram.labels)}
 
 
 def diagram_from_json(obj: Any) -> Diagram:
@@ -89,17 +85,27 @@ def load_diagram(path: str) -> Diagram:
         return diagram_from_json(json.load(fh))
 
 
+def _vertex(diagram: Diagram, v: Any) -> int:
+    """Vertex index from a label or an in-range integer index."""
+    if isinstance(v, str):
+        try:
+            return diagram.vertex_index(v)
+        except KeyError as exc:
+            raise InputError(exc.args[0]) from exc
+    if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < diagram.rank:
+        return v
+    raise InputError(f"bad vertex {v!r}: expected a label or an index below "
+                     f"{diagram.rank}")
+
+
 def tree_from_json(diagram: Diagram, root: int, obj: Any) -> SpanningTree:
-    if not isinstance(obj, Mapping) or "edges" not in obj:
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("edges"), list):
         raise InputError('tree document needs an "edges" list')
     edges = []
     for pair in obj["edges"]:
-        if len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise InputError(f"bad edge {pair!r}")
-        s, t = pair
-        s = diagram.vertex_index(s) if isinstance(s, str) else int(s)
-        t = diagram.vertex_index(t) if isinstance(t, str) else int(t)
-        edges.append((s, t))
+        edges.append((_vertex(diagram, pair[0]), _vertex(diagram, pair[1])))
     try:
         return spanning_tree_from_edges(diagram, root, edges)
     except ValueError as exc:
@@ -110,10 +116,7 @@ def _edge_from_key(diagram: Diagram, key: str) -> tuple[int, int]:
     parts = key.split("-")
     if len(parts) != 2:
         raise InputError(f"bad edge key {key!r}; expected 'label-label'")
-    try:
-        s, t = (diagram.vertex_index(p) for p in parts)
-    except KeyError as exc:
-        raise InputError(str(exc)) from exc
+    s, t = (_vertex(diagram, p) for p in parts)
     if not diagram.is_edge(s, t):
         raise InputError(f"{key!r} is not an edge of the diagram")
     return (s, t) if s < t else (t, s)

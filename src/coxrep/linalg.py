@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from .cyclotomic import FieldContext, FieldElement
 
@@ -55,24 +55,12 @@ def mat_vec(ctx: FieldContext, a: Matrix, x: Sequence[FieldElement]) -> list[Fie
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> list[list[FieldElement]]:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> list[list[FieldElement]]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, s) -> list[list[FieldElement]]:
     return [[x * s for x in row] for row in a]
 
 
 def transpose(a: Matrix) -> list[list[FieldElement]]:
     return [list(col) for col in zip(*a)]
-
-
-def mat_map(f: Callable[[FieldElement], FieldElement], a: Matrix) -> list[list[FieldElement]]:
-    return [[f(x) for x in row] for row in a]
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -142,28 +130,28 @@ def inverse(ctx: FieldContext, a: Matrix) -> list[list[FieldElement]]:
     return mat_scale(acc, scale)
 
 
+def primitive_factor(entries: Iterable[FieldElement]) -> Fraction | int:
+    """The rational lcm(denominators) / gcd(numerator coordinates): scaling
+    the entries by it leaves integral coordinates with gcd 1 (1 when the
+    entries are already so, or all zero)."""
+    den, content = 1, 0
+    for x in entries:
+        den = math.lcm(den, x.den)
+        content = math.gcd(content, *x.num)
+    return Fraction(den, content) if content > 1 or den > 1 else 1
+
+
 def _row_primitive(row: list[FieldElement]) -> list[FieldElement]:
     """Scale a row by a rational so integer contents stay small."""
-    den_lcm = 1
-    content = 0
-    for x in row:
-        if not x.is_zero():
-            den_lcm = den_lcm * x.den // math.gcd(den_lcm, x.den)
-            for v in x.num:
-                content = math.gcd(content, v)
-                if content == 1 and den_lcm == 1:
-                    break
-    if content in (0, 1) and den_lcm == 1:
-        return row
-    factor = Fraction(den_lcm, content if content else 1)
-    return [x * factor for x in row]
+    factor = primitive_factor(row)
+    return row if factor == 1 else [x * factor for x in row]
 
 
 def _pivot_cost(x: FieldElement) -> tuple[int, int]:
     return (x.effective_degree, sum(1 for v in x.num if v))
 
 
-def eliminate(ctx: FieldContext, rows: list[list[FieldElement]]
+def eliminate(ctx: FieldContext, rows: Matrix
               ) -> tuple[list[list[FieldElement]], list[int]]:
     """Fraction-free forward elimination (no field inversions).
 
@@ -200,14 +188,11 @@ def eliminate(ctx: FieldContext, rows: list[list[FieldElement]]
         r += 1
         if r == m:
             break
-    return rows[:r] + rows[r:], pivots
+    return rows, pivots
 
 
 def rank(ctx: FieldContext, a: Matrix) -> int:
-    if not a:
-        return 0
-    _, pivots = eliminate(ctx, [list(r) for r in a])
-    return len(pivots)
+    return len(eliminate(ctx, a)[1])
 
 
 def nullspace(ctx: FieldContext, a: Matrix) -> list[list[FieldElement]]:
@@ -215,7 +200,7 @@ def nullspace(ctx: FieldContext, a: Matrix) -> list[list[FieldElement]]:
     if not a:
         return []
     ncols = len(a[0])
-    rows, pivots = eliminate(ctx, [list(r) for r in a])
+    rows, pivots = eliminate(ctx, a)
     rows = rows[:len(pivots)]
     # normalize pivot rows (one inversion per pivot) then back-eliminate
     for k in range(len(pivots) - 1, -1, -1):
@@ -242,6 +227,28 @@ def nullity(ctx: FieldContext, a: Matrix) -> int:
     return len(a[0]) - rank(ctx, a)
 
 
+def _sylvester_rows(ctx: FieldContext, gens_a: Sequence[Matrix],
+                    gens_b: Sequence[Matrix]) -> list[list[FieldElement]]:
+    """Rows of the system A_s X = X B_s for all s, unknown X_kj in column
+    k*n + j.  Zero rows are dropped; a system with none left keeps one zero
+    row, so the solvers still see the n^2 unknowns (the whole space)."""
+    n = len(gens_a[0])
+    zero_row = [ctx.zero] * (n * n)
+    rows = []
+    for ma, mb in zip(gens_a, gens_b):
+        for i in range(n):
+            for j in range(n):
+                row = list(zero_row)
+                for k in range(n):
+                    if not ma[i][k].is_zero():
+                        row[k * n + j] = row[k * n + j] + ma[i][k]
+                    if not mb[k][j].is_zero():
+                        row[i * n + k] = row[i * n + k] - mb[k][j]
+                if any(not x.is_zero() for x in row):
+                    rows.append(row)
+    return rows or [zero_row]
+
+
 def intertwiner_space(ctx: FieldContext, gens_a: Sequence[Matrix],
                       gens_b: Sequence[Matrix]) -> list[list[list[FieldElement]]]:
     """Basis of {g : A_s g = g B_s for all s}, as n x n matrices.
@@ -250,19 +257,12 @@ def intertwiner_space(ctx: FieldContext, gens_a: Sequence[Matrix],
     solution conjugates the B generators into the A generators.
     """
     n = len(gens_a[0])
-    rows = []
-    for ma, mb in zip(gens_a, gens_b):
-        for i in range(n):
-            for j in range(n):
-                row = [ctx.zero] * (n * n)
-                for k in range(n):
-                    if not ma[i][k].is_zero():
-                        row[k * n + j] = row[k * n + j] + ma[i][k]
-                    if not mb[k][j].is_zero():
-                        row[i * n + k] = row[i * n + k] - mb[k][j]
-                if any(not x.is_zero() for x in row):
-                    rows.append(row)
-    if not rows:
-        return [identity(ctx, n)]
-    basis = nullspace(ctx, rows)
+    basis = nullspace(ctx, _sylvester_rows(ctx, gens_a, gens_b))
     return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in basis]
+
+
+def intertwiner_dimension(ctx: FieldContext, gens_a: Sequence[Matrix],
+                          gens_b: Sequence[Matrix]) -> int:
+    """Dimension of {g : A_s g = g B_s for all s}, from the rank of the
+    system intertwiner_space solves, without building a basis."""
+    return nullity(ctx, _sylvester_rows(ctx, gens_a, gens_b))

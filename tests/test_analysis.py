@@ -210,6 +210,36 @@ def test_commutant_of_block_double():
         doubled.append(big)
     space = linalg.intertwiner_space(ctx, doubled, doubled)
     assert len(space) >= 4
+    assert linalg.intertwiner_dimension(ctx, doubled, doubled) == len(space)
+
+
+def test_empty_intertwiner_system_is_whole_space():
+    # every equation of A X = X B vanishes: all n^2 matrices solve it
+    ctx = field_context(1)
+    eye = linalg.identity(ctx, 2)
+    space = linalg.intertwiner_space(ctx, [eye], [eye])
+    assert len(space) == 4
+    # the matrix units: one nonzero entry each, at four distinct positions
+    assert sorted((i, j) for g in space for i in range(2) for j in range(2)
+                  if not g[i][j].is_zero()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert linalg.intertwiner_dimension(ctx, [eye], [eye]) == 4
+
+
+def test_commutant_dimension_matches_intertwiner_basis():
+    for diagram, root in ((B3, 1), (TRIANGLE, 0), (validate([[1]]), 0)):
+        rep = geometric_representation(diagram, root)
+        space = linalg.intertwiner_space(rep.ctx, rep.generators, rep.generators)
+        assert commutant_dimension(rep) == len(space) == 1
+
+
+def test_verify_good_morphism_keeps_pair_analyses():
+    report = verify_good_morphism(geometric_representation(B3, "s2"))
+    for check in report.checks:
+        if check.s == check.t:
+            assert check.analysis is None
+        else:
+            assert check.analysis.order_class.finite_order == check.computed
+            assert check.analysis.closed_form_matches
 
 
 def test_circuit_trace_affine_triangle():

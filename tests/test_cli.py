@@ -210,3 +210,87 @@ def test_params_rejects_non_chord(tmp_path):
     tree = spanning_tree(tri, 0)
     with pytest.raises(InputError):
         params_from_json(tree, {"chords": {"s1-s2": 1}})
+
+
+def test_equiv_root2_defaults_to_first_job_params(capsys, tmp_path):
+    # without --tree2/--params2 the second job reuses --tree/--params, so a
+    # root change alone gives an equivalent pair
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"alpha": {"s2-s3": 2}}))
+    code, doc, _ = run_json(capsys, "equiv", "--diagram", "h3", "--root", "s2",
+                            "--root2", "s3", "--params", str(params))
+    assert code == 0
+    assert doc["verdict"] == "equivalent"
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([["s1", "s9"], ["s2", "s3"]], "no vertex labelled 's9'"),
+    ([[0, 1], [1, 7]], "bad vertex 7"),
+    ([[0, 1], [1, -1]], "bad vertex -1"),
+    ([[0, 1], [1, True]], "bad vertex True"),
+    ([[0, 1], "s2"], "bad edge"),
+    ({"s1": "s2"}, "needs an \"edges\" list"),
+])
+def test_bad_tree_file_exit_2(capsys, tmp_path, edges, message):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"edges": edges}))
+    code, out, err = run(capsys, "build", "--diagram", "b3", "--root", "s1",
+                         "--tree", str(tree))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_chord_scalar_zero_denominator_exit_2(capsys, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"chords": {"s2-s3": {"num": [1], "den": 0}}}))
+    code, _, err = run(capsys, "form", "--diagram", "affine_triangle",
+                       "--root", "s1", "--params", str(params))
+    assert code == 2
+    assert err.count("\n") == 1 and "zero denominator" in err
+
+
+@pytest.mark.parametrize("value", ["0", "2", "-5"])
+def test_verify_max_order_below_three_exit_2(capsys, value):
+    code, out, err = run(capsys, "verify", "--diagram", "h3", "--root", "s2",
+                         "--max-order", value)
+    assert code == 2 and out == ""
+    assert err == "error: --max-order must be at least 3\n"
+    code, _, _ = run(capsys, "verify", "--diagram", "h3", "--root", "s2",
+                     "--max-order", "5")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["build", "form", "equiv", "dual"])
+def test_max_order_belongs_to_verify_only(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--diagram", "h3", "--root", "s2", "--max-order", "60"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --max-order" in capsys.readouterr().err
+
+
+def test_verify_analyzes_each_pair_once(capsys, monkeypatch):
+    import coxrep.analysis as analysis
+
+    calls = []
+    original = analysis.classify_pair
+
+    def counting(c_rs, c_sr, max_order):
+        calls.append(max_order)
+        return original(c_rs, c_sr, max_order)
+
+    monkeypatch.setattr(analysis, "classify_pair", counting)
+    code, doc, _ = run_json(capsys, "verify", "--diagram", "b3", "--root", "s2",
+                            "--max-order", "12")
+    assert code == 0 and calls == [12, 12, 12]
+    assert [r["char_poly_closed_form"] for r in doc["char_poly_checks"]] == \
+        [True, True, True]
+
+
+def test_verify_order_mismatch_exits_4(capsys, monkeypatch):
+    import coxrep.analysis as analysis
+
+    monkeypatch.setattr(analysis, "_matrix_order_check", lambda *args: False)
+    code, out, err = run(capsys, "verify", "--diagram", "b3", "--root", "s2")
+    assert code == 4 and out == ""
+    assert err == ("internal consistency error: classified order 3 but "
+                   "matrix powers disagree\n")

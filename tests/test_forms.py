@@ -1,5 +1,6 @@
 """Invariant forms: existence, Gram matrices, the nullspace oracle, duals."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -200,6 +201,40 @@ def test_nontrivial_theta_on_h3():
         assert form_space_dimension(rep, theta) == 1
         gram = build_form(rep, theta)
         assert verify_invariance(rep, gram)
+
+
+def _invariance_system_nullity(rep, theta):
+    """Nullity of the direct system M^T G theta(M) = G in the entries of G."""
+    ctx, n = rep.ctx, rep.rank
+    rows = []
+    for mat in rep.generators:
+        tm = theta.apply_matrix(mat)
+        for a in range(n):
+            for b in range(n):
+                row = [ctx.zero] * (n * n)
+                for r in range(n):
+                    for s in range(n):
+                        row[r * n + s] = mat[r][a] * tm[s][b]
+                row[a * n + b] = row[a * n + b] - 1
+                rows.append(row)
+    return linalg.nullity(ctx, rows)
+
+
+def test_form_space_dimension_matches_direct_invariance_system():
+    # M^T G theta(M) = G and M^T G = G theta(M) have the same solutions,
+    # for every automorphism theta, involutive or not
+    tree = spanning_tree(TRIANGLE, 0)
+    params = geometric_parameters(tree)
+    unbalanced = build(tree, params.with_chord((1, 2), params.ctx.from_rational(7)))
+    reps = [geometric_representation(H3, "s2"), geometric_representation(BC3, "s1"),
+            geometric_representation(TRIANGLE, 1), unbalanced]
+    for rep in reps:
+        ctx = rep.ctx
+        indices = {ctx.galois_index(j) for j in range(1, ctx.N + 1)
+                   if math.gcd(j, ctx.N) == 1}
+        for theta in (Automorphism(ctx, j) for j in sorted(indices)):
+            assert form_space_dimension(rep, theta) == \
+                _invariance_system_nullity(rep, theta), (rep, theta)
 
 
 def test_rank_one_form():
