@@ -42,9 +42,7 @@ from .cyclotomic import (
     FieldContext,
     FieldElement,
     IntPolynomial,
-    cos_element,
     field_context,
-    galois,
     minimal_poly_real_cyclotomic,
 )
 from .forms import (
@@ -81,8 +79,8 @@ __all__ = [
     "SpanningTree", "build", "build_form", "cartan_coefficient",
     "cartan_matrix", "characters_distinguish", "chord_circuit",
     "circuit_trace", "classify_pair", "commutant_dimension", "conductor_for",
-    "cos_element", "dual_representation", "field_context", "form_exists",
-    "form_space_dimension", "galois", "geometric_parameters",
+    "dual_representation", "field_context", "form_exists",
+    "form_space_dimension", "geometric_parameters",
     "geometric_representation", "gram_cartan_relation", "is_reflection",
     "minimal_poly_real_cyclotomic", "order_poly", "order_poly_full",
     "order_poly_roots", "precedes", "product_analysis",

@@ -11,12 +11,13 @@ can only mean an arithmetic bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Optional, Sequence
 
 from . import linalg
-from .cartanpoly import DEFAULT_MAX_ORDER, OrderClass, classify_pair
+from .cartanpoly import OrderClass, classify_pair
 from .construction import ReflectionRep
-from .cyclotomic import FieldContext, FieldElement
+from .cyclotomic import FieldContext, FieldElement, prime_factors
 from .graph import chord_circuit, precedes
 
 Matrix = Sequence[Sequence[FieldElement]]
@@ -116,18 +117,18 @@ def cartan_coefficient(r: ReflectionData, s: ReflectionData) -> FieldElement:
 
 
 def _matrix_order_check(ctx: FieldContext, product: Matrix, n: int) -> bool:
-    """Exact power check: product^n = I and product^d != I at proper divisors."""
-    powers = {1: [list(row) for row in product]}
-    acc = powers[1]
-    for k in range(2, n + 1):
-        acc = linalg.mat_mul(ctx, acc, product)
-        powers[k] = acc
-    if not linalg.is_identity(ctx, powers[n]):
-        return False
-    for d in range(1, n):
-        if n % d == 0 and linalg.is_identity(ctx, powers[d]):
-            return False
-    return True
+    """Exact power check: product^n = I and product^(n/q) != I for each
+    prime q | n, by square-and-multiply over the squares product^(2^i)."""
+    squares = [product]
+    for _ in range(n.bit_length() - 1):
+        squares.append(linalg.mat_mul(ctx, squares[-1], squares[-1]))
+
+    def power(k: int) -> Matrix:
+        return reduce(partial(linalg.mat_mul, ctx),
+                      [sq for i, sq in enumerate(squares) if k >> i & 1])
+
+    return linalg.is_identity(ctx, power(n)) and not any(
+        linalg.is_identity(ctx, power(n // q)) for q in prime_factors(n))
 
 
 def _is_unipotent(ctx: FieldContext, product: Matrix) -> bool:
@@ -149,7 +150,7 @@ class ProductAnalysis:
 
 
 def product_analysis(r: ReflectionData, s: ReflectionData,
-                     max_order: int = DEFAULT_MAX_ORDER) -> ProductAnalysis:
+                     max_order: int | None = None) -> ProductAnalysis:
     """Order class of the pair product, cross-validated by matrix powers,
     with its characteristic polynomial checked against the closed form
     (X-1)^(n-2) (X^2 - (C-2) X + 1)."""
@@ -303,7 +304,7 @@ class GoodMorphismReport:
 
 def verify_good_morphism(rep: ReflectionRep,
                          matrix: Sequence[Sequence[int]] | None = None,
-                         max_order: int = DEFAULT_MAX_ORDER) -> GoodMorphismReport:
+                         max_order: int | None = None) -> GoodMorphismReport:
     """Per-pair table comparing expected orders m_st with computed orders.
 
     Failures are recorded, not raised: a report with failing rows is data

@@ -4,7 +4,10 @@ A pair of reflections whose product has finite order n >= 3 has Cartan
 coefficient 4*cos^2(k*pi/n) for some k coprime to n.  ``order_poly(n)`` is
 the monic integer polynomial with exactly those roots; ``order_poly_full(n)``
 takes all 1 <= k <= floor(n/2), i.e. products whose order divides n.  The
-classifier maps an exact coefficient pair back to the order of the product.
+classifier maps an exact coefficient to its order by one lookup per field,
+complete by the conductor theorem (Washington, *Introduction to Cyclotomic
+Fields*): if 2*cos(2*pi*k/n), gcd(k, n) = 1, lies in Q(zeta_N)+, then n is
+in {1, 2, 3, 4, 6}, or n | N, or n = 2m with m odd and m | N.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from .cyclotomic import (
     NonDivisorOrder,
     minimal_poly_real_cyclotomic,
 )
-
-DEFAULT_MAX_ORDER = 60
 
 
 @dataclass(frozen=True)
@@ -120,24 +121,26 @@ def order_poly_roots(ctx: FieldContext, n: int) -> list[FieldElement]:
 
 
 @lru_cache(maxsize=None)
-def _coefficient_value_table(max_order: int) -> tuple[tuple[float, int], ...]:
-    """Float values of 4*cos^2(k*pi/n), gcd(k,n)=1, for 3 <= n <= max_order.
-
-    Distinct entries for n <= 60 are separated by more than 1e-6, so a
-    1e-9 float match safely shortlists candidate orders; every match is
-    confirmed exactly before classification.
-    """
-    table = []
-    for n in range(3, max_order + 1):
-        for k in admissible_root_indices(n):
-            table.append((4 * math.cos(k * math.pi / n) ** 2, n))
-    return tuple(table)
+def _order_table(ctx: FieldContext) -> dict[FieldElement, int]:
+    """Every Cartan coefficient of finite order n >= 3 in the field, mapped
+    to n: the rationals 1, 2, 3 (n = 3, 4, 6), the roots of order_poly(n)
+    for n | N, and 4 - root for odd n | N (order 2n)."""
+    table = {ctx.from_rational(c): n for c, n in ((1, 3), (2, 4), (3, 6))}
+    for n in range(3, ctx.N + 1):
+        if ctx.N % n == 0:
+            for root in order_poly_roots(ctx, n):
+                table[root] = n
+                if n % 2:
+                    # 4 - 4cos^2(k pi/n) = 4cos^2((2k + n) pi/(2n))
+                    table[4 - root] = 2 * n
+    return table
 
 
 def classify_pair(c_rs: FieldElement, c_sr: FieldElement,
-                  max_order: int = DEFAULT_MAX_ORDER) -> OrderClass:
+                  max_order: int | None = None) -> OrderClass:
     """Classify the product order of a reflection pair from its two Cartan
-    cross-coefficients (exact decision; floats only shortlist candidates)."""
+    cross-coefficients, exactly.  A finite order above ``max_order``, when
+    one is given, is reported as indeterminate."""
     if c_sr.ctx is not c_rs.ctx:
         raise ValueError("coefficients from different field contexts")
     if c_rs.is_zero() and c_sr.is_zero():
@@ -145,13 +148,9 @@ def classify_pair(c_rs: FieldElement, c_sr: FieldElement,
     coefficient = c_rs * c_sr
     if coefficient == 4:
         return OrderClass.unipotent()
-    if coefficient.is_zero():
-        # one-sided zero: the product is (-1)*unipotent, never finite order
+    # a one-sided zero gives coefficient 0, which is not in the table: the
+    # product is then (-1)*unipotent, never of finite order
+    n = _order_table(coefficient.ctx).get(coefficient)
+    if n is None or (max_order is not None and n > max_order):
         return OrderClass.indeterminate()
-    approx = float(coefficient)
-    candidates = sorted({n for value, n in _coefficient_value_table(max_order)
-                         if abs(value - approx) < 1e-9})
-    for n in candidates:
-        if order_poly(n).evaluate(coefficient).is_zero():
-            return OrderClass.finite(n)
-    return OrderClass.indeterminate()
+    return OrderClass.finite(n)

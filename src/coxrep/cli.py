@@ -8,9 +8,8 @@
 
 --diagram takes a path or the name of a bundled example (a3, b3, bc3, h3,
 affine_triangle, k4).  Exit codes: 0 success, 2 input validation, 3
-verification failure, 4 internal consistency error.  verify's --max-order
-(at least 3; default COXREP_MAX_ORDER, else 60) bounds the
-order-classification search.
+verification failure, 4 internal consistency error.  Pair orders are
+classified exactly; verify's optional --max-order (at least 3) caps them.
 """
 
 from __future__ import annotations
@@ -70,9 +69,11 @@ def _resolve_diagram(spec: str):
         raise CliError(f"bad diagram: {exc}") from exc
 
 
-def _job_rep(args, suffix: str = ""):
-    """The representation of the first job, or with suffix "2" the second
-    job of `equiv`, whose options each default to the first job's value."""
+def _job_rep(args, first=None):
+    """The first job's representation, or, given it, that of `equiv`'s
+    second job: each option defaults to the first job's value, and without
+    a tree file the first job's tree is re-rooted at --root2."""
+    suffix = "" if first is None else "2"
     def option(name):
         return getattr(args, name + suffix, None) or getattr(args, name)
 
@@ -86,6 +87,8 @@ def _job_rep(args, suffix: str = ""):
         if tree_path:
             with open(tree_path) as fh:
                 tree = cio.tree_from_json(diagram, root, json.load(fh))
+        elif first is not None and first.diagram == diagram:
+            tree = first.tree.with_root(root)
         else:
             tree = spanning_tree(diagram, root)
         params = cio.load_params(tree, option("params"))
@@ -126,7 +129,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_order < 3:
+    if args.max_order is not None and args.max_order < 3:
         raise CliError("--max-order must be at least 3")
     rep = _job_rep(args)
     report = verify_good_morphism(rep, max_order=args.max_order)
@@ -203,7 +206,7 @@ def cmd_form(args) -> int:
 
 def cmd_equiv(args) -> int:
     rep1 = _job_rep(args)
-    rep2 = _job_rep(args, suffix="2")
+    rep2 = _job_rep(args, first=rep1)
     if rep1.diagram != rep2.diagram:
         raise CliError("the two jobs must share a diagram")
     document: dict = {}
@@ -315,8 +318,8 @@ def make_parser() -> argparse.ArgumentParser:
         _add_job_arguments(p)
         if name == "verify":
             p.add_argument("--max-order", type=int,
-                           default=os.environ.get("COXREP_MAX_ORDER", "60"),
-                           help="largest pair order to classify (at least 3)")
+                           help="optional cap: a pair order above it fails "
+                                "verification (at least 3; default no cap)")
         if name == "form":
             p.add_argument("--theta", type=int, default=1,
                            help="galois index of the twisting automorphism")

@@ -172,19 +172,24 @@ class IntPolynomial:
         return "".join(parts)
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    primes = []
     p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def euler_phi(n: int) -> int:
+    primes = prime_factors(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 @lru_cache(maxsize=None)
@@ -422,14 +427,6 @@ def field_context(n: int) -> FieldContext:
     return FieldContext(n)
 
 
-def cos_element(ctx: FieldContext, k: int, m: int) -> "FieldElement":
-    return ctx.cos_element(k, m)
-
-
-def galois(ctx: FieldContext, j: int, x: "FieldElement") -> "FieldElement":
-    return ctx.galois(j, x)
-
-
 class FieldElement:
     """Immutable element of a real cyclotomic field.
 
@@ -628,16 +625,15 @@ class FieldElement:
     def __hash__(self) -> int:
         return hash((id(self.ctx), self.num, self.den))
 
-    # -- Galois / numerics ------------------------------------------------------
-
-    def galois(self, j: int) -> "FieldElement":
-        return self.ctx.galois(j, self)
+    # -- numerics -------------------------------------------------------------
 
     def approximate(self, precision_bits: int = 53):
         """Real approximation with |error| < 2^-precision_bits (mpmath float)."""
         import mpmath
 
-        work = precision_bits + 16 + self.ctx.degree.bit_length() * 4
+        # terms v_i * c^i reach 2^(bits(v) + degree) and may cancel
+        work = (precision_bits + 16 + self.ctx.degree.bit_length() * 4
+                + max(abs(v).bit_length() for v in self.num) + self.ctx.degree)
         with mpmath.workprec(work):
             cval = self.ctx._generator_approx(work)
             acc = mpmath.mpf(0)

@@ -37,7 +37,7 @@ from coxrep.construction import (
     root_change_intertwiner,
     tree_change_intertwiner,
 )
-from coxrep.cyclotomic import euler_phi, field_context, galois
+from coxrep.cyclotomic import euler_phi, field_context
 from coxrep.forms import (
     Automorphism,
     build_form,
@@ -192,12 +192,12 @@ def test_criterion_3_h3_golden():
         # one representation onto the other, generator for generator
         alpha1 = 2 + ctx.cos_element(1, 5)
         swap = next(j for j in range(2, 30) if math.gcd(j, 30) == 1
-                    and galois(ctx, j, alpha1) == 3 - alpha1)
+                    and ctx.galois(j, alpha1) == 3 - alpha1)
         for root_label in ("s2", "s3"):
             rep_a = reps[(1, root_label)]
             rep_b = reps[(2, root_label)]
             for ga, gb in zip(rep_a.generators, rep_b.generators):
-                mapped = [[galois(ctx, swap, x) for x in row] for row in ga]
+                mapped = [[ctx.galois(swap, x) for x in row] for row in ga]
                 assert linalg.mat_eq(mapped, gb)
         assert time.monotonic() - start < 1.0
 

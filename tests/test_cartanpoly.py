@@ -108,6 +108,39 @@ def test_classify_respects_max_order():
     assert classify_pair(root, ctx.one, max_order=31) == OrderClass.finite(31)
 
 
+def test_classify_every_root_of_every_order_dividing_504():
+    # large conductors once fell outside the float shortlist and came back
+    # indeterminate; the lookup is exact at every divisor
+    ctx = field_context(504)
+    one = ctx.one
+    for n in range(3, 505):
+        if 504 % n == 0:
+            for root in order_poly_roots(ctx, n):
+                assert classify_pair(root, one) == OrderClass.finite(n)
+
+
+def test_classify_odd_order_complement_doubles_the_order():
+    # 4 - 4cos^2(k pi/5) = 4cos^2((2k+5) pi/10): order 10 lives in Q(zeta_5)+
+    ctx = field_context(5)
+    for root in order_poly_roots(ctx, 5):
+        assert classify_pair(4 - root, ctx.one) == OrderClass.finite(10)
+
+
+def test_classify_never_converts_to_float(monkeypatch):
+    from coxrep.cyclotomic import FieldElement
+
+    def refuse(self):
+        raise AssertionError("float() on the decision path")
+
+    monkeypatch.setattr(FieldElement, "__float__", refuse)
+    ctx = field_context(84)
+    for n in (3, 4, 6, 7, 12, 14, 21, 42, 84):
+        for root in order_poly_roots(ctx, n):
+            assert classify_pair(root, ctx.one) == OrderClass.finite(n)
+    assert classify_pair(ctx.from_rational(5), ctx.one) == OrderClass.indeterminate()
+    assert classify_pair(ctx.zero, ctx.one) == OrderClass.indeterminate()
+
+
 def test_order_class_invariants():
     with pytest.raises(ValueError):
         OrderClass("finite", 2)

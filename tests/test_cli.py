@@ -223,6 +223,22 @@ def test_equiv_root2_defaults_to_first_job_params(capsys, tmp_path):
     assert doc["verdict"] == "equivalent"
 
 
+def test_equiv_root2_defaults_to_first_job_tree(capsys, tmp_path):
+    # the first job's --params may name a chord of its tree that is a tree
+    # edge of the breadth-first tree from --root2; the second job re-roots
+    # the first job's tree instead
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"chords": {"s2-s3": 5}}))
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"edges": [["s1", "s2"], ["s1", "s3"]]}))
+    argv = ["equiv", "--diagram", "affine_triangle", "--root", "s1",
+            "--root2", "s2", "--params", str(params)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("verdict: equivalent\n")
+    assert run(capsys, *argv, "--tree", str(tree)) == (code, out, err)
+
+
 @pytest.mark.parametrize("edges, message", [
     ([["s1", "s9"], ["s2", "s3"]], "no vertex labelled 's9'"),
     ([[0, 1], [1, 7]], "bad vertex 7"),
@@ -294,3 +310,19 @@ def test_verify_order_mismatch_exits_4(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert err == ("internal consistency error: classified order 3 but "
                    "matrix powers disagree\n")
+
+
+def _rank_two_diagram(tmp_path, label):
+    path = tmp_path / f"i2_{label}.json"
+    path.write_text(json.dumps({"rank": 2, "m": [[1, label], [label, 1]]}))
+    return str(path)
+
+
+def test_verify_label_61_without_cap_and_with_cap(capsys, tmp_path):
+    diagram = _rank_two_diagram(tmp_path, 61)
+    code, doc, _ = run_json(capsys, "verify", "--diagram", diagram, "--root", "s1")
+    assert code == 0 and doc["passed"] is True
+    assert doc["good_morphism"]["checks"][1]["computed"] == 61
+    code, doc, _ = run_json(capsys, "verify", "--diagram", diagram, "--root", "s1",
+                            "--max-order", "60")
+    assert code == 3 and doc["good_morphism"]["checks"][1]["computed"] is None

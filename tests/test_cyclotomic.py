@@ -13,10 +13,8 @@ from coxrep.cyclotomic import (
     IntPolynomial,
     NonDivisorOrder,
     NotCoprime,
-    cos_element,
     euler_phi,
     field_context,
-    galois,
     minimal_poly_real_cyclotomic,
 )
 
@@ -137,13 +135,13 @@ def test_galois_basics():
     ctx = field_context(5)
     alpha = 2 + ctx.cos_element(1, 5)       # (3+sqrt5)/2
     conj = 2 + ctx.cos_element(2, 5)        # (3-sqrt5)/2
-    assert galois(ctx, 2, alpha) == conj
-    assert galois(ctx, 2, alpha) == 3 - alpha
-    assert galois(ctx, 1, alpha) == alpha
+    assert ctx.galois(2, alpha) == conj
+    assert ctx.galois(2, alpha) == 3 - alpha
+    assert ctx.galois(1, alpha) == alpha
     # complex conjugation fixes the real subfield
-    assert galois(ctx, 4, alpha) == alpha
+    assert ctx.galois(4, alpha) == alpha
     with pytest.raises(NotCoprime):
-        galois(ctx, 5, alpha)
+        ctx.galois(5, alpha)
 
 
 def test_galois_composition():
@@ -151,7 +149,7 @@ def test_galois_composition():
     x = ctx.generator + 3 * ctx.generator ** 2
     for j1 in (2, 4, 7):
         for j2 in (2, 4, 7):
-            assert galois(ctx, j1, galois(ctx, j2, x)) == galois(ctx, j1 * j2, x)
+            assert ctx.galois(j1, ctx.galois(j2, x)) == ctx.galois(j1 * j2, x)
 
 
 def test_approximate():
@@ -164,6 +162,18 @@ def test_approximate():
     assert v4_root == 2
     golden = 2 + field_context(5).cos_element(1, 5)
     assert abs(float(golden.approximate(64)) - (3 + math.sqrt(5)) / 2) < 1e-12
+
+
+def test_approximate_survives_cancellation_at_conductor_504():
+    # power-basis coordinates of 2cos(2 pi k/504) are large and cancel; a
+    # working precision blind to that once gave errors near 1e-6
+    ctx = field_context(504)
+    for k in range(1, 253):
+        x = ctx.cos_element(k, 504)
+        with mpmath.workprec(200):
+            exact = 2 * mpmath.cos(2 * mpmath.pi * k / 504)
+            assert abs(x.approximate(64) - exact) < mpmath.mpf(2) ** -64
+        assert abs(float(x) - float(exact)) <= 1e-15
 
 
 def _random_element(ctx, rng):
@@ -183,7 +193,7 @@ def test_field_axioms_random(n):
         if not x.is_zero():
             assert x * x.invert() == ctx.one
         j = next(j for j in range(1, n + 1) if math.gcd(j, n) == 1)
-        assert galois(ctx, j, x * y) == galois(ctx, j, x) * galois(ctx, j, y)
+        assert ctx.galois(j, x * y) == ctx.galois(j, x) * ctx.galois(j, y)
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,8 +204,8 @@ def test_galois_is_multiplicative(xs, ys, j):
     ctx = field_context(15)
     x = ctx.from_coeffs(xs)
     y = ctx.from_coeffs(ys)
-    assert galois(ctx, j, x * y) == galois(ctx, j, x) * galois(ctx, j, y)
-    assert galois(ctx, j, x + y) == galois(ctx, j, x) + galois(ctx, j, y)
+    assert ctx.galois(j, x * y) == ctx.galois(j, x) * ctx.galois(j, y)
+    assert ctx.galois(j, x + y) == ctx.galois(j, x) + ctx.galois(j, y)
 
 
 def test_int_polynomial_divmod_and_shift():
