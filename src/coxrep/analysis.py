@@ -3,8 +3,8 @@
 Everything here is an exact cross-check: pair orders are decided both by
 polynomial classification of the Cartan coefficient and by literal matrix
 powers, characteristic polynomials are compared against the closed form,
-the commutant is computed as a nullspace, and circuit traces against the
-closed-form trace.  Disagreement between redundant routes raises, since it
+the commutant dimension is certified by two bounds that must meet, and
+circuit traces against the closed-form trace.  Disagreement between redundant routes raises, since it
 can only mean an arithmetic bug.
 """
 
@@ -344,9 +344,13 @@ def verify_good_morphism(rep: ReflectionRep,
     return GoodMorphismReport(tuple(checks), all_ok)
 
 
-def commutant_dimension(rep: ReflectionRep) -> int:
-    """Dimension of {X : X zeta_s = zeta_s X for all s}, by exact elimination."""
-    return linalg.intertwiner_dimension(rep.ctx, rep.generators, rep.generators)
+def commutant_dimension(rep: ReflectionRep) -> tuple[int, str]:
+    """Dimension of {X : X zeta_s = zeta_s X for all s}, and the route that
+    decided it (see linalg.intertwiner_dimension): a rank over F_p bounds
+    it from above, and the identity, checked exactly, from below by 1."""
+    ctx = rep.ctx
+    return linalg.intertwiner_dimension(ctx, rep.generators, rep.generators,
+                                        linalg.identity(ctx, rep.rank))
 
 
 @dataclass(frozen=True, eq=False)

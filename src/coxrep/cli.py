@@ -144,13 +144,14 @@ def cmd_verify(args) -> int:
                     check.analysis and check.analysis.closed_form_matches,
             })
     char_ok = all(r["char_poly_closed_form"] is not False for r in pair_records)
-    dim = commutant_dimension(rep)
+    dim, route = commutant_dimension(rep)
     passed = report.passed and char_ok and dim == 1
     document = {
         "passed": passed,
         "good_morphism": report.as_dict(),
         "char_poly_checks": pair_records,
         "commutant_dimension": dim,
+        "commutant_route": route,
     }
     lines = [f"good morphism: {'pass' if report.passed else 'FAIL'}"]
     for check in report.checks:
@@ -160,6 +161,7 @@ def cmd_verify(args) -> int:
                      f" -> {'ok' if check.passed else 'FAIL'}")
     lines.append(f"char poly closed form: {'pass' if char_ok else 'FAIL'}")
     lines.append(f"commutant dimension: {dim}")
+    lines.append(f"commutant route: {route}")
     _emit(args, document, "\n".join(lines))
     return EXIT_OK if passed else EXIT_VERIFY
 
@@ -171,16 +173,18 @@ def cmd_form(args) -> int:
     except NotCoprime as exc:
         raise CliError(str(exc)) from exc
     existence = form_exists(rep, theta)
-    dimension = form_space_dimension(rep, theta)
+    dimension, route = form_space_dimension(rep, theta)
     document = {
         "theta": theta.index,
         "exists": bool(existence),
         "obstruction": existence.obstruction,
         "obstruction_detail": list(existence.detail) if existence.detail else None,
         "dimension": dimension,
+        "dimension_route": route,
     }
     lines = [f"theta = galois index {theta.index}",
-             f"invariant form exists: {bool(existence)} (dimension {dimension})"]
+             f"invariant form exists: {bool(existence)} (dimension {dimension})",
+             f"dimension route: {route}"]
     if existence:
         gram = build_form(rep, theta)
         invariant = verify_invariance(rep, gram)

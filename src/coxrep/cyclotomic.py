@@ -4,6 +4,8 @@ Elements are rational coordinate vectors in the power basis of
 c = 2*cos(2*pi/N), reduced modulo the minimal polynomial of c.  Every
 operation is exact; floating point only enters through ``approximate``,
 which exists for display and cross-checking, never for decisions.
+``FieldContext.modular_image`` maps c into F_p for split primes p, the
+ground of the modular rank bounds in ``linalg``.
 """
 
 from __future__ import annotations
@@ -192,32 +194,67 @@ def euler_phi(n: int) -> int:
     return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, deterministic for
+    n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split_prime_above(n: int, floor: int) -> int:
+    """The least prime p > floor with p = 1 (mod n)."""
+    p = floor + 1 + (-floor) % n
+    while not is_prime(p):
+        p += n
+    return p
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by the divisor recurrence."""
+    """The n-th cyclotomic polynomial, in integer arithmetic only.
+
+    Phi_n(x) = Phi_r(x^(n/r)) for r = rad(n), and Phi_r is the product of
+    (x^d - 1)^mu(r/d) over d | r.  Each factor is sparse, so multiplying
+    or dividing by it is one pass over the coefficients; the divisions run
+    as power series modulo x^(phi(r)+1), which is exact because the
+    product is a polynomial of degree phi(r) (Arnold and Monagan 2011).
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    poly = IntPolynomial([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = divmod(poly, cyclotomic_polynomial(d))
-            assert rem.is_zero()
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _two_cos_poly(j: int) -> IntPolynomial:
-    """Integer polynomial D_j with D_j(z + 1/z) = z^j + z^-j.
-
-    Satisfies D_j(2*cos t) = 2*cos(j*t); three-term recurrence
-    D_0 = 2, D_1 = x, D_{j+1} = x*D_j - D_{j-1}.
-    """
-    if j == 0:
-        return IntPolynomial([2])
-    if j == 1:
-        return IntPolynomial([0, 1])
-    x = IntPolynomial([0, 1])
-    return x * _two_cos_poly(j - 1) - _two_cos_poly(j - 2)
+    primes = prime_factors(n)
+    r = math.prod(primes)
+    size = euler_phi(r) + 1
+    coeffs = [1] + [0] * (size - 1)
+    divisors = [(1, 1)]             # (d, mu(d)) over the d | r
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    for d, mu in divisors:
+        e = r // d                  # the factor (x^e - 1)^mu(r/e)
+        # a_i <- a_(i-e) - a_i multiplies by x^e - 1 when run downward, and
+        # divides by it (q_i = q_(i-e) - a_i) when run upward
+        for i in (range(size - 1, -1, -1) if mu == 1 else range(size)):
+            coeffs[i] = (coeffs[i - e] if i >= e else 0) - coeffs[i]
+    spread = [0] * ((size - 1) * (n // r) + 1)
+    spread[::n // r] = coeffs
+    return IntPolynomial(spread)
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +263,9 @@ def minimal_poly_real_cyclotomic(n: int) -> IntPolynomial:
 
     For n >= 3 the n-th cyclotomic polynomial is palindromic of even degree
     2d, so z^-d * Phi_n(z) rewrites exactly as a degree-d polynomial in
-    y = z + 1/z; that polynomial is returned.
+    y = z + 1/z; that polynomial is returned.  It is summed in integers
+    from the D_j with D_j(z + 1/z) = z^j + z^-j, by the three-term
+    recurrence D_0 = 2, D_1 = y, D_(j+1) = y*D_j - D_(j-1).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -234,16 +273,21 @@ def minimal_poly_real_cyclotomic(n: int) -> IntPolynomial:
         return IntPolynomial([-2, 1])
     if n == 2:
         return IntPolynomial([2, 1])
-    phi = cyclotomic_polynomial(n)
-    a = phi.coeffs
-    d = phi.degree // 2
-    assert phi.degree == 2 * d and all(a[i] == a[2 * d - i] for i in range(d)), \
+    a = [int(c) for c in cyclotomic_polynomial(n).coeffs]
+    d = len(a) // 2
+    assert len(a) == 2 * d + 1 and a == a[::-1], \
         "cyclotomic polynomial must be palindromic"
-    result = IntPolynomial([a[d]])
+    result = [a[d]] + [0] * d
+    prev, cur = [2], [0, 1]
     for i in range(1, d + 1):
-        result = result + a[d + i] * _two_cos_poly(i)
-    assert result.is_monic() and result.has_integer_coefficients()
-    return result
+        for k, v in enumerate(cur):
+            result[k] += a[d + i] * v
+        nxt = [0] + cur
+        for k, v in enumerate(prev):
+            nxt[k] -= v
+        prev, cur = cur, nxt
+    assert result[d] == 1
+    return IntPolynomial(result)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +306,7 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     if g > 1:
         num = [v // g for v in num]
         den //= g
-    if all(v == 0 for v in num):
+    if not any(num):
         den = 1
     return tuple(num), den
 
@@ -296,16 +340,27 @@ class FieldContext:
                     cur[i] += top * rows[0][i]
             rows.append(tuple(cur))
         self._red = tuple(rows)
-        self.zero = FieldElement(self, (0,) * d, 1, _normalized=True)
-        self.one = FieldElement(self, (1,) + (0,) * (d - 1), 1, _normalized=True)
-        self._cos_cache: dict[int, FieldElement] = {}
-        self._galois_pow_cache: dict[int, tuple[FieldElement, ...]] = {}
+        # The caches keep integer coordinates, never a FieldElement: an
+        # element refers to its context, so one held here would make a
+        # reference cycle, and a context dropped from field_context's cache
+        # would then wait, caches and all, for the cycle collector.
+        self._cos_cache: dict[int, tuple[int, ...]] = {}
+        self._galois_pow_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._approx_cache: dict[int, object] = {}
+        self._modular: list[tuple[int, tuple[int, ...]]] = []
 
     def __repr__(self) -> str:
         return f"FieldContext(N={self.N}, degree={self.degree})"
 
     # -- constructors -----------------------------------------------------
+
+    @property
+    def zero(self) -> "FieldElement":
+        return FieldElement(self, (0,) * self.degree, 1, _normalized=True)
+
+    @property
+    def one(self) -> "FieldElement":
+        return FieldElement(self, (1,) + (0,) * (self.degree - 1), 1, _normalized=True)
 
     def from_rational(self, value: Fraction | int) -> "FieldElement":
         q = Fraction(value)
@@ -339,22 +394,17 @@ class FieldContext:
             raise NonDivisorOrder(f"order {m} does not divide conductor {self.N}")
         j = (k % m) * (self.N // m)
         j = min(j, self.N - j) if j else 0  # cosine parity: 2cos(2pi j/N) = 2cos(2pi (N-j)/N)
-        cached = self._cos_cache.get(j)
-        if cached is not None:
-            return cached
-        # iterative three-term recurrence, reduced in the field at every step
-        two = self.from_rational(2)
-        if j == 0:
-            self._cos_cache[0] = two
-            return two
-        c = self.generator
-        prev, cur = two, c
-        self._cos_cache.setdefault(0, two)
-        self._cos_cache.setdefault(1, cur)
-        for i in range(2, j + 1):
-            prev, cur = cur, c * cur - prev
-            self._cos_cache.setdefault(i, cur)
-        return self._cos_cache[j]
+        if j not in self._cos_cache:
+            # iterative three-term recurrence, reduced in the field at every
+            # step; every value lies in Z[c], so its denominator is 1
+            c = self.generator
+            prev, cur = self.from_rational(2), c
+            self._cos_cache.setdefault(0, prev.num)
+            for i in range(1, j + 1):
+                if i > 1:
+                    prev, cur = cur, c * cur - prev
+                self._cos_cache.setdefault(i, cur.num)
+        return FieldElement(self, self._cos_cache[j], 1, _normalized=True)
 
     def _reduce_product(self, conv: list[int]) -> list[int]:
         d = self.degree
@@ -365,6 +415,34 @@ class FieldContext:
                 for i in range(d):
                     conv[i] += co * row[i]
         return conv[:d]
+
+    # -- reduction modulo split primes ---------------------------------------
+
+    def modular_image(self, k: int) -> tuple[int, tuple[int, ...]]:
+        """The k-th split prime p (k = 0, 1, ...) and the powers c_p^i mod p,
+        i < degree, of the image c_p of c.
+
+        The primes are those above 2^31 with p = 1 (mod N), ascending.  F_p
+        then holds a primitive N-th root of unity z, and c_p = z + 1/z is a
+        root of the minimal polynomial mod p, so c -> c_p extends to a ring
+        map from the elements whose denominator p does not divide onto F_p.
+        """
+        qs = prime_factors(self.N)
+        while len(self._modular) <= k:
+            p = _split_prime_above(self.N, self._modular[-1][0] if self._modular
+                                   else 2 ** 31)
+            z = next(z for z in (pow(a, (p - 1) // self.N, p) for a in range(2, p))
+                     if all(pow(z, self.N // q, p) != 1 for q in qs))
+            c = (z + pow(z, -1, p)) % p
+            value = 0
+            for coeff in reversed(self._psi):
+                value = (value * c + coeff) % p
+            assert value == 0, f"c_p is not a root of the minimal polynomial mod {p}"
+            powers = [1]
+            for _ in range(self.degree - 1):
+                powers.append(powers[-1] * c % p)
+            self._modular.append((p, tuple(powers)))
+        return self._modular[k]
 
     # -- Galois action -----------------------------------------------------
 
@@ -383,7 +461,9 @@ class FieldContext:
             return 1
         return min(j, self.N - j)
 
-    def _galois_powers(self, j: int) -> tuple["FieldElement", ...]:
+    def _galois_powers(self, j: int) -> tuple[tuple[int, ...], ...]:
+        """Integer coordinates of the powers 1, g, ..., g^(degree-1) of the
+        image g = 2*cos(2*pi*j/N) of c (g lies in Z[c])."""
         j = self.galois_index(j)
         cached = self._galois_pow_cache.get(j)
         if cached is not None:
@@ -392,7 +472,7 @@ class FieldContext:
         powers = [self.one]
         for _ in range(self.degree - 1):
             powers.append(powers[-1] * image)
-        self._galois_pow_cache[j] = tuple(powers)
+        self._galois_pow_cache[j] = tuple(g.num for g in powers)
         return self._galois_pow_cache[j]
 
     def galois(self, j: int, x: "FieldElement") -> "FieldElement":
@@ -401,12 +481,12 @@ class FieldContext:
         j = self.galois_index(j)
         if j == 1 or x.is_rational():
             return x
-        powers = self._galois_powers(j)
-        acc = self.zero
-        for i, v in enumerate(x.num):
+        num = [0] * self.degree
+        for v, power in zip(x.num, self._galois_powers(j)):
             if v:
-                acc = acc + powers[i] * v
-        return acc * Fraction(1, x.den)
+                for i, w in enumerate(power):
+                    num[i] += v * w
+        return FieldElement(self, *_normalize(num, x.den))
 
     # -- numerics ----------------------------------------------------------
 
@@ -448,13 +528,13 @@ class FieldElement:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.num)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return all(v == 0 for v in self.num[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():

@@ -4,9 +4,11 @@ The space of forms invariant under a built representation, sesquilinear
 with respect to a field automorphism, has dimension at most one.  Existence
 is decided by a constructive criterion on the parameters (the automorphism
 squares to the identity, fixes every edge coefficient, and balances every
-chord around its circuit); the same dimension is recomputable as an exact
-nullspace, which the test suite uses as an independent oracle.  When the
-form exists its Gram matrix is assembled in closed form from tree products.
+chord around its circuit); the same dimension is recomputed independently
+from the invariance system, by a modular rank bound closed by the exactly
+checked Gram matrix or by exact elimination, and the CLI and the test
+suite compare the two.  When the form exists its Gram matrix is assembled
+in closed form from tree products.
 """
 
 from __future__ import annotations
@@ -211,18 +213,25 @@ def gram_cartan_relation(rep: ReflectionRep, gram: GramMatrix) -> bool:
     return True
 
 
-def form_space_dimension(rep: ReflectionRep, theta: Automorphism) -> int:
-    """Dimension of the space of invariant theta-sesquilinear forms, by
-    exact elimination (independent of the constructive criterion).
+def form_space_dimension(rep: ReflectionRep, theta: Automorphism) -> tuple[int, str]:
+    """Dimension of the space of invariant theta-sesquilinear forms, and
+    the route that decided it (see linalg.intertwiner_dimension).
 
     G is invariant when M^T G theta(M) = G for every generator M.  The
     generators are involutions, so theta(M)^2 = theta(M^2) = I and the
-    condition is the intertwining system M^T G = G theta(M).
+    condition is the intertwining system M^T G = G theta(M).  A rank over
+    F_p bounds the dimension from above, independently of the constructive
+    criterion; the criterion's Gram matrix, when it claims a form, counts
+    for the lower bound 1 only if it passes an exact check.  A wrong
+    "form" verdict therefore cannot raise the lower bound, and a wrong "no
+    form" verdict leaves the bounds apart, so the dimension falls back to
+    exact elimination and still disagrees with the criterion.
     """
     gens = rep.generators
+    witness = build_form(rep, theta).entries if form_exists(rep, theta) else None
     return linalg.intertwiner_dimension(
         rep.ctx, [linalg.transpose(m) for m in gens],
-        [theta.apply_matrix(m) for m in gens])
+        [theta.apply_matrix(m) for m in gens], witness)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,22 @@
 Matrices are lists (or tuples) of rows of FieldElement.  Characteristic
 polynomials, determinants and inverses go through Faddeev-LeVerrier, which
 only ever divides by small integers and by the determinant; rank and
-nullspace use fraction-free elimination so no field inversions are needed
-to decide dimensions.
+nullspace use fraction-free elimination, with no field inversions.
+
+One row builder serves every system A_s X = X B_s (commutant, intertwiners,
+invariant forms).  Its bases are exact.  Its dimensions are certified: the
+rank modulo a split prime bounds the dimension from above, an exactly
+checked witness bounds it from below, and exact elimination decides only
+when the two bounds stay apart.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import FieldContext, FieldElement
+from .cyclotomic import FieldContext, FieldElement, _normalize
 
 Matrix = Sequence[Sequence[FieldElement]]
 
@@ -142,9 +147,16 @@ def primitive_factor(entries: Iterable[FieldElement]) -> Fraction | int:
 
 
 def _row_primitive(row: list[FieldElement]) -> list[FieldElement]:
-    """Scale a row by a rational so integer contents stay small."""
-    factor = primitive_factor(row)
-    return row if factor == 1 else [x * factor for x in row]
+    """Scale a row by a rational D/C so integer contents stay small: each
+    nonzero entry becomes num*D over den*C, with one normalization."""
+    factor = Fraction(primitive_factor(row))
+    if factor == 1:
+        return row
+    d, c = factor.numerator, factor.denominator
+    return [x if x.is_zero() else
+            FieldElement(x.ctx, *_normalize([v * d for v in x.num], x.den * c),
+                         _normalized=True)
+            for x in row]
 
 
 def _pivot_cost(x: FieldElement) -> tuple[int, int]:
@@ -227,24 +239,26 @@ def nullity(ctx: FieldContext, a: Matrix) -> int:
     return len(a[0]) - rank(ctx, a)
 
 
-def _sylvester_rows(ctx: FieldContext, gens_a: Sequence[Matrix],
-                    gens_b: Sequence[Matrix]) -> list[list[FieldElement]]:
+def _sylvester_rows(zero, gens_a: Sequence[Matrix],
+                    gens_b: Sequence[Matrix]) -> list[list]:
     """Rows of the system A_s X = X B_s for all s, unknown X_kj in column
-    k*n + j.  Zero rows are dropped; a system with none left keeps one zero
-    row, so the solvers still see the n^2 unknowns (the whole space)."""
+    k*n + j, over whatever ring `zero` belongs to: FieldElement entries, or
+    integers standing for residues mod p.  Zero rows are dropped; a system
+    with none left keeps one zero row, so the solvers still see the n^2
+    unknowns (the whole space)."""
     n = len(gens_a[0])
-    zero_row = [ctx.zero] * (n * n)
+    zero_row = [zero] * (n * n)
     rows = []
     for ma, mb in zip(gens_a, gens_b):
         for i in range(n):
             for j in range(n):
                 row = list(zero_row)
                 for k in range(n):
-                    if not ma[i][k].is_zero():
+                    if ma[i][k]:
                         row[k * n + j] = row[k * n + j] + ma[i][k]
-                    if not mb[k][j].is_zero():
+                    if mb[k][j]:
                         row[i * n + k] = row[i * n + k] - mb[k][j]
-                if any(not x.is_zero() for x in row):
+                if any(row):
                     rows.append(row)
     return rows or [zero_row]
 
@@ -257,12 +271,91 @@ def intertwiner_space(ctx: FieldContext, gens_a: Sequence[Matrix],
     solution conjugates the B generators into the A generators.
     """
     n = len(gens_a[0])
-    basis = nullspace(ctx, _sylvester_rows(ctx, gens_a, gens_b))
+    basis = nullspace(ctx, _sylvester_rows(ctx.zero, gens_a, gens_b))
     return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in basis]
 
 
+def is_intertwiner(ctx: FieldContext, gens_a: Sequence[Matrix],
+                   gens_b: Sequence[Matrix], w: Matrix) -> bool:
+    """Exact check that w is nonzero and A_s w = w B_s for every s."""
+    return not is_zero_matrix(w) and all(
+        mat_eq(mat_mul(ctx, a, w), mat_mul(ctx, w, b)) for a, b in zip(gens_a, gens_b))
+
+
+def _images_mod(mats: Sequence[Matrix], p: int, powers: Sequence[int]):
+    """The matrices with each entry mapped to F_p by c -> c_p, or None when
+    p divides a denominator."""
+    out = []
+    for m in mats:
+        image = []
+        for row in m:
+            cells = []
+            for x in row:
+                if x.den % p == 0:
+                    return None
+                v = sum(a * b for a, b in zip(x.num, powers) if a)
+                cells.append(v * pow(x.den, -1, p) % p if x.den != 1 else v % p)
+            image.append(cells)
+        out.append(image)
+    return out
+
+
+def _rank_mod(rows: Iterable[Sequence[int]], p: int, cap: int) -> int:
+    """Rank over F_p of integer rows, or cap once the rank reaches it.
+
+    Rows are sparse {column: residue} dicts, each reduced against the
+    pivot rows found so far (leading coefficient 1, keyed by the leading
+    column); one that does not reduce to zero becomes a pivot row.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for dense in rows:
+        vec = {j: v % p for j, v in enumerate(dense) if v % p}
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(vec[lead], -1, p)
+                pivots[lead] = {j: v * inv % p for j, v in vec.items()}
+                if len(pivots) >= cap:
+                    return cap
+                break
+            f = vec[lead]
+            for j, v in pivot.items():
+                w = (vec.get(j, 0) - f * v) % p
+                if w:
+                    vec[j] = w
+                else:
+                    vec.pop(j, None)
+    return len(pivots)
+
+
 def intertwiner_dimension(ctx: FieldContext, gens_a: Sequence[Matrix],
-                          gens_b: Sequence[Matrix]) -> int:
-    """Dimension of {g : A_s g = g B_s for all s}, from the rank of the
-    system intertwiner_space solves, without building a basis."""
-    return nullity(ctx, _sylvester_rows(ctx, gens_a, gens_b))
+                          gens_b: Sequence[Matrix],
+                          witness: Optional[Matrix] = None) -> tuple[int, str]:
+    """Dimension of {g : A_s g = g B_s for all s}, and the route that
+    decided it: "mod <p>" or "exact".
+
+    The rank over F_p of the system intertwiner_space solves, for a split
+    prime p (FieldContext.modular_image), is at most its rank over the
+    field, so n^2 minus it bounds the dimension from above.  The witness,
+    accepted only after the exact check of is_intertwiner, bounds it from
+    below by 1; without one the lower bound is 0.  When the bounds meet
+    they give the dimension.  Otherwise one more prime is tried (primes
+    that divide a denominator are skipped), and then exact elimination
+    decides.
+    """
+    n = len(gens_a[0])
+    lower = int(witness is not None and is_intertwiner(ctx, gens_a, gens_b, witness))
+    k = tried = 0
+    while tried < 2:
+        p, powers = ctx.modular_image(k)
+        k += 1
+        images_a = _images_mod(gens_a, p, powers)
+        images_b = images_a if gens_b is gens_a else _images_mod(gens_b, p, powers)
+        if images_a is None or images_b is None:
+            continue
+        tried += 1
+        rank_p = _rank_mod(_sylvester_rows(0, images_a, images_b), p, n * n - lower)
+        if n * n - rank_p == lower:
+            return lower, f"mod {p}"
+    return nullity(ctx, _sylvester_rows(ctx.zero, gens_a, gens_b)), "exact"

@@ -326,3 +326,33 @@ def test_verify_label_61_without_cap_and_with_cap(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "verify", "--diagram", diagram, "--root", "s1",
                             "--max-order", "60")
     assert code == 3 and doc["good_morphism"]["checks"][1]["computed"] is None
+
+
+def test_verify_and_form_report_the_route(capsys):
+    h3 = validate([[1, 3, 2], [3, 1, 5], [2, 5, 1]])
+    route = f"mod {geometric_representation(h3, 's2').ctx.modular_image(0)[0]}"
+    code, doc, _ = run_json(capsys, "verify", "--diagram", "h3", "--root", "s2")
+    assert code == 0 and doc["commutant_dimension"] == 1
+    assert doc["commutant_route"] == route
+    code, out, _ = run(capsys, "verify", "--diagram", "h3", "--root", "s2")
+    assert f"commutant dimension: 1\ncommutant route: {route}\n" in out
+    code, doc, _ = run_json(capsys, "form", "--diagram", "h3", "--root", "s2")
+    assert code == 0 and doc["dimension"] == 1 and doc["dimension_route"] == route
+    code, out, _ = run(capsys, "form", "--diagram", "h3", "--root", "s2")
+    assert f"(dimension 1)\ndimension route: {route}\n" in out
+
+
+def test_form_criterion_against_the_dimension_still_exits_4(capsys, monkeypatch):
+    # a criterion that wrongly denies the form leaves the dimension bounds
+    # apart; exact elimination finds the form and the CLI reports the clash
+    import coxrep.cli as cli
+    import coxrep.forms as forms
+
+    def denies(rep, theta):
+        return forms.FormExistence(False, "chord_balance", (0, 1))
+
+    monkeypatch.setattr(cli, "form_exists", denies)
+    monkeypatch.setattr(forms, "form_exists", denies)
+    code, out, err = run(capsys, "form", "--diagram", "b3", "--root", "s2")
+    assert code == 4 and out == ""
+    assert err == "error: form criterion and nullspace dimension disagree\n"

@@ -13,6 +13,7 @@ from coxrep.cyclotomic import (
     IntPolynomial,
     NonDivisorOrder,
     NotCoprime,
+    cyclotomic_polynomial,
     euler_phi,
     field_context,
     minimal_poly_real_cyclotomic,
@@ -60,6 +61,46 @@ def test_min_poly_matches_float_oracle(n):
     poly = minimal_poly_real_cyclotomic(n)
     assert poly.is_monic() and poly.has_integer_coefficients()
     assert [int(c) for c in poly.coeffs] == min_poly_float_oracle(n)
+
+
+def _int_coeffs(poly):
+    assert poly.has_integer_coefficients()
+    return [int(c) for c in poly.coeffs]
+
+
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                if v:
+                    out[i + j] += u * v
+    return out
+
+
+@pytest.mark.parametrize("ns", [range(1, 301), [1260, 2400]], ids=["n<=300", "n=1260,2400"])
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1(ns):
+    for n in ns:
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = _int_poly_mul(product, _int_coeffs(cyclotomic_polynomial(d)))
+        assert product == [-1] + [0] * (n - 1) + [1], n
+        assert cyclotomic_polynomial(n).degree == euler_phi(n)
+
+
+@pytest.mark.parametrize("ns", [range(3, 301), [1260, 2400]], ids=["n<=300", "n=1260,2400"])
+def test_real_minimal_polynomial_gives_back_the_cyclotomic_one(ns):
+    # z^d * psi(z + 1/z) = Phi_n(z), by Horner in y = z + 1/z:
+    # acc <- acc * (z^2 + 1) + psi_k * z^(d-k), from k = d down to 0
+    for n in ns:
+        psi = _int_coeffs(minimal_poly_real_cyclotomic(n))
+        d = len(psi) - 1
+        acc = [0] * (2 * d + 1)
+        for k in range(d, -1, -1):
+            acc = [acc[i] + (acc[i - 2] if i >= 2 else 0) for i in range(2 * d + 1)]
+            acc[d - k] += psi[k]
+        assert acc == _int_coeffs(cyclotomic_polynomial(n)), n
 
 
 def test_min_poly_n15_degree_four_annihilates():
@@ -219,3 +260,23 @@ def test_int_polynomial_divmod_and_shift():
 
 def test_euler_phi():
     assert [euler_phi(n) for n in (1, 2, 5, 12, 15, 30)] == [1, 1, 4, 4, 8, 8]
+
+
+def test_a_dropped_context_is_freed_without_the_cycle_collector():
+    # the context's caches hold integer coordinates, not elements, so no
+    # reference cycle keeps a dropped context and its caches alive
+    import gc
+    import weakref
+
+    from coxrep.cyclotomic import FieldContext
+
+    gc.disable()
+    try:
+        ctx = FieldContext(35)
+        x = ctx.cos_element(3, 35) + ctx.one
+        assert ctx.galois(2, x) == ctx.cos_element(6, 35) + 1
+        ref = weakref.ref(ctx)
+        del ctx, x
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -70,14 +70,14 @@ def test_form_exists_tree_diagram_identity():
     rep = geometric_representation(B3, "s2")
     theta = Automorphism.identity(rep.ctx)
     assert form_exists(rep, theta)
-    assert form_space_dimension(rep, theta) == 1
+    assert form_space_dimension(rep, theta)[0] == 1
 
 
 def test_form_exists_geometric_chordful():
     rep = geometric_representation(TRIANGLE, 0)
     theta = Automorphism.identity(rep.ctx)
     assert form_exists(rep, theta)
-    assert form_space_dimension(rep, theta) == 1
+    assert form_space_dimension(rep, theta)[0] == 1
 
 
 def test_form_blocked_by_unbalanced_chord():
@@ -88,7 +88,7 @@ def test_form_blocked_by_unbalanced_chord():
     existence = form_exists(rep, theta)
     assert not existence
     assert existence.obstruction == "chord_balance"
-    assert form_space_dimension(rep, theta) == 0
+    assert form_space_dimension(rep, theta)[0] == 0
     with pytest.raises(NoInvariantForm):
         build_form(rep, theta)
 
@@ -191,14 +191,14 @@ def test_nontrivial_theta_on_h3():
     assert not swapping.is_involution()
     existence = form_exists(rep, swapping)
     assert not existence and existence.obstruction == "not_involution"
-    assert form_space_dimension(rep, swapping) == 0
+    assert form_space_dimension(rep, swapping)[0] == 0
     # every ambient involution fixes alpha here; forms exist for all of them
     fixing = [a for a in involutive_automorphisms(ctx) if not a.is_identity]
     assert fixing, "expected a nontrivial ambient involution for conductor 30"
     for theta in fixing:
         assert theta(alpha) == alpha
         assert form_exists(rep, theta)
-        assert form_space_dimension(rep, theta) == 1
+        assert form_space_dimension(rep, theta)[0] == 1
         gram = build_form(rep, theta)
         assert verify_invariance(rep, gram)
 
@@ -233,7 +233,7 @@ def test_form_space_dimension_matches_direct_invariance_system():
         indices = {ctx.galois_index(j) for j in range(1, ctx.N + 1)
                    if math.gcd(j, ctx.N) == 1}
         for theta in (Automorphism(ctx, j) for j in sorted(indices)):
-            assert form_space_dimension(rep, theta) == \
+            assert form_space_dimension(rep, theta)[0] == \
                 _invariance_system_nullity(rep, theta), (rep, theta)
 
 

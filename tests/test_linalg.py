@@ -1,0 +1,204 @@
+"""The certified dimension route of the Sylvester kernel: a rank over F_p
+bounds the dimension from above, an exactly checked witness from below,
+and exact elimination decides when the bounds stay apart."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from coxrep import cyclotomic, linalg
+from coxrep.analysis import commutant_dimension
+from coxrep.construction import build, geometric_parameters, geometric_representation
+from coxrep.cyclotomic import field_context, is_prime
+from coxrep.forms import Automorphism, FormExistence, form_space_dimension
+from coxrep.graph import spanning_tree, validate
+
+B3 = validate([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
+H3 = validate([[1, 3, 2], [3, 1, 5], [2, 5, 1]])
+TRIANGLE = validate([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+
+
+def path_plus_chord(rank):
+    """The path s1 - ... - s_rank, labels 3, closed by the chord s1-s_rank
+    labelled 4."""
+    rows = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for i in range(rank - 1):
+        rows[i][i + 1] = rows[i + 1][i] = 3
+    rows[0][rank - 1] = rows[rank - 1][0] = 4
+    return validate(rows)
+
+
+def rational_matrix(ctx, rows):
+    return [[ctx.from_rational(x) for x in row] for row in rows]
+
+
+def diagonal_and_swap(ctx, a, b):
+    """diag(a, b) and the swap: for a != b only the scalars commute with both."""
+    return [rational_matrix(ctx, [[a, 0], [0, b]]), rational_matrix(ctx, [[0, 1], [1, 0]])]
+
+
+def use_split_primes_above(monkeypatch, ctx, floor):
+    """Make ctx's split primes the ones just above floor instead of 2^31."""
+    real = cyclotomic._split_prime_above
+    monkeypatch.setattr(cyclotomic, "_split_prime_above",
+                        lambda n, after: real(n, floor if after == 2 ** 31 else after))
+    monkeypatch.setattr(ctx, "_modular", [])
+
+
+def test_split_primes_and_the_image_of_c():
+    for n in (1, 2, 5, 7, 24, 30, 1260):
+        ctx = field_context(n)
+        primes = [ctx.modular_image(k)[0] for k in range(3)]
+        assert 2 ** 31 < primes[0] < primes[1] < primes[2]
+        assert all(is_prime(p) and (p - 1) % n == 0 for p in primes)
+        # no split prime is skipped between the first and the second
+        assert not any(is_prime(q) for q in range(primes[0] + n, primes[1], n))
+        p, powers = ctx.modular_image(0)
+        assert len(powers) == ctx.degree and powers[0] == 1
+        c = powers[1] if ctx.degree > 1 else (-int(ctx.min_poly.coeffs[0])) % p
+        assert int(ctx.min_poly.evaluate(c)) % p == 0
+
+
+def test_reduction_mod_p_is_a_ring_map():
+    ctx = field_context(35)
+    p, powers = ctx.modular_image(0)
+    rng = random.Random(5)
+
+    def element():
+        return ctx.from_coeffs([rng.randint(-9, 9) for _ in range(ctx.degree)]) \
+            * rng.choice([1, 2, 3, 7])
+
+    def image(x):
+        return linalg._images_mod([[[x]]], p, powers)[0][0][0]
+
+    for _ in range(20):
+        x, y = element(), element()
+        assert image(x * y) == image(x) * image(y) % p
+        assert image(x + y) == (image(x) + image(y)) % p
+
+
+def test_commutant_closes_by_the_identity_mod_p():
+    for diagram, root in ((B3, 1), (H3, 2), (TRIANGLE, 0), (validate([[1]]), 0)):
+        rep = geometric_representation(diagram, root)
+        p = rep.ctx.modular_image(0)[0]
+        assert commutant_dimension(rep) == (1, f"mod {p}")
+
+
+@pytest.mark.parametrize("witness", ["zero", "matrix unit"])
+def test_a_witness_that_fails_the_exact_check_is_rejected(witness):
+    rep = geometric_representation(B3, 1)
+    ctx = rep.ctx
+    w = [[ctx.zero] * 3 for _ in range(3)] if witness == "zero" else \
+        [[ctx.one if (i, j) == (0, 0) else ctx.zero for j in range(3)] for i in range(3)]
+    assert not linalg.is_intertwiner(ctx, rep.generators, rep.generators, w)
+    # the lower bound stays 0 and the upper bound 1: exact elimination decides
+    assert linalg.intertwiner_dimension(ctx, rep.generators, rep.generators, w) == \
+        (1, "exact")
+
+
+def test_dimension_zero_needs_no_witness():
+    tree = spanning_tree(TRIANGLE, 0)
+    params = geometric_parameters(tree)
+    rep = build(tree, params.with_chord((1, 2), params.ctx.from_rational(7)))
+    p = rep.ctx.modular_image(0)[0]
+    assert form_space_dimension(rep, Automorphism.identity(rep.ctx)) == (0, f"mod {p}")
+
+
+def test_an_unlucky_prime_moves_on_to_the_next(monkeypatch):
+    # diag(1, 8) is the identity mod 7, so mod 7 every matrix commuting with
+    # the swap seems to commute with both: the upper bound 2 misses the
+    # lower bound 1, and the next prime, 11, closes it
+    ctx = field_context(1)
+    use_split_primes_above(monkeypatch, ctx, 6)
+    gens = diagonal_and_swap(ctx, 1, 8)
+    assert linalg.intertwiner_dimension(ctx, gens, gens, linalg.identity(ctx, 2)) == \
+        (1, "mod 11")
+
+
+def test_two_unlucky_primes_fall_back_to_exact_elimination(monkeypatch):
+    ctx = field_context(1)
+    use_split_primes_above(monkeypatch, ctx, 6)
+    gens = diagonal_and_swap(ctx, 1, 1 + 7 * 11)
+    assert linalg.intertwiner_dimension(ctx, gens, gens, linalg.identity(ctx, 2)) == \
+        (1, "exact")
+
+
+def test_unlucky_primes_on_a_built_representation(monkeypatch):
+    # the chord scalar 1 + 7*13 is the geometric one, 1, mod 7 and mod 13
+    tree = spanning_tree(TRIANGLE, 0)
+    params = geometric_parameters(tree)
+    rep = build(tree, params.with_chord((1, 2), params.ctx.from_rational(1 + 7 * 13)))
+    ctx = rep.ctx
+    theta = Automorphism.identity(ctx)
+    assert ctx.N == 6
+    use_split_primes_above(monkeypatch, ctx, 6)
+    assert [ctx.modular_image(k)[0] for k in range(3)] == [7, 13, 19]
+    assert form_space_dimension(rep, theta) == (0, "exact")
+    assert linalg.nullity(ctx, linalg._sylvester_rows(
+        ctx.zero, [linalg.transpose(m) for m in rep.generators],
+        list(rep.generators))) == 0
+
+
+def test_a_denominator_divisible_by_p_moves_on_to_the_next_prime():
+    ctx = field_context(1)
+    p1, p2, p3 = (ctx.modular_image(k)[0] for k in range(3))
+    eye = linalg.identity(ctx, 2)
+    gens = diagonal_and_swap(ctx, Fraction(1, p1), 1)
+    assert linalg.intertwiner_dimension(ctx, gens, gens, eye) == (1, f"mod {p2}")
+    # a skipped prime is not a try: past two skips the third prime decides
+    gens = diagonal_and_swap(ctx, Fraction(1, p1 * p2), 1)
+    assert linalg.intertwiner_dimension(ctx, gens, gens, eye) == (1, f"mod {p3}")
+
+
+def test_a_wrong_form_verdict_cannot_close_the_bounds(monkeypatch):
+    from coxrep import forms
+
+    # no form, but the criterion claims one: its Gram matrix fails the
+    # exact check, and the modular bound alone gives dimension 0
+    tree = spanning_tree(TRIANGLE, 0)
+    params = geometric_parameters(tree)
+    unbalanced = build(tree, params.with_chord((1, 2), params.ctx.from_rational(7)))
+    monkeypatch.setattr(forms, "form_exists", lambda rep, theta: FormExistence(True))
+    theta = Automorphism.identity(unbalanced.ctx)
+    assert form_space_dimension(unbalanced, theta)[0] == 0
+    # a form, but the criterion denies it: the bounds 0 and 1 stay apart
+    monkeypatch.setattr(forms, "form_exists",
+                        lambda rep, theta: FormExistence(False, "chord_balance"))
+    rep = geometric_representation(B3, 1)
+    assert form_space_dimension(rep, Automorphism.identity(rep.ctx)) == (1, "exact")
+
+
+def test_rank_8_path_plus_chord_matches_exact_elimination():
+    rep = geometric_representation(path_plus_chord(8), 0)
+    ctx = rep.ctx
+    gens = rep.generators
+    theta = Automorphism.identity(ctx)
+    dim, route = commutant_dimension(rep)
+    assert route.startswith("mod ")
+    assert dim == linalg.nullity(ctx, linalg._sylvester_rows(ctx.zero, gens, gens)) == 1
+    dim, route = form_space_dimension(rep, theta)
+    assert route.startswith("mod ")
+    transposes = [linalg.transpose(m) for m in gens]
+    assert dim == linalg.nullity(ctx, linalg._sylvester_rows(ctx.zero, transposes,
+                                                             list(gens))) == 1
+
+
+def test_rank_10_path_plus_chord_by_the_modular_route():
+    rep = geometric_representation(path_plus_chord(10), 0)
+    p = rep.ctx.modular_image(0)[0]
+    assert commutant_dimension(rep) == (1, f"mod {p}")
+    assert form_space_dimension(rep, Automorphism.identity(rep.ctx)) == (1, f"mod {p}")
+
+
+def test_row_primitive_rescales_like_the_rational_factor():
+    ctx = field_context(7)
+    rng = random.Random(3)
+    for _ in range(50):
+        row = [ctx.from_coeffs([Fraction(rng.randint(-40, 40), rng.choice([1, 2, 6, 9]))
+                                for _ in range(ctx.degree)]) * rng.choice([0, 1, 4])
+               for _ in range(6)]
+        factor = linalg.primitive_factor(row)
+        expected = [x * factor for x in row]
+        got = linalg._row_primitive(row)
+        assert [(x.num, x.den) for x in got] == [(x.num, x.den) for x in expected]
