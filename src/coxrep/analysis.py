@@ -96,12 +96,12 @@ def pair_coefficients(r: ReflectionData, s: ReflectionData
     if _directing_dependent(r, s):
         return None
     ctx = r.ctx
-    rb = linalg.mat_vec(ctx, r.matrix, list(s.directing))
-    diff = [x - y for x, y in zip(rb, s.directing)]
+    rb = linalg.mat_mul(ctx, r.matrix, [[x] for x in s.directing])
+    diff = [x - y for (x,), y in zip(rb, s.directing)]
     c_rs = ctx.zero if all(x.is_zero() for x in diff) \
         else _coefficient_of(diff, r.directing, ctx)
-    sa = linalg.mat_vec(ctx, s.matrix, list(r.directing))
-    diff = [x - y for x, y in zip(sa, r.directing)]
+    sa = linalg.mat_mul(ctx, s.matrix, [[x] for x in r.directing])
+    diff = [x - y for (x,), y in zip(sa, r.directing)]
     c_sr = ctx.zero if all(x.is_zero() for x in diff) \
         else _coefficient_of(diff, s.directing, ctx)
     return c_rs, c_sr

@@ -173,7 +173,8 @@ def cmd_form(args) -> int:
     except NotCoprime as exc:
         raise CliError(str(exc)) from exc
     existence = form_exists(rep, theta)
-    dimension, route = form_space_dimension(rep, theta)
+    gram = build_form(rep, theta) if existence else None
+    dimension, route = form_space_dimension(rep, theta, gram)
     document = {
         "theta": theta.index,
         "exists": bool(existence),
@@ -186,7 +187,6 @@ def cmd_form(args) -> int:
              f"invariant form exists: {bool(existence)} (dimension {dimension})",
              f"dimension route: {route}"]
     if existence:
-        gram = build_form(rep, theta)
         invariant = verify_invariance(rep, gram)
         document["gram"] = cio.matrix_to_json(gram.entries)
         document["invariance_verified"] = invariant
@@ -277,16 +277,17 @@ def _emit_equivalent(args, rep, g, document, lines) -> int:
 def cmd_dual(args) -> int:
     rep = _job_rep(args)
     dual = dual_representation(rep)
+    adapted_rank = dual.adapted_rank()
     document = {
         "discriminant": cio.scalar_to_json(dual.discriminant),
         "degenerate": dual.degenerate,
         "dual_generators": {rep.diagram.labels[s]: cio.matrix_to_json(m)
                             for s, m in enumerate(dual.dual_generators)},
-        "adapted_row_rank": dual.adapted_rank(),
+        "adapted_row_rank": adapted_rank,
     }
     lines = [f"discriminant = {dual.discriminant}",
              f"degenerate: {dual.degenerate}",
-             f"adapted row rank: {dual.adapted_rank()} of {rep.rank}"]
+             f"adapted row rank: {adapted_rank} of {rep.rank}"]
     if not dual.degenerate:
         document["adapted_generators"] = {
             rep.diagram.labels[s]: cio.matrix_to_json(m)

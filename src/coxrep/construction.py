@@ -181,8 +181,11 @@ class ReflectionRep:
         return self.generators[s]
 
     def word_matrix(self, word: Sequence[int]) -> list[list[FieldElement]]:
-        acc = linalg.identity(self.ctx, self.rank)
-        for s in word:
+        """The product of the generators along the word; I for the empty word."""
+        if not word:
+            return linalg.identity(self.ctx, self.rank)
+        acc = [list(row) for row in self.generators[word[0]]]
+        for s in word[1:]:
             acc = linalg.mat_mul(self.ctx, acc, self.generators[s])
         return acc
 

@@ -59,12 +59,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -122,12 +116,6 @@ class IntPolynomial:
                 for j, c in enumerate(div):
                     rem[i - dd + j] -= f * c
         return IntPolynomial(quo), IntPolynomial(rem)
-
-    def __mod__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return divmod(self, other)[0]
 
     def evaluate(self, x):
         """Horner evaluation; works for Fraction, float and FieldElement."""

@@ -213,7 +213,8 @@ def gram_cartan_relation(rep: ReflectionRep, gram: GramMatrix) -> bool:
     return True
 
 
-def form_space_dimension(rep: ReflectionRep, theta: Automorphism) -> tuple[int, str]:
+def form_space_dimension(rep: ReflectionRep, theta: Automorphism,
+                         gram: Optional[GramMatrix] = None) -> tuple[int, str]:
     """Dimension of the space of invariant theta-sesquilinear forms, and
     the route that decided it (see linalg.intertwiner_dimension).
 
@@ -225,13 +226,17 @@ def form_space_dimension(rep: ReflectionRep, theta: Automorphism) -> tuple[int, 
     for the lower bound 1 only if it passes an exact check.  A wrong
     "form" verdict therefore cannot raise the lower bound, and a wrong "no
     form" verdict leaves the bounds apart, so the dimension falls back to
-    exact elimination and still disagrees with the criterion.
+    exact elimination and still disagrees with the criterion.  A caller
+    that has built that Gram matrix already passes it as `gram`; without
+    one the criterion runs here.
     """
     gens = rep.generators
-    witness = build_form(rep, theta).entries if form_exists(rep, theta) else None
+    if gram is None and form_exists(rep, theta):
+        gram = build_form(rep, theta)
     return linalg.intertwiner_dimension(
         rep.ctx, [linalg.transpose(m) for m in gens],
-        [theta.apply_matrix(m) for m in gens], witness)
+        [theta.apply_matrix(m) for m in gens],
+        gram.entries if gram is not None else None)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,18 @@ polynomials, determinants and inverses go through Faddeev-LeVerrier, which
 only ever divides by small integers and by the determinant; rank and
 nullspace use fraction-free elimination, with no field inversions.
 
+Every matrix product is one integer kernel, mat_mul.  Each row of A and
+each column of B is brought to a common denominator, and each nonzero
+entry's integer coordinates, up to its effective degree, are packed once
+into one Python int (Kronecker substitution): signed slots wide enough
+that no output coordinate, a sum over the inner dimension of coordinate
+convolutions, can overflow.  A rational entry packs to one slot; a zero
+entry is skipped.  Each output cell is then one big-integer sum of
+products, unpacked, reduced modulo the minimal polynomial and normalized
+once, where a term-by-term product would make one reduction, two
+normalizations and two elements per term.  The cells come out in the
+canonical (num, den) form, so the result is exactly the term-by-term one.
+
 One row builder serves every system A_s X = X B_s (commutant, intertwiners,
 invariant forms).  Its bases are exact.  Its dimensions are certified: the
 rank modulo a split prime bounds the dimension from above, an exactly
@@ -16,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import FieldContext, FieldElement, _normalize
@@ -31,32 +44,79 @@ def mat_freeze(m: Matrix) -> tuple[tuple[FieldElement, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
+def _over_common_denominator(entries: Iterable[FieldElement]
+                             ) -> tuple[int, list[tuple[int, Sequence[int]]]]:
+    """The lcm D of the denominators of the nonzero entries, and for each of
+    them its index and its coordinates times D, up to its effective degree
+    (one coordinate for a rational)."""
+    nonzero = [(t, x.num, x.den) for t, x in enumerate(entries) if any(x.num)]
+    den = math.lcm(*[x_den for _, _, x_den in nonzero])
+    scaled = []
+    for t, num, x_den in nonzero:
+        top = len(num) if any(num[1:]) else 1
+        while not num[top - 1]:
+            top -= 1
+        f = den // x_den
+        scaled.append((t, num[:top] if f == 1 else [v * f for v in num[:top]]))
+    return den, scaled
+
+
+def _pack(coords: Sequence[int], width: int) -> int:
+    """Kronecker substitution: the coordinates as signed slots of `width` bits."""
+    acc = 0
+    for v in reversed(coords):
+        acc = (acc << width) + v
+    return acc
+
+
 def mat_mul(ctx: FieldContext, a: Matrix, b: Matrix) -> list[list[FieldElement]]:
-    n, k, p = len(a), len(b), len(b[0])
-    out = [[ctx.zero] * p for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for t in range(k):
-            v = row[t]
-            if v.is_zero():
-                continue
-            brow = b[t]
-            for j in range(p):
-                w = brow[j]
-                if not w.is_zero():
-                    acc[j] = acc[j] + v * w
-    return out
-
-
-def mat_vec(ctx: FieldContext, a: Matrix, x: Sequence[FieldElement]) -> list[FieldElement]:
+    """The product A B: each cell one integer sum of packed products,
+    reduced and normalized once (see the module docstring)."""
+    rows = [_over_common_denominator(row) for row in a]
+    cols = [_over_common_denominator(col) for col in zip(*b)]
+    coords_a = [c for _, row in rows for _, c in row]
+    coords_b = [c for _, col in cols for _, c in col]
+    len_a = max(map(len, coords_a), default=1)
+    len_b = max(map(len, coords_b), default=1)
+    bits_a = max(map(abs, chain.from_iterable(coords_a)), default=0).bit_length()
+    bits_b = max(map(abs, chain.from_iterable(coords_b)), default=0).bit_length()
+    # a cell coordinate sums at most len(b) * min(len_a, len_b) products,
+    # each below 2^(bits_a + bits_b) in size: it fits a signed slot of
+    # `width` bits, which is rounded up to whole bytes for unpacking
+    width = bits_a + bits_b + (len(b) * min(len_a, len_b)).bit_length() + 1
+    step = -(-width // 8)
+    width = 8 * step
+    packed_b: list[list[tuple[int, int]]] = [[] for _ in b]
+    for j, (_, col) in enumerate(cols):
+        for t, c in col:
+            packed_b[t].append((j, _pack(c, width)))
+    slots = len_a + len_b - 1
+    size = slots * step
+    half = 1 << (width - 1)
+    # adding half to every slot makes them all nonnegative, so the bytes of
+    # the sum give the slots directly
+    bias = half * ((1 << (width * slots)) - 1) // ((1 << width) - 1)
+    d = ctx.degree
+    zero = ctx.zero
     out = []
-    for row in a:
-        acc = ctx.zero
-        for v, xi in zip(row, x):
-            if not (v.is_zero() or xi.is_zero()):
-                acc = acc + v * xi
-        out.append(acc)
+    for den_a, row in rows:
+        acc = [0] * len(cols)
+        for t, c in row:
+            pa = _pack(c, width)
+            for j, pb in packed_b[t]:
+                acc[j] += pa * pb
+        cells = []
+        for (den_b, _), v in zip(cols, acc):
+            if not v:
+                cells.append(zero)
+                continue
+            raw = (v + bias).to_bytes(size, "little")
+            conv = [int.from_bytes(raw[o:o + step], "little") - half
+                    for o in range(0, size, step)]
+            conv = ctx._reduce_product(conv) if slots > d else conv + [0] * (d - slots)
+            cells.append(FieldElement(ctx, *_normalize(conv, den_a * den_b),
+                                      _normalized=True))
+        out.append(cells)
     return out
 
 
@@ -93,14 +153,17 @@ def trace(ctx: FieldContext, a: Matrix) -> FieldElement:
     return acc
 
 
-def charpoly(ctx: FieldContext, a: Matrix) -> list[FieldElement]:
-    """Characteristic polynomial det(XI - A) by Faddeev-LeVerrier.
+def _faddeev_leverrier(ctx: FieldContext, a: Matrix
+                       ) -> tuple[list[FieldElement], list[list[FieldElement]]]:
+    """The coefficients c_0, ..., c_(n-1), 1 of det(XI - A) and the Horner
+    sum B = A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I, with A B = -c_0 I.
 
-    Returns coefficients lowest degree first, length n+1, monic.  Only
-    divides by the integers 1..n, so everything stays exact.
+    B is the matrix the sequence multiplies by A last, so it costs no
+    product of its own; it is I when n <= 1.
     """
     n = len(a)
     coeffs_desc = [ctx.one]          # X^n coefficient
+    horner = None
     mk = [list(row) for row in a]
     for k in range(1, n + 1):
         ck = trace(ctx, mk) * Fraction(-1, k)
@@ -108,8 +171,18 @@ def charpoly(ctx: FieldContext, a: Matrix) -> list[FieldElement]:
         if k < n:
             for i in range(n):
                 mk[i][i] = mk[i][i] + ck
+            horner = mk
             mk = mat_mul(ctx, a, mk)
-    return list(reversed(coeffs_desc))
+    return coeffs_desc[::-1], horner or identity(ctx, n)
+
+
+def charpoly(ctx: FieldContext, a: Matrix) -> list[FieldElement]:
+    """Characteristic polynomial det(XI - A) by Faddeev-LeVerrier.
+
+    Returns coefficients lowest degree first, length n+1, monic.  Only
+    divides by the integers 1..n, so everything stays exact.
+    """
+    return _faddeev_leverrier(ctx, a)[0]
 
 
 def determinant(ctx: FieldContext, a: Matrix) -> FieldElement:
@@ -121,18 +194,12 @@ def determinant(ctx: FieldContext, a: Matrix) -> FieldElement:
 
 
 def inverse(ctx: FieldContext, a: Matrix) -> list[list[FieldElement]]:
-    """Inverse via Cayley-Hamilton; a single field inversion (of det)."""
-    n = len(a)
-    poly = charpoly(ctx, a)  # [c_0, ..., c_{n-1}, 1]
+    """Inverse -B / c_0 from the Faddeev-LeVerrier sequence (Cayley-Hamilton);
+    a single field inversion (of c_0 = +-det)."""
+    poly, horner = _faddeev_leverrier(ctx, a)
     if poly[0].is_zero():
         raise ZeroDivisionError("matrix is singular")
-    acc = identity(ctx, n)   # Horner: A^{n-1} + c_{n-1} A^{n-2} + ... + c_1 I
-    for k in range(n - 1, 0, -1):
-        acc = mat_mul(ctx, a, acc)
-        for i in range(n):
-            acc[i][i] = acc[i][i] + poly[k]
-    scale = -poly[0].invert()
-    return mat_scale(acc, scale)
+    return mat_scale(horner, -poly[0].invert())
 
 
 def primitive_factor(entries: Iterable[FieldElement]) -> Fraction | int:

@@ -202,3 +202,119 @@ def test_row_primitive_rescales_like_the_rational_factor():
         expected = [x * factor for x in row]
         got = linalg._row_primitive(row)
         assert [(x.num, x.den) for x in got] == [(x.num, x.den) for x in expected]
+
+
+def term_by_term_product(ctx, a, b):
+    """The reference product: one normalized FieldElement product and sum
+    per term, skipping zero factors."""
+    out = [[ctx.zero] * len(b[0]) for _ in a]
+    for row, acc in zip(a, out):
+        for v, brow in zip(row, b):
+            if v.is_zero():
+                continue
+            for j, w in enumerate(brow):
+                if not w.is_zero():
+                    acc[j] = acc[j] + v * w
+    return out
+
+
+def exact(m):
+    return [[(x.num, x.den) for x in row] for row in m]
+
+
+def random_entry(rng, ctx):
+    """Zero, a rational or an irrational element, with denominators other
+    than 1, negative coordinates and coordinates at a power-of-two boundary."""
+    kind = rng.choice(["zero", "rational", "irrational", "irrational", "boundary"])
+    if kind == "zero":
+        return ctx.zero
+    den = rng.choice([1, 1, 2, 3, 12, 35])
+    if kind == "rational":
+        return ctx.from_rational(Fraction(rng.randint(-50, 50), den))
+    top = rng.randrange(ctx.degree)
+    if kind == "boundary":
+        b = rng.choice([7, 8, 15, 16, 31, 32, 64])
+        magnitudes = [2 ** b - 1, 2 ** b]
+    else:
+        magnitudes = range(10)
+
+    def value():
+        return rng.choice([-1, 1]) * rng.choice(magnitudes)
+
+    return ctx.from_coeffs([Fraction(value() if rng.random() < 0.7 else 0, den)
+                            for _ in range(top)] + [Fraction(value() or 1, den)])
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 60, 280, 1260])
+def test_mat_mul_matches_the_term_by_term_product(n):
+    ctx = field_context(n)
+    rng = random.Random(n)
+    shapes = [(1, 1, 1), (3, 1, 1), (1, 3, 1), (4, 2, 1), (2, 3, 4), (3, 3, 3)]
+    for rows, inner, cols in shapes * (3 if ctx.degree < 100 else 1):
+        a = [[random_entry(rng, ctx) for _ in range(inner)] for _ in range(rows)]
+        b = [[random_entry(rng, ctx) for _ in range(cols)] for _ in range(inner)]
+        assert exact(linalg.mat_mul(ctx, a, b)) == exact(term_by_term_product(ctx, a, b))
+
+
+@pytest.mark.parametrize("n, bits_a, bits_b", [(1, 7, 7), (5, 6, 7)])
+def test_mat_mul_sums_that_fill_a_slot(n, bits_a, bits_b):
+    # three terms of equal sign, each with every coordinate at 2^b - 1: the
+    # largest cell coordinate, 3 * (2^bits_a - 1) * (2^bits_b - 1) times the
+    # number of coordinates, needs every bit of a slot whose width is a
+    # whole number of bytes
+    ctx = field_context(n)
+    for sign in (1, -1):
+        a = [[ctx.from_coeffs([sign * (2 ** bits_a - 1)] * ctx.degree)] * 3]
+        b = [[ctx.from_coeffs([2 ** bits_b - 1] * ctx.degree)]] * 3
+        assert exact(linalg.mat_mul(ctx, a, b)) == exact(term_by_term_product(ctx, a, b))
+
+
+def test_mat_mul_of_matrices_with_no_nonzero_entry_or_one_slot():
+    ctx = field_context(12)
+    zero = [[ctx.zero] * 2 for _ in range(2)]
+    assert exact(linalg.mat_mul(ctx, zero, zero)) == exact(zero)
+    big = [[ctx.from_rational(-(2 ** 64)), ctx.from_rational(Fraction(2 ** 64 - 1, 3))]]
+    col = [[ctx.from_rational(2 ** 63)], [ctx.from_rational(-(2 ** 63) + 1)]]
+    assert exact(linalg.mat_mul(ctx, big, col)) == exact(term_by_term_product(ctx, big, col))
+
+
+def horner_inverse(ctx, a):
+    """The inverse by the Horner sum of the characteristic polynomial,
+    rebuilt with n - 1 products of its own."""
+    n = len(a)
+    poly = linalg.charpoly(ctx, a)
+    acc = linalg.identity(ctx, n)
+    for k in range(n - 1, 0, -1):
+        acc = term_by_term_product(ctx, a, acc)
+        for i in range(n):
+            acc[i][i] = acc[i][i] + poly[k]
+    return linalg.mat_scale(acc, -poly[0].invert())
+
+
+def test_inverse_matches_the_horner_route_on_corpus_matrices(suite_instances):
+    for inst in suite_instances[:60]:
+        rep = inst.rep
+        ctx = rep.ctx
+        coxeter = rep.word_matrix(tuple(range(rep.rank)))
+        for a in (coxeter, rep.generators[0]):
+            inv = linalg.inverse(ctx, a)
+            assert linalg.is_identity(ctx, linalg.mat_mul(ctx, inv, a))
+            assert exact(inv) == exact(horner_inverse(ctx, a))
+
+
+def test_inverse_of_size_one_and_of_a_singular_matrix():
+    ctx = field_context(5)
+    x = ctx.from_coeffs([Fraction(1, 3), 2])
+    assert linalg.inverse(ctx, [[x]]) == [[x.invert()]]
+    with pytest.raises(ZeroDivisionError):
+        linalg.inverse(ctx, [[ctx.zero]])
+    with pytest.raises(ZeroDivisionError):
+        linalg.inverse(ctx, [[x, x], [2 * x, 2 * x]])
+
+
+def test_word_matrix_of_the_empty_word_and_one_letter():
+    rep = geometric_representation(B3, 1)
+    assert linalg.is_identity(rep.ctx, rep.word_matrix(()))
+    assert linalg.mat_eq(rep.word_matrix((2,)), rep.generators[2])
+    assert linalg.mat_eq(rep.word_matrix((0, 1)),
+                         term_by_term_product(rep.ctx, rep.generators[0], rep.generators[1]))
