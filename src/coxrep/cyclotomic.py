@@ -5,11 +5,14 @@ c = 2*cos(2*pi/N), reduced modulo the minimal polynomial of c.  Every
 operation is exact; floating point only enters through ``approximate``,
 which exists for display and cross-checking, never for decisions.
 ``FieldContext.modular_image`` maps c into F_p for split primes p, the
-ground of the modular rank bounds in ``linalg``.
+ground of the modular rank bounds in ``linalg`` and of ``invert``: an inverse
+mod p, lifted p-adically and rationally reconstructed, is accepted only by
+the exact product.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -80,15 +83,7 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(out)
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other: "IntPolynomial | int | Fraction") -> "IntPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return IntPolynomial([c * other for c in self.coeffs])
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
             return IntPolynomial([])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -98,24 +93,6 @@ class IntPolynomial:
                     if b:
                         out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lead = div[-1]
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            f = rem[i] / lead
-            if f:
-                quo[i - dd] = f
-                for j, c in enumerate(div):
-                    rem[i - dd + j] -= f * c
-        return IntPolynomial(quo), IntPolynomial(rem)
 
     def evaluate(self, x):
         """Horner evaluation; works for Fraction, float and FieldElement."""
@@ -140,26 +117,7 @@ class IntPolynomial:
         return acc
 
     def __repr__(self) -> str:
-        return f"IntPolynomial({self!s})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            term = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            mag = abs(c)
-            body = f"{mag}" if (i == 0 or mag != 1) else ""
-            sep = "*" if (body and term) else ""
-            if not parts:
-                sign = "-" if c < 0 else ""
-            else:
-                sign = " - " if c < 0 else " + "
-            parts.append(f"{sign}{body}{sep}{term}" if (body or term) else f"{sign}{mag}")
-        return "".join(parts)
+        return f"IntPolynomial({[str(c) for c in self.coeffs]})"
 
 
 def prime_factors(n: int) -> list[int]:
@@ -297,6 +255,55 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     if not any(num):
         den = 1
     return tuple(num), den
+
+
+def _inverse_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...] | None:
+    """The residues mod p, lowest degree first, of the t with t*a = 1 modulo
+    (m, p) for a monic m, by the extended Euclid over F_p; None when a is
+    not a unit there."""
+    r0, r1 = [v % p for v in m], [v % p for v in a]
+    t0, t1 = [], [1]
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if len(r1) < 2:
+            break
+        inv = pow(r1[-1], -1, p)
+        t = t0 + [0] * (len(r0) - len(r1) + len(t1) - len(t0))
+        while len(r0) >= len(r1):       # r0 <- r0 - f x^k r1, t <- t - f x^k t1
+            f = r0[-1] * inv % p
+            k = len(r0) - len(r1)
+            r0 = r0[:k] + [(x - f * y) % p for x, y in zip(r0[k:-1], r1)]
+            t[k:k + len(t1)] = [(x - f * y) % p for x, y in zip(t[k:k + len(t1)], t1)]
+        r0, r1, t0, t1 = r1, r0, t1, t
+    if not r1:
+        return None
+    inv = pow(r1[0], -1, p)
+    return tuple(v * inv % p for v in t1) + (0,) * (len(m) - 1 - len(t1))
+
+
+def _reconstruct(residues: Sequence[int], q: int) -> tuple[tuple[int, ...], int] | None:
+    """Integers u_i and D > 0 with u_i = D*y_i (mod q) and 2 D |u_i| < q,
+    proposed from the residues y_i, or None.  Each residue times the D of
+    those before becomes the fraction r/t before the largest quotient of
+    the extended Euclid on q and it (Monagan 2004), and D takes on |t|.  If
+    u/D is the answer and q > 2 U D (max(U, D) + 1), U = max |u_i|, each
+    fraction is in the remainder sequence (Wang 1981) with the largest
+    quotient, so the proposal is u/D."""
+    den = 1
+    for y in residues:
+        r0, r1, t0, t1 = q, den * y % q, 0, 1
+        most, r, t = 0, 0, 1
+        while r1 and r0 > most:         # no later quotient exceeds r0
+            f = r0 // r1
+            if f > most:
+                most, r, t = f, r1, t1
+            r0, r1, t0, t1 = r1, r0 - f * r1, t1, t0 - f * t1
+        den *= abs(t)
+        if 2 * den * r >= q:
+            return None
+    u = tuple(v - q if 2 * v > q else v for v in (den * y % q for y in residues))
+    return (u, den) if all(2 * den * abs(v) < q for v in u) else None
 
 
 class FieldContext:
@@ -635,49 +642,40 @@ class FieldElement:
         return result
 
     def invert(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclid algorithm mod the
-        minimal polynomial (remainders kept monic to bound growth)."""
+        """Multiplicative inverse, found modulo a split prime and lifted.
+
+        With the element num/den, num in Z[c], num is inverted modulo
+        (psi, p) by an integer extended Euclid, for the first split prime p
+        of FieldContext.modular_image at which it is a unit.  Newton's
+        iteration y <- y(2 - num*y), each product reduced mod q, squares the
+        modulus q = p^(2^k) (von zur Gathen and Gerhard, Modern Computer
+        Algebra, ch. 9).  At each q, _reconstruct proposes num^-1 = u/D; it
+        is taken only when the exact product num*u equals D.  Z[c] is the
+        ring of integers, so D divides the norm of num, and a large enough q
+        proposes the inverse: the loop ends, with no fallback.
+        """
         if self.is_zero():
             raise DivisionByZero("cannot invert zero")
         if self.is_rational():
             return self.ctx.from_rational(1 / self.as_fraction())
-        r0 = [Fraction(c) for c in self.ctx._psi]
-        r1 = [Fraction(v) for v in self.num]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        t0: list[Fraction] = []
-        t1: list[Fraction] = [Fraction(1)]
-        while len(r1) > 1:
-            # divide r0 by r1
-            rem = list(r0)
-            q: list[Fraction] = [Fraction(0)] * max(len(rem) - len(r1) + 1, 1)
-            lead = r1[-1]
-            for i in range(len(rem) - 1, len(r1) - 2, -1):
-                f = rem[i] / lead
-                if f:
-                    q[i - len(r1) + 1] = f
-                    for jj, cc in enumerate(r1):
-                        rem[i - len(r1) + 1 + jj] -= f * cc
-            while rem and rem[-1] == 0:
-                rem.pop()
-            # t = t0 - q*t1
-            t = list(t0) + [Fraction(0)] * max(0, len(q) + len(t1) - 1 - len(t0))
-            for i, qq in enumerate(q):
-                if qq:
-                    for jj, tt in enumerate(t1):
-                        t[i + jj] -= qq * tt
-            while t and t[-1] == 0:
-                t.pop()
-            r0, r1, t0, t1 = r1, rem, t1, t
-            if r1:
-                lc = r1[-1]
-                if lc != 1:
-                    r1 = [c / lc for c in r1]
-                    t1 = [c / lc for c in t1]
-        if not r1:
-            raise ArithmeticError("element not invertible; minimal polynomial not irreducible?")
-        # r1 == [1]; t1 * (num polynomial) == 1 mod psi, so inverse = den * t1
-        return self.ctx.from_coeffs([c * self.den for c in t1])
+        ctx = self.ctx
+
+        def integral(coords):
+            return FieldElement(ctx, tuple(coords), 1, _normalized=True)
+
+        num = integral(self.num)
+        for k in itertools.count():
+            q = ctx.modular_image(k)[0]
+            y = _inverse_mod(self.num, ctx._psi, q)
+            if y is not None:
+                break
+        y = integral(y)
+        while True:
+            found = _reconstruct(y.num, q)
+            if found is not None and num * integral(found[0]) == found[1]:
+                return FieldElement(ctx, *_normalize([v * self.den for v in found[0]], found[1]))
+            q *= q
+            y = integral(v % q for v in (y * integral(v % q for v in (2 - num * y).num)).num)
 
     # -- comparison / hashing -------------------------------------------------
 

@@ -195,11 +195,13 @@ def determinant(ctx: FieldContext, a: Matrix) -> FieldElement:
 
 def inverse(ctx: FieldContext, a: Matrix) -> list[list[FieldElement]]:
     """Inverse -B / c_0 from the Faddeev-LeVerrier sequence (Cayley-Hamilton);
-    a single field inversion (of c_0 = +-det)."""
+    a single field inversion (of c_0 = +-det), and the scaling is one kernel
+    call: the n^2 x 1 column of B's entries times the 1 x 1 matrix [-1/c_0]."""
     poly, horner = _faddeev_leverrier(ctx, a)
     if poly[0].is_zero():
         raise ZeroDivisionError("matrix is singular")
-    return mat_scale(horner, -poly[0].invert())
+    column = mat_mul(ctx, [[x] for row in horner for x in row], [[-poly[0].invert()]])
+    return [[cell for (cell,) in column[i:i + len(a)]] for i in range(0, len(column), len(a))]
 
 
 def primitive_factor(entries: Iterable[FieldElement]) -> Fraction | int:

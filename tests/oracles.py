@@ -1,0 +1,74 @@
+"""Reference routes kept as test oracles: the extended Euclid over Fraction
+lists that `FieldElement.invert` replaced, and polynomial division with
+remainder over the rationals."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from coxrep.cyclotomic import DivisionByZero, FieldElement, IntPolynomial
+
+
+def poly_divmod(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """Quotient and remainder of a by b over the rationals."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    div = b.coeffs
+    dd = len(div) - 1
+    lead = div[-1]
+    quo = [Fraction(0)] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        f = rem[i] / lead
+        if f:
+            quo[i - dd] = f
+            for j, c in enumerate(div):
+                rem[i - dd + j] -= f * c
+    return IntPolynomial(quo), IntPolynomial(rem)
+
+
+def euclid_inverse(x: FieldElement) -> FieldElement:
+    """Multiplicative inverse via the extended Euclid algorithm mod the
+    minimal polynomial, over Fraction lists (remainders kept monic to bound
+    growth)."""
+    if x.is_zero():
+        raise DivisionByZero("cannot invert zero")
+    if x.is_rational():
+        return x.ctx.from_rational(1 / x.as_fraction())
+    r0 = [Fraction(c) for c in x.ctx.min_poly.coeffs]
+    r1 = [Fraction(v) for v in x.num]
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    t0: list[Fraction] = []
+    t1: list[Fraction] = [Fraction(1)]
+    while len(r1) > 1:
+        # divide r0 by r1
+        rem = list(r0)
+        q: list[Fraction] = [Fraction(0)] * max(len(rem) - len(r1) + 1, 1)
+        lead = r1[-1]
+        for i in range(len(rem) - 1, len(r1) - 2, -1):
+            f = rem[i] / lead
+            if f:
+                q[i - len(r1) + 1] = f
+                for jj, cc in enumerate(r1):
+                    rem[i - len(r1) + 1 + jj] -= f * cc
+        while rem and rem[-1] == 0:
+            rem.pop()
+        # t = t0 - q*t1
+        t = list(t0) + [Fraction(0)] * max(0, len(q) + len(t1) - 1 - len(t0))
+        for i, qq in enumerate(q):
+            if qq:
+                for jj, tt in enumerate(t1):
+                    t[i + jj] -= qq * tt
+        while t and t[-1] == 0:
+            t.pop()
+        r0, r1, t0, t1 = r1, rem, t1, t
+        if r1:
+            lc = r1[-1]
+            if lc != 1:
+                r1 = [c / lc for c in r1]
+                t1 = [c / lc for c in t1]
+    if not r1:
+        raise ArithmeticError("element not invertible; minimal polynomial not irreducible?")
+    # r1 == [1]; t1 * (num polynomial) == 1 mod psi, so inverse = den * t1
+    return x.ctx.from_coeffs([c * x.den for c in t1])

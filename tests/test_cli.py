@@ -356,3 +356,22 @@ def test_form_criterion_against_the_dimension_still_exits_4(capsys, monkeypatch)
     code, out, err = run(capsys, "form", "--diagram", "b3", "--root", "s2")
     assert code == 4 and out == ""
     assert err == "error: form criterion and nullspace dimension disagree\n"
+
+
+TRIANGLE_1584 = {"rank": 3, "m": [[1, 11, 9], [11, 1, 8], [9, 8, 1]]}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", ["verify", "form", "dual"])
+def test_triangle_of_conductor_1584(capsys, tmp_path, command):
+    # labels 11, 8 and 9: conductor 1584, field degree 240
+    diagram = tmp_path / "triangle.json"
+    diagram.write_text(json.dumps(TRIANGLE_1584))
+    code, doc, err = run_json(capsys, command, "--diagram", str(diagram), "--root", "s1")
+    assert code == 0 and err == ""
+    if command == "verify":
+        assert doc["passed"] is True
+    elif command == "form":
+        assert doc["exists"] is True and doc["invariance_verified"] is True
+    else:
+        assert doc["degenerate"] is False and doc["chord_coefficients_match"] is True

@@ -8,6 +8,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxrep import cyclotomic, linalg
+from coxrep.construction import cartan_matrix
 from coxrep.cyclotomic import (
     DivisionByZero,
     IntPolynomial,
@@ -18,6 +20,9 @@ from coxrep.cyclotomic import (
     field_context,
     minimal_poly_real_cyclotomic,
 )
+
+from oracles import euclid_inverse, poly_divmod
+from test_linalg import use_split_primes_above
 
 
 def min_poly_float_oracle(n: int, precision_bits: int = 200) -> list[int]:
@@ -251,7 +256,7 @@ def test_galois_is_multiplicative(xs, ys, j):
 
 def test_int_polynomial_divmod_and_shift():
     p = IntPolynomial([1, -3, 1])           # x^2 - 3x + 1
-    q, r = divmod(p, IntPolynomial([-1, 1]))  # divide by x - 1
+    q, r = poly_divmod(p, IntPolynomial([-1, 1]))  # divide by x - 1
     assert r == IntPolynomial([-1])
     assert q == IntPolynomial([-2, 1])
     shifted = p.shifted_argument(-2)        # p(x - 2): not used with +2 anywhere
@@ -280,3 +285,112 @@ def test_a_dropped_context_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- the inverse: lifted from a split prime, against the Euclid oracle -------
+
+INVERSE_CONDUCTORS = (1, 5, 12, 60, 280, 1260, 1584)
+
+_fractions = st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 20))
+
+
+@st.composite
+def _elements(draw, n):
+    """Elements of the field of conductor n.  Up to degree 8 they have any
+    coordinates.  Above, they are polynomials in 2cos(2 pi k/m) for an order
+    m | n below 40, as the scalars of the diagrams are; that keeps their
+    inverses, and the oracle's time, small."""
+    ctx = field_context(n)
+    if ctx.degree <= 8:
+        return ctx.from_coeffs(draw(st.lists(_fractions, min_size=ctx.degree,
+                                             max_size=ctx.degree)))
+    m = draw(st.sampled_from([m for m in range(3, 40) if n % m == 0]))
+    b = ctx.cos_element(draw(st.integers(1, m - 1)), m)
+    acc = ctx.zero
+    for c in draw(st.lists(_fractions, min_size=1, max_size=4)):
+        acc = acc * b + c
+    return acc
+
+
+def _exact(x):
+    return x.num, x.den
+
+
+@pytest.mark.parametrize("n", INVERSE_CONDUCTORS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_invert_equals_the_euclid_oracle(n, data):
+    x = data.draw(_elements(n))
+    if x.is_zero():
+        with pytest.raises(DivisionByZero):
+            x.invert()
+    else:
+        assert _exact(x.invert()) == _exact(euclid_inverse(x))
+
+
+def test_invert_equals_the_euclid_oracle_on_corpus_determinants(suite_instances):
+    irrational = 0
+    for inst in suite_instances:
+        rep = inst.rep
+        coxeter = rep.word_matrix(tuple(range(rep.rank)))
+        for det in (cartan_matrix(rep).discriminant,
+                    linalg.determinant(rep.ctx, [[x - 1 if i == j else x
+                                                  for j, x in enumerate(row)]
+                                                 for i, row in enumerate(coxeter)])):
+            if not det.is_zero():
+                irrational += not det.is_rational()
+                assert _exact(det.invert()) == _exact(euclid_inverse(det))
+    assert irrational > 50
+
+
+def _record(monkeypatch, name):
+    """Wrap cyclotomic.<name> so its (arguments, result) pairs are kept."""
+    calls = []
+    real = getattr(cyclotomic, name)
+
+    def spy(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(cyclotomic, name, spy)
+    return calls
+
+
+def test_invert_moves_on_from_a_prime_where_the_element_is_no_unit(monkeypatch):
+    # psi = c^2 + c - 1 at N = 5 and psi(3) = 11, so c - 3 has norm 11: it
+    # is no unit modulo the split prime 11, and the next one, 31, serves
+    ctx = field_context(5)
+    use_split_primes_above(monkeypatch, ctx, 10)
+    inverses = _record(monkeypatch, "_inverse_mod")
+    x = ctx.generator - 3
+    assert _exact(x.invert()) == _exact(euclid_inverse(x))
+    assert [(args[2], result is None) for args, result in inverses] == [(11, True), (31, False)]
+
+
+def test_invert_rejects_a_reconstruction_that_fails_the_exact_product(monkeypatch):
+    # modulo 29 the residues of the inverse of c^2 - 3c - 3 at N = 7 pass as
+    # (4 - 4c + 3c^2)/1, which the exact product refutes; the lift goes on
+    ctx = field_context(7)
+    use_split_primes_above(monkeypatch, ctx, 10)
+    proposals = _record(monkeypatch, "_reconstruct")
+    x = ctx.from_coeffs([-3, -3, 1])
+    inverse = x.invert()
+    assert _exact(inverse) == _exact(euclid_inverse(x))
+    (_, q), proposal = proposals[0]
+    assert q == 29 and proposal == ((4, -4, 3), 1)
+    assert x * ctx.from_coeffs([4, -4, 3]) != 1
+    assert proposals[-1][1] == (inverse.num, inverse.den)
+
+
+@pytest.mark.parametrize("n", INVERSE_CONDUCTORS)
+def test_invert_of_zero_and_of_rationals(monkeypatch, n):
+    ctx = field_context(n)
+    with pytest.raises(DivisionByZero):
+        ctx.zero.invert()
+    inverses = _record(monkeypatch, "_inverse_mod")
+    for q in (Fraction(-3, 7), Fraction(1), Fraction(2 ** 70, 3)):
+        x = ctx.from_rational(q)
+        assert _exact(x.invert()) == _exact(ctx.from_rational(1 / q))
+        assert _exact(x.invert()) == _exact(euclid_inverse(x))
+    assert inverses == []
