@@ -60,7 +60,6 @@ from .forms import (
 )
 from .graph import (
     ChordCircuit,
-    CoxeterMatrix,
     Diagram,
     SpanningTree,
     chord_circuit,
@@ -72,9 +71,9 @@ from .graph import (
 )
 
 __all__ = [
-    "Automorphism", "CartanMatrixData", "ChordCircuit", "CoxeterMatrix",
-    "Diagram", "DualRep", "EquivalenceViolation", "FieldContext",
-    "FieldElement", "GramMatrix", "IntPolynomial", "NoInvariantForm",
+    "Automorphism", "CartanMatrixData", "ChordCircuit", "Diagram",
+    "DualRep", "EquivalenceViolation", "FieldContext", "FieldElement",
+    "GramMatrix", "IntPolynomial", "NoInvariantForm",
     "OrderClass", "OrderMismatch", "ParameterSystem", "ReflectionRep",
     "SpanningTree", "build", "build_form", "cartan_coefficient",
     "cartan_matrix", "characters_distinguish", "chord_circuit",

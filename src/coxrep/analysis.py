@@ -42,28 +42,27 @@ class ReflectionData:
     hyperplane: tuple[tuple[FieldElement, ...], ...]
 
 
+def _minus_identity(matrix: Matrix) -> list[list[FieldElement]]:
+    return [[x - 1 if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(matrix)]
+
+
 def is_reflection(ctx: FieldContext, matrix: Matrix) -> Optional[ReflectionData]:
     """ReflectionData when the matrix squares to the identity and M - I has
-    rank one; None otherwise."""
-    n = len(matrix)
+    rank one, that is, a nullspace of n - 1 basis vectors (one
+    elimination); None otherwise."""
     if not linalg.is_identity(ctx, linalg.mat_mul(ctx, matrix, matrix)):
         return None
-    shifted = [[matrix[i][j] - (ctx.one if i == j else ctx.zero)
-                for j in range(n)] for i in range(n)]
-    if linalg.rank(ctx, shifted) != 1:
+    shifted = _minus_identity(matrix)
+    hyperplane = linalg.nullspace(ctx, shifted)
+    if len(hyperplane) != len(matrix) - 1:
         return None
-    directing = None
-    for j in range(n):
-        col = [shifted[i][j] for i in range(n)]
-        if any(not x.is_zero() for x in col):
-            # canonical scaling: first nonzero coordinate 1, so generators of
-            # a built representation report exactly their basis vector
-            lead = next(x for x in col if not x.is_zero())
-            inv = lead.invert()
-            directing = tuple(x * inv for x in col)
-            break
-    hyperplane = tuple(tuple(vec) for vec in linalg.nullspace(ctx, shifted))
-    return ReflectionData(ctx, linalg.mat_freeze(matrix), directing, hyperplane)
+    # canonical scaling: first nonzero coordinate 1, so generators of a
+    # built representation report exactly their basis vector
+    col = next(col for col in zip(*shifted) if any(col))
+    inv = next(x for x in col if x).invert()
+    return ReflectionData(ctx, linalg.mat_freeze(matrix), tuple(x * inv for x in col),
+                          linalg.mat_freeze(hyperplane))
 
 
 def rep_reflection(rep: ReflectionRep, s: int) -> ReflectionData:
@@ -132,11 +131,9 @@ def _matrix_order_check(ctx: FieldContext, product: Matrix, n: int) -> bool:
 
 
 def _is_unipotent(ctx: FieldContext, product: Matrix) -> bool:
-    n = len(product)
-    shifted = [[product[i][j] - (ctx.one if i == j else ctx.zero)
-                for j in range(n)] for i in range(n)]
+    shifted = _minus_identity(product)
     acc = shifted
-    for _ in range(n - 1):
+    for _ in range(len(product) - 1):
         acc = linalg.mat_mul(ctx, acc, shifted)
     return linalg.is_zero_matrix(acc) and not linalg.is_identity(ctx, product)
 
@@ -224,7 +221,6 @@ def unipotent_equivalences(r: ReflectionData, s: ReflectionData) -> UnipotentRep
     ctx = r.ctx
     if linalg.mat_eq(r.matrix, s.matrix):
         raise ValueError("the two reflections must be distinct")
-    n = len(r.matrix)
     product = linalg.mat_mul(ctx, r.matrix, s.matrix)
     cond1 = _is_unipotent(ctx, product)
     cond2 = cartan_coefficient(r, s) == 4
@@ -232,18 +228,13 @@ def unipotent_equivalences(r: ReflectionData, s: ReflectionData) -> UnipotentRep
     # condition 3: a nonzero x = xa*a + xb*b with r(x) = x and s(x) = x;
     # nonzero coefficient pairs can still give x = 0 when the directing
     # vectors are parallel, so the combination itself is checked
-    columns = [list(r.directing), list(s.directing)]
-    rows = []
-    for mat in (r.matrix, s.matrix):
-        for i in range(n):
-            row = []
-            for vec in columns:
-                img = sum((mat[i][j] * vec[j] for j in range(n)), ctx.zero)
-                row.append(img - vec[i])
-            rows.append(row)
+    both = [[a, b] for a, b in zip(r.directing, s.directing)]
+    rows = [[x - y for x, y in zip(image, row)]
+            for mat in (r.matrix, s.matrix)
+            for image, row in zip(linalg.mat_mul(ctx, mat, both), both)]
     cond3 = False
     for xa, xb in linalg.nullspace(ctx, rows):
-        x = [xa * a + xb * b for a, b in zip(columns[0], columns[1])]
+        x = [xa * a + xb * b for a, b in zip(r.directing, s.directing)]
         if any(not v.is_zero() for v in x):
             cond3 = True
             break
@@ -263,15 +254,11 @@ def unipotent_equivalences(r: ReflectionData, s: ReflectionData) -> UnipotentRep
 
 def _hyperplanes_equal(ctx: FieldContext, r: ReflectionData,
                        s: ReflectionData) -> bool:
-    n = len(r.matrix)
-
     def row_form(data: ReflectionData) -> list[FieldElement]:
-        for i in range(n):
-            row = [data.matrix[i][j] - (ctx.one if i == j else ctx.zero)
-                   for j in range(n)]
-            if any(not x.is_zero() for x in row):
-                return row
-        raise ArithmeticError("identity passed as reflection")
+        row = next((row for row in _minus_identity(data.matrix) if any(row)), None)
+        if row is None:
+            raise ArithmeticError("identity passed as reflection")
+        return row
 
     return linalg.rank(ctx, [row_form(r), row_form(s)]) == 1
 
@@ -316,15 +303,14 @@ def verify_good_morphism(rep: ReflectionRep,
     n = rep.rank
     checks = []
     all_ok = True
-    reflections = []
-    for s in range(n):
-        data = is_reflection(ctx, rep.generators[s])
-        reflections.append(data)
+    reflections = [is_reflection(ctx, g) for g in rep.generators]
     for s in range(n):
         for t in range(s, n):
             if s == t:
-                ok = linalg.is_identity(
-                    ctx, linalg.mat_mul(ctx, rep.generators[s], rep.generators[s]))
+                # a reflection has passed the square check in is_reflection
+                g = rep.generators[s]
+                ok = reflections[s] is not None or \
+                    linalg.is_identity(ctx, linalg.mat_mul(ctx, g, g))
                 checks.append(PairCheck(s, t, 1, 1 if ok else None, ok))
                 all_ok &= ok
                 continue

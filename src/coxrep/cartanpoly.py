@@ -85,7 +85,7 @@ def order_poly(n: int) -> IntPolynomial:
     if n < 2:
         raise ValueError("order must be at least 2")
     poly = minimal_poly_real_cyclotomic(n).shifted_argument(-2)
-    assert poly.is_monic() and poly.has_integer_coefficients()
+    assert poly.is_monic()
     return poly
 
 

@@ -65,19 +65,20 @@ def _resolve_diagram(spec: str):
         raise CliError(f"no such diagram file or bundled name: {spec}")
     try:
         return cio.load_diagram(spec)
-    except (cio.InputError, ValueError, json.JSONDecodeError) as exc:
+    except (cio.InputError, ValueError, json.JSONDecodeError, OSError) as exc:
         raise CliError(f"bad diagram: {exc}") from exc
 
 
 def _job_rep(args, first=None):
     """The first job's representation, or, given it, that of `equiv`'s
-    second job: each option defaults to the first job's value, and without
-    a tree file the first job's tree is re-rooted at --root2."""
+    second job: on the first job's diagram, each option defaults to the
+    first job's value, and without a tree file the first job's tree is
+    re-rooted at --root2."""
     suffix = "" if first is None else "2"
     def option(name):
         return getattr(args, name + suffix, None) or getattr(args, name)
 
-    diagram = _resolve_diagram(option("diagram"))
+    diagram = _resolve_diagram(args.diagram) if first is None else first.diagram
     try:
         root = diagram.vertex_index(option("root"))
     except KeyError as exc:
@@ -87,7 +88,7 @@ def _job_rep(args, first=None):
         if tree_path:
             with open(tree_path) as fh:
                 tree = cio.tree_from_json(diagram, root, json.load(fh))
-        elif first is not None and first.diagram == diagram:
+        elif first is not None:
             tree = first.tree.with_root(root)
         else:
             tree = spanning_tree(diagram, root)
@@ -211,8 +212,6 @@ def cmd_form(args) -> int:
 def cmd_equiv(args) -> int:
     rep1 = _job_rep(args)
     rep2 = _job_rep(args, first=rep1)
-    if rep1.diagram != rep2.diagram:
-        raise CliError("the two jobs must share a diagram")
     document: dict = {}
     lines: list[str] = []
     same_tree = rep1.tree.tree_edges == rep2.tree.tree_edges
@@ -329,7 +328,6 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--theta", type=int, default=1,
                            help="galois index of the twisting automorphism")
         if name == "equiv":
-            p.add_argument("--diagram2", help="second diagram (defaults to first)")
             p.add_argument("--root2", help="second root (defaults to first)")
             p.add_argument("--tree2", help="second tree file (defaults to first)")
             p.add_argument("--params2", help="second parameter file (defaults to first)")

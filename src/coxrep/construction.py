@@ -33,6 +33,7 @@ from .graph import (
     chord_circuit,
     precedes,
     spanning_tree,
+    spanning_tree_from_edges,
     swap_sequence,
 )
 
@@ -79,6 +80,14 @@ class ParameterSystem:
         m = diagram.edge_label(s, t)
         k = self.alpha_index[key]
         return 2 + self.ctx.cos_element(k, m)
+
+    def path_product(self, diagram: Diagram, path: Sequence[int]) -> FieldElement:
+        """Product of alpha over the consecutive pairs of a path of diagram
+        edges; the empty product (a path of one vertex) is 1."""
+        acc = self.ctx.one
+        for s, t in zip(path, path[1:]):
+            acc = acc * self.alpha(diagram, s, t)
+        return acc
 
     def chord_pair(self, diagram: Diagram, s: int, t: int
                    ) -> tuple[FieldElement, FieldElement]:
@@ -143,10 +152,7 @@ def geometric_parameters(tree: SpanningTree) -> ParameterSystem:
         b = ctx.cos_element(1, 2 * diagram.edge_label(*chord))
         for i in range(len(path) - 1):
             b = b * ctx.cos_element(1, 2 * diagram.edge_label(path[i], path[i + 1]))
-        prefix = ctx.one
-        for i in range(circuit.entry_index):
-            prefix = prefix * params.alpha(diagram, path[i], path[i + 1])
-        chord_l[chord] = b / prefix
+        chord_l[chord] = b / params.path_product(diagram, path[:circuit.entry_index + 1])
     return params
 
 
@@ -176,9 +182,6 @@ class ReflectionRep:
     @property
     def root(self) -> int:
         return self.tree.root
-
-    def generator(self, s: int) -> Matrix:
-        return self.generators[s]
 
     def word_matrix(self, word: Sequence[int]) -> list[list[FieldElement]]:
         """The product of the generators along the word; I for the empty word."""
@@ -279,17 +282,11 @@ class Intertwiner:
         return out
 
     def verify(self) -> bool:
-        g = self.matrix
-        ctx = self.source.ctx
-        for ms, mt in zip(self.source.generators, self.target.generators):
-            left = linalg.mat_mul(ctx, ms, g)
-            right = linalg.mat_mul(ctx, g, mt)
-            if not linalg.mat_eq(left, right):
-                return False
-        return True
+        return linalg.is_intertwiner(self.source.ctx, self.source.generators,
+                                     self.target.generators, self.matrix)
 
 
-def _transport_chords(params: ParameterSystem, diagram: Diagram,
+def _transport_chords(params: ParameterSystem,
                       scale: Sequence[FieldElement]) -> ParameterSystem:
     """Chord scalars of the representation expressed in the rescaled basis
     a_s -> scale_s * a_s; tree-edge choices are untouched."""
@@ -328,7 +325,7 @@ def root_change_intertwiner(rep: ReflectionRep, new_root: int | str) -> Intertwi
     for step_target in path[1:]:
         alpha = params.alpha(diagram, current_root, step_target)
         scales = _component_scales(tree, current_root, step_target, alpha)
-        params = _transport_chords(params, diagram, scales)
+        params = _transport_chords(params, scales)
         total = [a * b for a, b in zip(total, scales)]
         current_root = step_target
     target = build(tree.with_root(new_root), params)
@@ -364,10 +361,8 @@ def _single_swap(rep: ReflectionRep, add: tuple[int, int],
         raise ValueError("removed edge does not lie on the circuit")
     # scalar closing the circuit, direction last -> first
     l_to_root = params.chord_pair(diagram, path[-1], path[0])[0]
-    lam = [ctx.one] * q
-    lam[q - 1] = l_to_root
-    for j in range(q - 2, m_index, -1):
-        lam[j] = params.alpha(diagram, path[j], path[j + 1]) * lam[j + 1]
+    lam = [ctx.one if j <= m_index else params.path_product(diagram, path[j:]) * l_to_root
+           for j in range(q)]
     scales = [ctx.one] * diagram.rank
     for v in range(diagram.rank):
         w = v
@@ -375,10 +370,8 @@ def _single_swap(rep: ReflectionRep, add: tuple[int, int],
             w = tree.parent[w]
         scales[v] = lam[positions[w]]
     # parameters of the swapped tree in the rescaled basis
-    new_chords = {}
-    for (u, vv), l in params.chord_l.items():
-        if (u, vv) != add:
-            new_chords[(u, vv)] = l * scales[vv] / scales[u]
+    new_chords = dict(_transport_chords(params, scales).chord_l)
+    del new_chords[add]
     sm, sm1 = path[m_index], path[m_index + 1]
     alpha_removed = params.alpha(diagram, sm, sm1)
     l_down = alpha_removed * lam[m_index + 1]    # direction s_m -> s_m+1
@@ -389,8 +382,6 @@ def _single_swap(rep: ReflectionRep, add: tuple[int, int],
     new_params = ParameterSystem(ctx, dict(params.alpha_index), new_chords)
     new_edges = (tree.tree_edges - {remove if remove[0] < remove[1]
                                     else (remove[1], remove[0])}) | {add}
-    from .graph import spanning_tree_from_edges
-
     new_tree = spanning_tree_from_edges(diagram, tree.root, new_edges)
     target = build(new_tree, new_params)
     return Intertwiner(rep, target, tuple(scales))

@@ -3,7 +3,10 @@
 Elements are rational coordinate vectors in the power basis of
 c = 2*cos(2*pi/N), reduced modulo the minimal polynomial of c.  Every
 operation is exact; floating point only enters through ``approximate``,
-which exists for display and cross-checking, never for decisions.
+which exists for display and cross-checking, never for decisions.  Every
+element is brought to canonical form in one place, the ``FieldElement``
+constructor, and every product of coordinate vectors is finished by one
+reduction, ``FieldContext._reduce_product``.
 ``FieldContext.modular_image`` maps c into F_p for split primes p, the
 ground of the modular rank bounds in ``linalg`` and of ``invert``: an inverse
 mod p, lifted p-adically and rationally reconstructed, is accepted only by
@@ -40,16 +43,23 @@ class NotCoprime(ValueError):
 # ---------------------------------------------------------------------------
 
 class IntPolynomial:
-    """Dense univariate polynomial with exact rational coefficients.
+    """Dense univariate polynomial with integer coefficients.
 
-    Coefficients are stored lowest degree first with the trailing zeros
-    trimmed; the zero polynomial has an empty coefficient tuple.
+    Coefficients are stored as ints, lowest degree first with the trailing
+    zeros trimmed; the zero polynomial has an empty coefficient tuple.  An
+    integral Fraction is taken as its numerator; any other raises ValueError.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coefficients: Iterable[Fraction | int]):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = []
+        for c in coefficients:
+            if not isinstance(c, int):
+                if Fraction(c).denominator != 1:
+                    raise ValueError(f"coefficient {c} is not an integer")
+                c = int(c)
+            coeffs.append(c)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -64,9 +74,6 @@ class IntPolynomial:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -86,7 +93,7 @@ class IntPolynomial:
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
             return IntPolynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -219,7 +226,7 @@ def minimal_poly_real_cyclotomic(n: int) -> IntPolynomial:
         return IntPolynomial([-2, 1])
     if n == 2:
         return IntPolynomial([2, 1])
-    a = [int(c) for c in cyclotomic_polynomial(n).coeffs]
+    a = cyclotomic_polynomial(n).coeffs
     d = len(a) // 2
     assert len(a) == 2 * d + 1 and a == a[::-1], \
         "cyclotomic polynomial must be palindromic"
@@ -240,7 +247,7 @@ def minimal_poly_real_cyclotomic(n: int) -> IntPolynomial:
 # field context and elements
 # ---------------------------------------------------------------------------
 
-def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+def _normalize(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     if den < 0:
         num = [-v for v in num]
         den = -den
@@ -320,8 +327,7 @@ class FieldContext:
         self.min_poly = minimal_poly_real_cyclotomic(n)
         self.degree = self.min_poly.degree
         assert self.degree == (euler_phi(n) // 2 if n > 2 else 1)
-        psi = tuple(int(c) for c in self.min_poly.coeffs)
-        self._psi = psi
+        psi = self._psi = self.min_poly.coeffs
         d = self.degree
         # reduction rows: integer coordinates of c^(d+e) for e = 0..d-2
         rows: list[tuple[int, ...]] = []
@@ -339,7 +345,7 @@ class FieldContext:
         # element refers to its context, so one held here would make a
         # reference cycle, and a context dropped from field_context's cache
         # would then wait, caches and all, for the cycle collector.
-        self._cos_cache: dict[int, tuple[int, ...]] = {}
+        self._cos_cache: list[tuple[int, ...]] = []     # 2cos(2 pi j/N), j < len
         self._galois_pow_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._approx_cache: dict[int, object] = {}
         self._modular: list[tuple[int, tuple[int, ...]]] = []
@@ -360,7 +366,7 @@ class FieldContext:
     def from_rational(self, value: Fraction | int) -> "FieldElement":
         q = Fraction(value)
         num = [q.numerator] + [0] * (self.degree - 1)
-        return FieldElement(self, *_normalize(num, q.denominator))
+        return FieldElement(self, num, q.denominator)
 
     def from_coeffs(self, coefficients: Sequence[Fraction | int]) -> "FieldElement":
         """Element from power-basis coordinates (length <= degree)."""
@@ -370,7 +376,7 @@ class FieldContext:
         coeffs += [Fraction(0)] * (self.degree - len(coeffs))
         den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
         num = [int(c * den) for c in coeffs]
-        return FieldElement(self, *_normalize(num, den))
+        return FieldElement(self, num, den)
 
     @property
     def generator(self) -> "FieldElement":
@@ -389,19 +395,24 @@ class FieldContext:
             raise NonDivisorOrder(f"order {m} does not divide conductor {self.N}")
         j = (k % m) * (self.N // m)
         j = min(j, self.N - j) if j else 0  # cosine parity: 2cos(2pi j/N) = 2cos(2pi (N-j)/N)
-        if j not in self._cos_cache:
-            # iterative three-term recurrence, reduced in the field at every
-            # step; every value lies in Z[c], so its denominator is 1
+        cache = self._cos_cache
+        if j >= len(cache):
+            # three-term recurrence, reduced in the field at every step and
+            # resumed where the cache ends; every value lies in Z[c], so its
+            # denominator is 1
             c = self.generator
-            prev, cur = self.from_rational(2), c
-            self._cos_cache.setdefault(0, prev.num)
-            for i in range(1, j + 1):
-                if i > 1:
-                    prev, cur = cur, c * cur - prev
-                self._cos_cache.setdefault(i, cur.num)
-        return FieldElement(self, self._cos_cache[j], 1, _normalized=True)
+            if not cache:
+                cache += [self.from_rational(2).num, c.num]
+            prev, cur = (FieldElement(self, v, 1, _normalized=True) for v in cache[-2:])
+            while len(cache) <= j:
+                prev, cur = cur, c * cur - prev
+                cache.append(cur.num)
+        return FieldElement(self, cache[j], 1, _normalized=True)
 
     def _reduce_product(self, conv: list[int]) -> list[int]:
+        """The `degree` coordinates of a coordinate convolution: a longer one
+        is reduced modulo the minimal polynomial (in place), a shorter one
+        padded with zeros."""
         d = self.degree
         for idx in range(len(conv) - 1, d - 1, -1):
             co = conv[idx]
@@ -409,7 +420,7 @@ class FieldContext:
                 row = self._red[idx - d]
                 for i in range(d):
                     conv[i] += co * row[i]
-        return conv[:d]
+        return conv[:d] + [0] * (d - len(conv))
 
     # -- reduction modulo split primes ---------------------------------------
 
@@ -481,7 +492,7 @@ class FieldContext:
             if v:
                 for i, w in enumerate(power):
                     num[i] += v * w
-        return FieldElement(self, *_normalize(num, x.den))
+        return FieldElement(self, num, x.den)
 
     # -- numerics ----------------------------------------------------------
 
@@ -506,15 +517,19 @@ class FieldElement:
     """Immutable element of a real cyclotomic field.
 
     Stored as an integer coordinate vector over a single positive
-    denominator, normalized so gcd(content, den) = 1.
+    denominator, normalized so gcd(content, den) = 1.  The constructor is
+    the one place that normalizes: it takes integer coordinates over any
+    nonzero denominator.  `_normalized`, private to this module, skips that
+    for values already in canonical form: zero, one, negations, cached
+    cosines and the den-1 values of the p-adic lift in `invert`.
     """
 
     __slots__ = ("ctx", "num", "den", "_float")
 
-    def __init__(self, ctx: FieldContext, num: tuple[int, ...], den: int = 1,
+    def __init__(self, ctx: FieldContext, num: Sequence[int], den: int = 1,
                  _normalized: bool = False):
         if not _normalized:
-            num, den = _normalize(list(num), den)
+            num, den = _normalize(num, den)
         self.ctx = ctx
         self.num = num
         self.den = den
@@ -565,7 +580,7 @@ class FieldElement:
         g = math.gcd(self.den, o.den)
         fa, fb = o.den // g, self.den // g
         num = [a * fa + b * fb for a, b in zip(self.num, o.num)]
-        return FieldElement(self.ctx, *_normalize(num, self.den * fa))
+        return FieldElement(self.ctx, num, self.den * fa)
 
     __radd__ = __add__
 
@@ -597,7 +612,7 @@ class FieldElement:
             if q == 0:
                 return self.ctx.zero
             num = [q * v for v in b.num]
-            return FieldElement(self.ctx, *_normalize(num, a.den * b.den))
+            return FieldElement(self.ctx, num, a.den * b.den)
         da, db = a.effective_degree, b.effective_degree
         conv = [0] * (da + db + 1)
         bn = b.num
@@ -608,12 +623,7 @@ class FieldElement:
                     bv = bn[j]
                     if bv:
                         conv[i + j] += av * bv
-        d = self.ctx.degree
-        if len(conv) > d:
-            conv = self.ctx._reduce_product(conv)
-        else:
-            conv += [0] * (d - len(conv))
-        return FieldElement(self.ctx, *_normalize(conv, a.den * b.den))
+        return FieldElement(self.ctx, self.ctx._reduce_product(conv), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -673,7 +683,7 @@ class FieldElement:
         while True:
             found = _reconstruct(y.num, q)
             if found is not None and num * integral(found[0]) == found[1]:
-                return FieldElement(ctx, *_normalize([v * self.den for v in found[0]], found[1]))
+                return FieldElement(ctx, [v * self.den for v in found[0]], found[1])
             q *= q
             y = integral(v % q for v in (y * integral(v % q for v in (2 - num * y).num)).num)
 

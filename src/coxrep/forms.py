@@ -92,12 +92,7 @@ def involutive_automorphisms(ctx: FieldContext) -> list[Automorphism]:
 def tree_product(rep: ReflectionRep, s: int) -> FieldElement:
     """Product of the edge coefficients along the tree path from the root
     to s; the empty product (s = root) is 1."""
-    ctx = rep.ctx
-    acc = ctx.one
-    path = rep.tree.path_to_root(s)      # [s, ..., root]
-    for i in range(len(path) - 1):
-        acc = acc * rep.params.alpha(rep.diagram, path[i], path[i + 1])
-    return acc
+    return rep.params.path_product(rep.diagram, rep.tree.path_to_root(s))
 
 
 @dataclass(frozen=True)
@@ -129,12 +124,8 @@ def form_exists(rep: ReflectionRep, theta: Automorphism) -> FormExistence:
         circuit = chord_circuit(rep.tree, chord)
         path = circuit.path
         forward, backward = params.chord_pair(diagram, path[0], path[-1])
-        prefix = rep.ctx.one
-        for i in range(circuit.entry_index):
-            prefix = prefix * params.alpha(diagram, path[i], path[i + 1])
-        suffix = rep.ctx.one
-        for i in range(circuit.entry_index, len(path) - 1):
-            suffix = suffix * params.alpha(diagram, path[i], path[i + 1])
+        prefix = params.path_product(diagram, path[:circuit.entry_index + 1])
+        suffix = params.path_product(diagram, path[circuit.entry_index:])
         if theta(forward) * prefix != backward * suffix:
             return FormExistence(False, "chord_balance", chord)
     return FormExistence(True)
@@ -150,9 +141,6 @@ class GramMatrix:
 
     def is_zero(self) -> bool:
         return linalg.is_zero_matrix(self.entries)
-
-    def diagonal(self) -> tuple[FieldElement, ...]:
-        return tuple(self.entries[i][i] for i in range(len(self.entries)))
 
 
 def build_form(rep: ReflectionRep, theta: Automorphism) -> GramMatrix:

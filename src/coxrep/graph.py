@@ -37,24 +37,6 @@ class DifferentDiagram(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
-    """Symmetric integer matrix of pairwise product orders."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "CoxeterMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-    def validate(self) -> "Diagram":
-        return validate(self)
-
-
 def _edge_key(s: int, t: int) -> tuple[int, int]:
     return (s, t) if s < t else (t, s)
 
@@ -92,17 +74,15 @@ class Diagram:
         return f"Diagram({', '.join(parts) or self.labels[0]})"
 
 
-def validate(matrix: CoxeterMatrix | Sequence[Sequence[int]],
+def validate(matrix: Sequence[Sequence[int]],
              labels: Sequence[str] | None = None) -> Diagram:
     """Check the Coxeter matrix axioms and return the labelled diagram.
 
     Rejects non-symmetric matrices, diagonals != 1, labels < 2 off the
     diagonal (taken as infinity markers), and disconnected diagrams.
     """
-    if not isinstance(matrix, CoxeterMatrix):
-        matrix = CoxeterMatrix.from_rows(matrix)
-    m = matrix.entries
-    n = matrix.rank
+    m = tuple(tuple(int(v) for v in row) for row in matrix)
+    n = len(m)
     if n == 0 or any(len(row) != n for row in m):
         raise NotSymmetric("matrix must be square and non-empty")
     for s in range(n):
@@ -241,9 +221,6 @@ class ChordCircuit:
     @property
     def entry_vertex(self) -> int:
         return self.path[self.entry_index]
-
-    def __len__(self) -> int:
-        return len(self.path)
 
 
 def chord_circuit(tree: SpanningTree, chord: tuple[int, int]) -> ChordCircuit:

@@ -13,7 +13,7 @@ from typing import Any, Mapping, Sequence
 
 from .construction import ParameterSystem, ReflectionRep, geometric_parameters
 from .cyclotomic import FieldContext, FieldElement, field_context
-from .graph import Diagram, SpanningTree, spanning_tree, spanning_tree_from_edges, validate
+from .graph import Diagram, SpanningTree, spanning_tree_from_edges, validate
 
 
 class InputError(ValueError):
@@ -27,6 +27,10 @@ def scalar_to_json(x: FieldElement) -> dict:
         "den": x.den,
         "approx": float(x),
     }
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _fraction_from(value: Any) -> Fraction:
@@ -73,10 +77,16 @@ def diagram_from_json(obj: Any) -> Diagram:
     if not isinstance(obj, Mapping) or "m" not in obj:
         raise InputError('diagram document needs an "m" matrix')
     rows = obj["m"]
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(map(_is_integer, row)) for row in rows):
+        raise InputError('"m" must be a list of rows of integers')
     rank = obj.get("rank", len(rows))
     if rank != len(rows):
         raise InputError("declared rank does not match the matrix")
     labels = obj.get("labels")
+    if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
+        raise InputError('"labels" must be a list of strings')
     return validate(rows, labels=labels)
 
 
@@ -92,7 +102,7 @@ def _vertex(diagram: Diagram, v: Any) -> int:
             return diagram.vertex_index(v)
         except KeyError as exc:
             raise InputError(exc.args[0]) from exc
-    if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < diagram.rank:
+    if _is_integer(v) and 0 <= v < diagram.rank:
         return v
     raise InputError(f"bad vertex {v!r}: expected a label or an index below "
                      f"{diagram.rank}")
@@ -131,13 +141,16 @@ def params_from_json(tree: SpanningTree, obj: Any) -> ParameterSystem:
         return base
     if not isinstance(obj, Mapping):
         raise InputError("parameter document must be an object")
+    alpha, chords = (obj.get(name) or {} for name in ("alpha", "chords"))
+    if not isinstance(alpha, Mapping) or not isinstance(chords, Mapping):
+        raise InputError('"alpha" and "chords" must be objects')
     params = base
-    for key, k in (obj.get("alpha") or {}).items():
+    for key, k in alpha.items():
         edge = _edge_from_key(diagram, key)
-        if not isinstance(k, int):
+        if not _is_integer(k):
             raise InputError(f"alpha index for {key!r} must be an integer")
         params = params.with_alpha(edge, k)
-    for key, spec in (obj.get("chords") or {}).items():
+    for key, spec in chords.items():
         edge = _edge_from_key(diagram, key)
         if edge not in tree.chords:
             raise InputError(f"{key!r} is not a chord of the chosen tree")

@@ -12,8 +12,10 @@ into one Python int (Kronecker substitution): signed slots wide enough
 that no output coordinate, a sum over the inner dimension of coordinate
 convolutions, can overflow.  A rational entry packs to one slot; a zero
 entry is skipped.  Each output cell is then one big-integer sum of
-products, unpacked, reduced modulo the minimal polynomial and normalized
-once, where a term-by-term product would make one reduction, two
+products, unpacked and finished the way FieldElement.__mul__ finishes a
+product: FieldContext._reduce_product reduces it modulo the minimal
+polynomial, or pads it with zeros, and the FieldElement constructor
+normalizes it once.  A term-by-term product would make one reduction, two
 normalizations and two elements per term.  The cells come out in the
 canonical (num, den) form, so the result is exactly the term-by-term one.
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import FieldContext, FieldElement, _normalize
+from .cyclotomic import FieldContext, FieldElement
 
 Matrix = Sequence[Sequence[FieldElement]]
 
@@ -96,7 +98,6 @@ def mat_mul(ctx: FieldContext, a: Matrix, b: Matrix) -> list[list[FieldElement]]
     # adding half to every slot makes them all nonnegative, so the bytes of
     # the sum give the slots directly
     bias = half * ((1 << (width * slots)) - 1) // ((1 << width) - 1)
-    d = ctx.degree
     zero = ctx.zero
     out = []
     for den_a, row in rows:
@@ -113,9 +114,7 @@ def mat_mul(ctx: FieldContext, a: Matrix, b: Matrix) -> list[list[FieldElement]]
             raw = (v + bias).to_bytes(size, "little")
             conv = [int.from_bytes(raw[o:o + step], "little") - half
                     for o in range(0, size, step)]
-            conv = ctx._reduce_product(conv) if slots > d else conv + [0] * (d - slots)
-            cells.append(FieldElement(ctx, *_normalize(conv, den_a * den_b),
-                                      _normalized=True))
+            cells.append(FieldElement(ctx, ctx._reduce_product(conv), den_a * den_b))
         out.append(cells)
     return out
 
@@ -194,14 +193,12 @@ def determinant(ctx: FieldContext, a: Matrix) -> FieldElement:
 
 
 def inverse(ctx: FieldContext, a: Matrix) -> list[list[FieldElement]]:
-    """Inverse -B / c_0 from the Faddeev-LeVerrier sequence (Cayley-Hamilton);
-    a single field inversion (of c_0 = +-det), and the scaling is one kernel
-    call: the n^2 x 1 column of B's entries times the 1 x 1 matrix [-1/c_0]."""
+    """Inverse -B / c_0 from the Faddeev-LeVerrier sequence (Cayley-Hamilton),
+    with a single field inversion (of c_0 = +-det)."""
     poly, horner = _faddeev_leverrier(ctx, a)
     if poly[0].is_zero():
         raise ZeroDivisionError("matrix is singular")
-    column = mat_mul(ctx, [[x] for row in horner for x in row], [[-poly[0].invert()]])
-    return [[cell for (cell,) in column[i:i + len(a)]] for i in range(0, len(column), len(a))]
+    return mat_scale(horner, -poly[0].invert())
 
 
 def primitive_factor(entries: Iterable[FieldElement]) -> Fraction | int:
@@ -222,9 +219,7 @@ def _row_primitive(row: list[FieldElement]) -> list[FieldElement]:
     if factor == 1:
         return row
     d, c = factor.numerator, factor.denominator
-    return [x if x.is_zero() else
-            FieldElement(x.ctx, *_normalize([v * d for v in x.num], x.den * c),
-                         _normalized=True)
+    return [x if x.is_zero() else FieldElement(x.ctx, [v * d for v in x.num], x.den * c)
             for x in row]
 
 

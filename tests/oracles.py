@@ -1,6 +1,6 @@
 """Reference routes kept as test oracles: the extended Euclid over Fraction
 lists that `FieldElement.invert` replaced, and polynomial division with
-remainder over the rationals."""
+remainder by a monic polynomial."""
 
 from __future__ import annotations
 
@@ -10,10 +10,11 @@ from coxrep.cyclotomic import DivisionByZero, FieldElement, IntPolynomial
 
 
 def poly_divmod(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Quotient and remainder of a by b over the rationals."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
+    """Quotient and remainder of a by a monic b, in exact Fraction
+    arithmetic; both are integral since b is monic."""
+    if not b.is_monic():
+        raise ValueError("the divisor must be monic")
+    rem = [Fraction(c) for c in a.coeffs]
     div = b.coeffs
     dd = len(div) - 1
     lead = div[-1]

@@ -1,9 +1,14 @@
 """Command line interface: outputs, exit codes, round-trips."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxrep.cli import main
 from coxrep.cyclotomic import field_context
@@ -375,3 +380,140 @@ def test_triangle_of_conductor_1584(capsys, tmp_path, command):
         assert doc["exists"] is True and doc["invariance_verified"] is True
     else:
         assert doc["degenerate"] is False and doc["chord_coefficients_match"] is True
+
+
+def _file(tmp_path, name, document):
+    path = tmp_path / name
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+def assert_input_error(result, message):
+    code, out, err = result
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("diagram, document, message", [
+    ("a3", {"alpha": [1]}, '"alpha" and "chords" must be objects'),
+    ("a3", {"chords": "abc"}, '"alpha" and "chords" must be objects'),
+    ("a3", {"alpha": {"s1-s2": True}}, "alpha index for 's1-s2' must be an integer"),
+    ("a3", {"alpha": {"s1-s2": "2"}}, "alpha index for 's1-s2' must be an integer"),
+    ("a3", {"alpha": {"s1s2": 1}}, "bad edge key 's1s2'"),
+    ("a3", {"alpha": {"s1-s3": 1}}, "'s1-s3' is not an edge of the diagram"),
+    ("a3", [1], "parameter document must be an object"),
+    ("affine_triangle", {"chords": {"s2-s3": True}}, "booleans are not scalars"),
+    ("affine_triangle", {"chords": {"s2-s3": "1/x"}}, "bad rational literal '1/x'"),
+])
+def test_bad_params_file_exit_2(capsys, tmp_path, diagram, document, message):
+    params = _file(tmp_path, "params.json", document)
+    assert_input_error(run(capsys, "build", "--diagram", diagram, "--root", "s1",
+                           "--params", params), message)
+
+
+@pytest.mark.parametrize("document, root, message", [
+    ({"m": 5}, "s1", '"m" must be a list of rows of integers'),
+    ({"m": [[1, 3], 3]}, "s1", '"m" must be a list of rows of integers'),
+    ({"m": [[1, 3], [3, True]]}, "s1", '"m" must be a list of rows of integers'),
+    ({"m": [[1, 3], [3, 1]], "labels": "ab"}, "a", '"labels" must be a list of strings'),
+    ({"m": [[1, 3], [3, 1]], "labels": ["a", 2]}, "a", '"labels" must be a list of strings'),
+    ({"rank": 2}, "s1", 'diagram document needs an "m" matrix'),
+    ({"rank": 3, "m": [[1, 3], [3, 1]]}, "s1", "declared rank does not match the matrix"),
+])
+def test_bad_diagram_file_exit_2(capsys, tmp_path, document, root, message):
+    diagram = _file(tmp_path, "diagram.json", document)
+    assert_input_error(run(capsys, "build", "--diagram", diagram, "--root", root),
+                       message)
+
+
+def test_diagram_path_that_is_a_directory_exit_2(capsys, tmp_path):
+    assert_input_error(run(capsys, "build", "--diagram", str(tmp_path), "--root", "s1"),
+                       "bad diagram")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--diagram", "a3", "--root", "s9"], "no vertex labelled 's9'"),
+    (["equiv", "--diagram", "a3", "--root", "s1", "--root2", "s9"],
+     "no vertex labelled 's9'"),
+    (["form", "--diagram", "h3", "--root", "s1", "--theta", "2"],
+     "index 2 not coprime to conductor 30"),
+])
+def test_bad_option_value_exit_2(capsys, argv, message):
+    assert_input_error(run(capsys, *argv), message)
+
+
+def test_matrix_document_must_be_a_list_of_rows():
+    with pytest.raises(InputError, match="matrix must be a list of rows"):
+        rep_matrices_from_json({"conductor": 5, "generators": {"s1": 7}})
+
+
+def test_equiv_second_job_has_no_diagram_of_its_own(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["equiv", "--diagram", "a3", "--root", "s1", "--diagram2", "b3"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --diagram2" in capsys.readouterr().err
+
+
+# -- generated documents ------------------------------------------------------
+
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
+                   st.floats(-2, 2, allow_nan=False, width=16),
+                   st.sampled_from(["", "s1", "s4", "1/2", "-3/4", "1/0", "x", "s1-s2"]))
+JSON = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["m", "num", "den", "edges", "alpha", "chords"]),
+                    inner, max_size=3)), max_leaves=8)
+EDGE_KEYS = st.sampled_from(["s1-s2", "s2-s3", "s1-s3", "s3-s2", "s2-s1", "s1-s9", "s1s2"])
+SCALARS = st.one_of(st.integers(-4, 4), st.sampled_from(["1/2", "-3/4", "0", "1/0", "y"]),
+                    st.lists(st.integers(-3, 3), max_size=3),
+                    st.fixed_dictionaries({"num": st.lists(st.integers(-3, 3), max_size=3)},
+                                          optional={"den": st.integers(-3, 3)}),
+                    JSON)
+
+
+def mostly(strategy):
+    """Well-formed three times in four, so that many runs get past the
+    input checks."""
+    return st.integers(0, 3).flatmap(lambda k: strategy if k else JSON)
+
+
+PARAMS = mostly(st.fixed_dictionaries({}, optional={
+    "alpha": mostly(st.dictionaries(
+        EDGE_KEYS, st.one_of(st.just(1), st.integers(-1, 3), LEAVES), max_size=2)),
+    "chords": mostly(st.dictionaries(EDGE_KEYS, SCALARS, max_size=2))}))
+VERTICES = st.one_of(st.sampled_from(["s1", "s2", "s3", "s4"]), st.integers(-1, 3), LEAVES)
+PAIRS = st.lists(st.sampled_from(["s1", "s2", "s3", 0, 1, 2]), min_size=2, max_size=2)
+TREES = mostly(st.fixed_dictionaries({"edges": st.lists(
+    st.one_of(PAIRS, PAIRS, PAIRS, st.lists(VERTICES, max_size=3), LEAVES),
+    min_size=1, max_size=3)}))
+SYMMETRIC = st.tuples(*[st.sampled_from([2, 3, 4, 5])] * 3).map(
+    lambda m: [[1, m[0], m[1]], [m[0], 1, m[2]], [m[1], m[2], 1]])
+MATRICES = mostly(st.one_of(
+    SYMMETRIC, st.lists(st.lists(st.one_of(st.integers(-1, 5), LEAVES), max_size=4),
+                        max_size=4)))
+DIAGRAMS = mostly(st.fixed_dictionaries({"m": MATRICES}, optional={
+    "rank": st.one_of(st.just(3), st.integers(0, 4), LEAVES),
+    "labels": st.one_of(st.lists(st.sampled_from(["s1", "s2", "s3", "s1-s2"]), max_size=4),
+                        JSON)}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["build", "verify", "form", "equiv", "dual"]),
+       diagram=st.sampled_from(["a3", "affine_triangle"]),
+       root=st.sampled_from(["s1", "s2", "s3"]),
+       document=st.one_of(st.tuples(st.just("--diagram"), DIAGRAMS),
+                          st.tuples(st.just("--tree"), TREES),
+                          st.tuples(st.just("--params"), PARAMS)))
+def test_generated_documents_exit_0_2_or_3_without_traceback(command, diagram, root,
+                                                               document):
+    # one generated document per run; a generated diagram replaces the bundled one
+    option, content = document
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--root", root, "--diagram", diagram,
+                option, _file(Path(tmp), "document.json", content)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
