@@ -66,7 +66,6 @@ from .graph import (
     precedes,
     spanning_tree,
     spanning_tree_from_edges,
-    swap_sequence,
     validate,
 )
 
@@ -84,7 +83,7 @@ __all__ = [
     "minimal_poly_real_cyclotomic", "order_poly", "order_poly_full",
     "order_poly_roots", "precedes", "product_analysis",
     "root_change_intertwiner", "spanning_tree", "spanning_tree_from_edges",
-    "swap_sequence", "tree_change_intertwiner", "tree_product",
+    "tree_change_intertwiner", "tree_product",
     "unipotent_equivalences", "validate", "verify_good_morphism",
     "verify_invariance",
 ]

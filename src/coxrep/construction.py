@@ -11,31 +11,25 @@ chord, the generators act on the basis (a_s) by
     zeta_s(a_t) = l_e a_s + a_t                (chord, stored direction)
     zeta_t(a_s) = l_e' a_t + a_s               (l_e * l_e' = alpha_e)
 
-Root and tree changes produce equivalent representations; the diagonal
-intertwiners are constructed here explicitly, transporting chord scalars
-along the way.
+Every generator is I - e_s * (Cartan row s), so a change of basis between
+two representations on one diagram is diagonal: scaling a_s by scale_s
+turns c_st into c_st * scale_t / scale_s.  One walk down a rooted tree
+finds the scales that give the tree's convention; it yields the chord
+scalars of the geometric representation and the intertwiners of root and
+tree changes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 from . import linalg
 from .cartanpoly import admissible_root_indices
 from .cyclotomic import FieldContext, FieldElement, field_context
-from .graph import (
-    Diagram,
-    DifferentDiagram,
-    SpanningTree,
-    breadth_first,
-    chord_circuit,
-    precedes,
-    spanning_tree,
-    spanning_tree_from_edges,
-    swap_sequence,
-)
+from .graph import Diagram, DifferentDiagram, SpanningTree, precedes, spanning_tree
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
 
@@ -135,34 +129,28 @@ class ParameterSystem:
 def geometric_parameters(tree: SpanningTree) -> ParameterSystem:
     """The parameter system of the classical geometric representation.
 
-    Every edge takes the k = 1 root 4*cos^2(pi/m).  For a chord, the
-    product of 2*cos(pi/m) over all circuit edges (chord included) is
-    split between the two directions by the prefix/suffix alpha products
-    around the circuit entry; an endpoint entry makes its side's product
-    empty (= 1).
+    Every edge takes the k = 1 root 4*cos^2(pi/m), and the chord scalars
+    are those of the symmetric geometric Cartan matrix
+    c_st = -2*cos(pi/m_st) rescaled to the tree's convention.
     """
     diagram = tree.diagram
     ctx = field_context(conductor_for(diagram))
-    alpha_index = {edge: 1 for edge in diagram.edges}
-    chord_l: dict[tuple[int, int], FieldElement] = {}
-    params = ParameterSystem(ctx, alpha_index, chord_l)
-    for chord in tree.chords:
-        circuit = chord_circuit(tree, chord)
-        path = circuit.path
-        b = ctx.cos_element(1, 2 * diagram.edge_label(*chord))
-        for i in range(len(path) - 1):
-            b = b * ctx.cos_element(1, 2 * diagram.edge_label(path[i], path[i + 1]))
-        chord_l[chord] = b / params.path_product(diagram, path[:circuit.entry_index + 1])
-    return params
+    _, chords = _tree_rescaling(
+        tree, lambda s, t: -ctx.cos_element(1, 2 * diagram.edge_label(s, t)), ctx.one)
+    return ParameterSystem(ctx, {edge: 1 for edge in diagram.edges}, chords)
 
 
 @dataclass(frozen=True)
 class CartanMatrixData:
     """Cartan matrix entries (c[s][t] with s(a_t) = a_t - c_st a_s) and
-    its determinant, the discriminant of the representation."""
+    its determinant, the discriminant of the representation, computed
+    when first read."""
 
     entries: Matrix
-    discriminant: FieldElement
+
+    @cached_property
+    def discriminant(self) -> FieldElement:
+        return linalg.determinant(self.entries[0][0].ctx, self.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +231,8 @@ def geometric_representation(diagram: Diagram, root: int | str = 0) -> Reflectio
 
 
 def cartan_matrix(rep: ReflectionRep) -> CartanMatrixData:
-    """Cartan matrix read off the generator matrices, and its determinant."""
+    """Cartan matrix read off the generator matrices: generator s is
+    I - e_s * (Cartan row s)."""
     n = rep.rank
     ctx = rep.ctx
     rows = []
@@ -251,9 +240,7 @@ def cartan_matrix(rep: ReflectionRep) -> CartanMatrixData:
         gen_row = rep.generators[s][s]
         rows.append(tuple((ctx.one if s == t else ctx.zero) - gen_row[t]
                           for t in range(n)))
-    entries = tuple(rows)
-    disc = linalg.determinant(ctx, entries)
-    return CartanMatrixData(entries, disc)
+    return CartanMatrixData(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -286,125 +273,41 @@ class Intertwiner:
                                      self.target.generators, self.matrix)
 
 
-def _transport_chords(params: ParameterSystem,
-                      scale: Sequence[FieldElement]) -> ParameterSystem:
-    """Chord scalars of the representation expressed in the rescaled basis
-    a_s -> scale_s * a_s; tree-edge choices are untouched."""
-    new_chords = {}
-    for (u, v), l in params.chord_l.items():
-        new_chords[(u, v)] = l * scale[v] / scale[u]
-    return ParameterSystem(params.ctx, dict(params.alpha_index), new_chords)
+def _tree_rescaling(tree: SpanningTree, c: Callable[[int, int], FieldElement],
+                    one: FieldElement
+                    ) -> tuple[list[FieldElement], dict[tuple[int, int], FieldElement]]:
+    """The basis scales and chord scalars that put the Cartan entries
+    c(s, t) of a representation on the tree's diagram into the tree's
+    convention; only the entries on diagram edges are read.
 
-
-def _component_scales(tree: SpanningTree, old_root: int, new_root: int,
-                      alpha: FieldElement) -> list[FieldElement]:
-    """Single root step old->new across a tree edge: the old root's side of
-    the split tree rescales by alpha, the other side by 1."""
-    n = tree.diagram.rank
-    # a search from old_root that never enters new_root stays on its side
-    _, depth = breadth_first(n, old_root, lambda v: [
-        w for w in range(n) if tree.is_tree_edge(v, w) and new_root not in (v, w)])
-    return [alpha if d >= 0 else alpha.ctx.one for d in depth]
-
-
-def root_change_intertwiner(rep: ReflectionRep, new_root: int | str) -> Intertwiner:
-    """Move the tree root along the tree path, composing the one-step
-    diagonal intertwiners; chord scalars transport by the scale ratios."""
-    diagram = rep.diagram
-    if isinstance(new_root, str):
-        new_root = diagram.vertex_index(new_root)
-    ctx = rep.ctx
-    n = rep.rank
-    total = [ctx.one] * n
-    params = rep.params
-    tree = rep.tree
-    # tree path from the current root to the new root
-    up_new = tree.path_to_root(new_root)
-    path = list(reversed(up_new))       # [root, ..., new_root]
-    current_root = tree.root
-    for step_target in path[1:]:
-        alpha = params.alpha(diagram, current_root, step_target)
-        scales = _component_scales(tree, current_root, step_target, alpha)
-        params = _transport_chords(params, scales)
-        total = [a * b for a, b in zip(total, scales)]
-        current_root = step_target
-    target = build(tree.with_root(new_root), params)
-    return Intertwiner(rep, target, tuple(total))
-
-
-def _single_swap(rep: ReflectionRep, add: tuple[int, int],
-                 remove: tuple[int, int]) -> Intertwiner:
-    """Exchange a chord for a tree edge at a root placed on the chord.
-
-    Requires rep's root to be an endpoint of `add`.  Along the circuit
-    [s_1 = root, ..., s_q], cut at the removed edge (s_m, s_m+1): vertices
-    reached through s_j with j <= m keep their basis vector; those beyond
-    the cut rescale by the suffix alpha product times the closing scalar.
+    Rescaling the basis a_s -> scale_s * a_s turns c_st into
+    c_st * scale_t / scale_s.  Walking the tree parents before children,
+    scale_root = 1 and scale_v = -c_(v,parent) * scale_parent give every
+    tree edge the entry -1 from its deeper endpoint; the chord (s, t) then
+    has the scalar l = -c_st * scale_t / scale_s.
     """
-    tree = rep.tree
-    diagram = rep.diagram
-    ctx = rep.ctx
-    params = rep.params
-    circuit = chord_circuit(tree, add)
-    path = list(circuit.path)
-    if path[-1] == tree.root:
-        path.reverse()
-    assert path[0] == tree.root, "swap root must be an endpoint of the added edge"
-    q = len(path)
-    positions = {v: i for i, v in enumerate(path)}
-    m_index = None
-    for i in range(q - 1):
-        if {path[i], path[i + 1]} == set(remove):
-            m_index = i
-            break
-    if m_index is None:
-        raise ValueError("removed edge does not lie on the circuit")
-    # scalar closing the circuit, direction last -> first
-    l_to_root = params.chord_pair(diagram, path[-1], path[0])[0]
-    lam = [ctx.one if j <= m_index else params.path_product(diagram, path[j:]) * l_to_root
-           for j in range(q)]
-    scales = [ctx.one] * diagram.rank
-    for v in range(diagram.rank):
-        w = v
-        while w not in positions:
-            w = tree.parent[w]
-        scales[v] = lam[positions[w]]
-    # parameters of the swapped tree in the rescaled basis
-    new_chords = dict(_transport_chords(params, scales).chord_l)
-    del new_chords[add]
-    sm, sm1 = path[m_index], path[m_index + 1]
-    alpha_removed = params.alpha(diagram, sm, sm1)
-    l_down = alpha_removed * lam[m_index + 1]    # direction s_m -> s_m+1
-    if sm < sm1:
-        new_chords[(sm, sm1)] = l_down
-    else:
-        new_chords[(sm1, sm)] = alpha_removed / l_down
-    new_params = ParameterSystem(ctx, dict(params.alpha_index), new_chords)
-    new_edges = (tree.tree_edges - {remove if remove[0] < remove[1]
-                                    else (remove[1], remove[0])}) | {add}
-    new_tree = spanning_tree_from_edges(diagram, tree.root, new_edges)
-    target = build(new_tree, new_params)
-    return Intertwiner(rep, target, tuple(scales))
+    scale = [one] * tree.diagram.rank
+    for v in sorted(range(tree.diagram.rank), key=tree.depth.__getitem__):
+        p = tree.parent[v]
+        if p is not None:
+            scale[v] = -c(v, p) * scale[p]
+    chords = {(s, t): -c(s, t) * scale[t] / scale[s] for s, t in tree.chords}
+    return scale, chords
 
 
 def tree_change_intertwiner(rep: ReflectionRep, new_tree: SpanningTree) -> Intertwiner:
-    """Change of spanning tree, via root moves and single edge exchanges."""
+    """The diagonal intertwiner to the representation on new_tree (rooted
+    at new_tree.root, with rep's alpha indices), 1 at the new root."""
     if new_tree.diagram != rep.diagram:
         raise DifferentDiagram("target tree belongs to a different diagram")
-    ctx = rep.ctx
-    n = rep.rank
-    original_root = rep.tree.root
-    total = [ctx.one] * n
-    current = rep
-    for add, remove in swap_sequence(rep.tree, new_tree):
-        step = root_change_intertwiner(current, add[0])
-        total = [a * b for a, b in zip(total, step.diagonal)]
-        current = step.target
-        step = _single_swap(current, add, remove)
-        total = [a * b for a, b in zip(total, step.diagonal)]
-        current = step.target
-    step = root_change_intertwiner(current, original_root)
-    total = [a * b for a, b in zip(total, step.diagonal)]
-    current = step.target
-    assert current.tree.tree_edges == new_tree.tree_edges
-    return Intertwiner(rep, current, tuple(total))
+    c = cartan_matrix(rep).entries
+    scale, chords = _tree_rescaling(new_tree, lambda s, t: c[s][t], rep.ctx.one)
+    params = ParameterSystem(rep.ctx, dict(rep.params.alpha_index), chords)
+    return Intertwiner(rep, build(new_tree, params), tuple(scale))
+
+
+def root_change_intertwiner(rep: ReflectionRep, new_root: int | str) -> Intertwiner:
+    """The tree change to rep's tree rooted at new_root."""
+    if isinstance(new_root, str):
+        new_root = rep.diagram.vertex_index(new_root)
+    return tree_change_intertwiner(rep, rep.tree.with_root(new_root))

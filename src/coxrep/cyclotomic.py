@@ -1,16 +1,17 @@
 """Exact arithmetic in the real cyclotomic field Q(2*cos(2*pi/N)).
 
 Elements are rational coordinate vectors in the power basis of
-c = 2*cos(2*pi/N), reduced modulo the minimal polynomial of c.  Every
+c = 2*cos(2*pi/N), reduced modulo the minimal polynomial psi of c.  Every
 operation is exact; floating point only enters through ``approximate``,
 which exists for display and cross-checking, never for decisions.  Every
 element is brought to canonical form in one place, the ``FieldElement``
 constructor, and every product of coordinate vectors is finished by one
-reduction, ``FieldContext._reduce_product``.
-``FieldContext.modular_image`` maps c into F_p for split primes p, the
-ground of the modular rank bounds in ``linalg`` and of ``invert``: an inverse
-mod p, lifted p-adically and rationally reconstructed, is accepted only by
-the exact product.
+reduction, ``FieldContext._reduce_product``, a synthetic division by psi.
+psi is the field's only reduction data: ``FieldContext.modular_image``
+maps c to a root of psi mod p in F_p for split primes p, the ground of the
+modular rank bounds in ``linalg`` and of ``invert``, which inverts modulo
+(psi, p); the inverse, lifted p-adically and rationally reconstructed, is
+accepted only by the exact product.
 """
 
 from __future__ import annotations
@@ -327,20 +328,10 @@ class FieldContext:
         self.min_poly = minimal_poly_real_cyclotomic(n)
         self.degree = self.min_poly.degree
         assert self.degree == (euler_phi(n) // 2 if n > 2 else 1)
-        psi = self._psi = self.min_poly.coeffs
-        d = self.degree
-        # reduction rows: integer coordinates of c^(d+e) for e = 0..d-2
-        rows: list[tuple[int, ...]] = []
-        cur = [-psi[i] for i in range(d)]
-        rows.append(tuple(cur))
-        for _ in range(d - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                for i in range(d):
-                    cur[i] += top * rows[0][i]
-            rows.append(tuple(cur))
-        self._red = tuple(rows)
+        self._psi = self.min_poly.coeffs
+        # psi's nonzero terms below its leading 1; when 4 | N, -c is a
+        # conjugate of c, psi is even or odd, and half its terms are zero
+        self._psi_terms = tuple((i, v) for i, v in enumerate(self._psi[:-1]) if v)
         # The caches keep integer coordinates, never a FieldElement: an
         # element refers to its context, so one held here would make a
         # reference cycle, and a context dropped from field_context's cache
@@ -411,15 +402,16 @@ class FieldContext:
 
     def _reduce_product(self, conv: list[int]) -> list[int]:
         """The `degree` coordinates of a coordinate convolution: a longer one
-        is reduced modulo the minimal polynomial (in place), a shorter one
-        padded with zeros."""
+        is reduced modulo the monic minimal polynomial psi (in place) by
+        synthetic division, a shorter one padded with zeros."""
         d = self.degree
-        for idx in range(len(conv) - 1, d - 1, -1):
-            co = conv[idx]
+        terms = self._psi_terms
+        for top in range(len(conv) - 1, d - 1, -1):
+            co = conv[top]
             if co:
-                row = self._red[idx - d]
-                for i in range(d):
-                    conv[i] += co * row[i]
+                low = top - d
+                for i, v in terms:
+                    conv[low + i] -= co * v
         return conv[:d] + [0] * (d - len(conv))
 
     # -- reduction modulo split primes ---------------------------------------

@@ -3,8 +3,7 @@
 The diagram of a Coxeter matrix has the generators as vertices and an edge
 labelled m_st for every pair with m_st >= 3.  A rooted spanning tree induces
 a partial order (ancestor-with-smaller-depth) on the vertices; adding a
-chord creates a unique circuit whose minimal vertex is its entry.  Any two
-spanning trees are connected by single add/remove edge exchanges.
+chord creates a unique circuit whose minimal vertex is its entry.
 """
 
 from __future__ import annotations
@@ -241,27 +240,3 @@ def chord_circuit(tree: SpanningTree, chord: tuple[int, int]) -> ChordCircuit:
                if all(precedes(tree, v, w) for w in path)]
     assert entries == [entry_index], "circuit entry is not unique"
     return ChordCircuit(chord, tuple(path), entry_index)
-
-
-def swap_sequence(tree: SpanningTree, target: SpanningTree
-                  ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Edge exchanges (add, remove) turning `tree` into `target`.
-
-    Greedy matroid exchange: adding an edge of the target closes one cycle
-    on the current tree; the cycle always contains an edge outside the
-    target, which is removed.  Every intermediate stays a spanning tree.
-    """
-    if tree.diagram is not target.diagram and tree.diagram != target.diagram:
-        raise DifferentDiagram("trees belong to different diagrams")
-    current = tree
-    swaps: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for add in sorted(target.tree_edges - tree.tree_edges):
-        circuit = chord_circuit(current, add)
-        cycle_edges = [_edge_key(circuit.path[i], circuit.path[i + 1])
-                       for i in range(len(circuit.path) - 1)]
-        remove = next(e for e in cycle_edges if e not in target.tree_edges)
-        new_edges = (current.tree_edges - {remove}) | {add}
-        current = _tree_from_edge_set(current.diagram, current.root, new_edges)
-        swaps.append((add, remove))
-    assert current.tree_edges == target.tree_edges
-    return swaps

@@ -1,12 +1,15 @@
 """Reference routes kept as test oracles: the extended Euclid over Fraction
-lists that `FieldElement.invert` replaced, and polynomial division with
-remainder by a monic polynomial."""
+lists that `FieldElement.invert` replaced, polynomial division with
+remainder by a monic polynomial, and the circuit formula for the geometric
+chord scalars that `geometric_parameters` replaced."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from coxrep.cyclotomic import DivisionByZero, FieldElement, IntPolynomial
+from coxrep.construction import conductor_for
+from coxrep.cyclotomic import DivisionByZero, FieldElement, IntPolynomial, field_context
+from coxrep.graph import SpanningTree, chord_circuit
 
 
 def poly_divmod(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
@@ -73,3 +76,25 @@ def euclid_inverse(x: FieldElement) -> FieldElement:
         raise ArithmeticError("element not invertible; minimal polynomial not irreducible?")
     # r1 == [1]; t1 * (num polynomial) == 1 mod psi, so inverse = den * t1
     return x.ctx.from_coeffs([c * x.den for c in t1])
+
+
+def geometric_chord_scalar(tree: SpanningTree, chord: tuple[int, int]) -> FieldElement:
+    """The geometric representation's scalar for a chord (s, t), s < t, by
+    its circuit: the product of 2*cos(pi/m) over the circuit, chord
+    included, divided by the product of the k = 1 alphas 4*cos^2(pi/m)
+    along the tree path from s to the circuit entry."""
+    diagram = tree.diagram
+    ctx = field_context(conductor_for(diagram))
+    circuit = chord_circuit(tree, chord)
+    path = circuit.path
+
+    def two_cos(s: int, t: int) -> FieldElement:
+        return ctx.cos_element(1, 2 * diagram.edge_label(s, t))
+
+    b = two_cos(*chord)
+    for s, t in zip(path, path[1:]):
+        b = b * two_cos(s, t)
+    to_entry = path[:circuit.entry_index + 1]
+    for s, t in zip(to_entry, to_entry[1:]):
+        b = b / (2 + ctx.cos_element(1, diagram.edge_label(s, t)))
+    return b

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coxrep.cli import main
 from coxrep.cyclotomic import field_context
@@ -517,3 +517,57 @@ def test_generated_documents_exit_0_2_or_3_without_traceback(command, diagram, r
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert (code == 2) == err.getvalue().startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+def test_build_rank_two_label_2003(capsys, tmp_path):
+    # field degree 1001: set-up keeps only psi, so this stays small
+    code, doc, err = run_json(capsys, "build", "--diagram", _rank_two_diagram(tmp_path, 2003),
+                              "--root", "s1")
+    assert code == 0 and err == ""
+    assert doc["conductor"] == 4006
+
+
+SUBCOMMANDS = ["build", "verify", "form", "equiv", "dual", "rebuild"]
+FLAGS = ["--diagram", "--root", "--tree", "--params", "--format", "--max-order",
+         "--theta", "--root2", "--tree2", "--params2", "--depth"]
+ARGV_FILES = {
+    "tree_ok.json": {"edges": [["s1", "s2"], ["s2", "s3"]]},
+    "tree_bad.json": {"edges": [["s1", "s3"]]},
+    "params_ok.json": {"alpha": {"s1-s2": 1}},
+    "params_bad.json": {"alpha": {"s1-s2": 7}, "chords": {"s1-s3": "1/0"}},
+    "i2_5.json": {"m": [[1, 5], [5, 1]]},
+}
+
+
+def _argv_values(tmp_path):
+    files = [_file(tmp_path, name, document) for name, document in ARGV_FILES.items()]
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    files += [str(broken), str(tmp_path / "absent.json"), str(tmp_path)]
+    return st.one_of(
+        st.sampled_from(["a3", "b3", "bc3", "h3", "affine_triangle", "k4", "a9"]),
+        st.sampled_from(["s1", "s2", "s3", "s4", "x", "json", "text", ""]),
+        st.sampled_from([0, -1, -3, 2, 3, 5, 7, 2 ** 64 + 1, -(2 ** 64) - 1]).map(str),
+        st.sampled_from(files))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_generated_argv_exit_0_2_or_3_without_traceback(tmp_path, data):
+    # the files are the same for every example, so sharing tmp_path is sound
+    values = _argv_values(tmp_path)
+    argv = [data.draw(st.sampled_from(SUBCOMMANDS))]
+    for flag in data.draw(st.lists(st.sampled_from(FLAGS), max_size=6)):
+        argv.append(flag)
+        if data.draw(st.integers(0, 5)):            # sometimes no value
+            argv.append(data.draw(values))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert code != 2 or "error:" in err.getvalue(), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,6 +1,11 @@
 """Fundamental construction: golden Cartan matrices, parameters, intertwiners."""
 
+import random
+
 import pytest
+
+from conftest import _random_tree
+from oracles import geometric_chord_scalar
 
 from coxrep.construction import (
     IncompleteParameters,
@@ -245,3 +250,35 @@ def test_word_matrix_and_trace():
     assert tr == linalg.trace(rep.ctx, prod)
     # trace of a pair with coefficient alpha is rank - 4 + alpha
     assert tr == 3 - 4 + 1
+
+
+def test_geometric_parameters_match_the_circuit_formula(suite_instances):
+    for inst in suite_instances:
+        for root in range(inst.diagram.rank):
+            tree = inst.tree.with_root(root)
+            params = geometric_parameters(tree)
+            assert dict(params.alpha_index) == {edge: 1 for edge in inst.diagram.edges}
+            assert set(params.chord_l) == set(tree.chords)
+            for chord in tree.chords:
+                assert params.chord_l[chord] == geometric_chord_scalar(tree, chord)
+
+
+def test_tree_change_on_the_corpus_matches_the_exact_solve(suite_instances):
+    rng = random.Random(8)
+    for inst in suite_instances:
+        rep = inst.rep
+        new_tree = _random_tree(rng, inst.diagram)
+        result = tree_change_intertwiner(rep, new_tree)
+        root = new_tree.root
+        assert result.verify()
+        assert result.diagonal[root] == 1
+        assert result.target.tree.tree_edges == new_tree.tree_edges
+        assert result.target.root == root
+        assert dict(result.target.params.alpha_index) == dict(inst.params.alpha_index)
+        if new_tree.tree_edges == inst.tree.tree_edges:
+            continue    # a root change only; the exact solve is kept for tree changes
+        # the exact solve of A_s g = g B_s is one line, spanned by the diagonal
+        (solution,) = linalg.intertwiner_space(rep.ctx, rep.generators,
+                                               result.target.generators)
+        scaled = linalg.mat_scale(solution, solution[root][root].invert())
+        assert linalg.mat_eq(scaled, result.matrix)

@@ -394,3 +394,41 @@ def test_invert_of_zero_and_of_rationals(monkeypatch, n):
         assert _exact(x.invert()) == _exact(ctx.from_rational(1 / q))
         assert _exact(x.invert()) == _exact(euclid_inverse(x))
     assert inverses == []
+
+
+def _reduction_lengths(d: int, rng: random.Random) -> list[int]:
+    """Every convolution length 0 .. 2d - 1 up to degree 48; above it the
+    Fraction oracle takes seconds per length, so the lengths at the ends of
+    both ranges and eight drawn between them."""
+    if d <= 48:
+        return list(range(2 * d))
+    ends = {0, 1, d - 1, d, d + 1, 2 * d - 2, 2 * d - 1}
+    return sorted(ends | {rng.randrange(2 * d) for _ in range(8)})
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 60, 280, 1260, 1584])
+def test_reduce_product_is_the_remainder_by_psi(n):
+    ctx = field_context(n)
+    d = ctx.degree
+    rng = random.Random(n)
+    for length in _reduction_lengths(d, rng):
+        b = rng.choice([1, 2, 31, 64, 300])
+        top = 2 ** b - 1
+        conv = [rng.choice([top, -top, 0, rng.randint(-top, top)]) for _ in range(length)]
+        _, remainder = poly_divmod(IntPolynomial(conv), ctx.min_poly)
+        expected = list(remainder.coeffs) + [0] * (d - len(remainder.coeffs))
+        assert ctx._reduce_product(list(conv)) == expected, (n, length)
+
+
+def test_field_set_up_keeps_psi_and_nothing_of_size_d_squared():
+    import tracemalloc
+
+    minimal_poly_real_cyclotomic(4006)      # degree 1001, cached
+    tracemalloc.start()
+    try:
+        ctx = cyclotomic.FieldContext(4006)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.degree == 1001
+    assert peak < 10 * 2 ** 20

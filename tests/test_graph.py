@@ -1,4 +1,4 @@
-"""Diagram validation, spanning trees, tree order, circuits, edge swaps."""
+"""Diagram validation, spanning trees, tree order, circuits."""
 
 import itertools
 import random
@@ -15,7 +15,6 @@ from coxrep.graph import (
     precedes,
     spanning_tree,
     spanning_tree_from_edges,
-    swap_sequence,
     validate,
 )
 
@@ -162,63 +161,3 @@ def test_chord_circuit_rejects_tree_edge():
     tree = spanning_tree(validate(B3), 0)
     with pytest.raises(NotAChord):
         chord_circuit(tree, (0, 1))
-
-
-def test_swap_sequence_identity():
-    tree = spanning_tree(validate(TRIANGLE), 0)
-    assert swap_sequence(tree, tree) == []
-
-
-def test_swap_sequence_triangle():
-    tri = validate(TRIANGLE)
-    star = spanning_tree(tri, 0)
-    path = spanning_tree_from_edges(tri, 0, [(0, 1), (1, 2)])
-    swaps = swap_sequence(star, path)
-    assert len(swaps) == 1
-    add, remove = swaps[0]
-    assert add == (1, 2) and remove == (0, 2)
-
-
-def _is_spanning_tree(diagram, edges):
-    try:
-        spanning_tree_from_edges(diagram, 0, edges)
-        return True
-    except ValueError:
-        return False
-
-
-def test_swap_sequence_k4_and_intermediates():
-    k4 = validate(K4)
-    star = spanning_tree(k4, 0)
-    path = spanning_tree_from_edges(k4, 0, [(0, 1), (1, 2), (2, 3)])
-    swaps = swap_sequence(star, path)
-    assert len(swaps) == len(path.tree_edges - star.tree_edges) <= 3
-    current = set(star.tree_edges)
-    for add, remove in swaps:
-        current = (current - {remove}) | {add}
-        assert _is_spanning_tree(k4, current)
-    assert current == set(path.tree_edges)
-
-
-def test_swap_sequence_exhaustive_small():
-    # the full set of spanning trees over every connected diagram on <= 5
-    # vertices is large; sample tree pairs deterministically instead
-    rng = random.Random(11)
-    for diagram in _all_connected_diagrams(5):
-        if not rng.random() < 0.05:
-            continue
-        n = diagram.rank
-        trees = []
-        for edges in itertools.combinations(diagram.edges, n - 1):
-            try:
-                trees.append(spanning_tree_from_edges(diagram, 0, edges))
-            except ValueError:
-                continue
-        if len(trees) < 2:
-            continue
-        t1, t2 = rng.sample(trees, 2)
-        current = set(t1.tree_edges)
-        for add, remove in swap_sequence(t1, t2):
-            current = (current - {remove}) | {add}
-            assert _is_spanning_tree(diagram, current)
-        assert current == set(t2.tree_edges)
