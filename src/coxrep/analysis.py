@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .cartanpoly import OrderClass, classify_pair
-from .construction import ReflectionRep
+from .construction import ReflectionRep, equivalence_intertwiner
 from .cyclotomic import FieldContext, FieldElement, prime_factors
 from .graph import chord_circuit, precedes
 
@@ -368,20 +368,14 @@ def chordless_circuit_word(rep: ReflectionRep, chord: tuple[int, int]
     """
     diagram = rep.diagram
     path = list(chord_circuit(rep.tree, chord).path)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(path)):
-            for j in range(i + 2, len(path)):
-                if i == 0 and j == len(path) - 1:
-                    continue
-                if diagram.is_edge(path[i], path[j]):
-                    path = path[:i + 1] + path[j:]
-                    changed = True
-                    break
-            if changed:
-                break
-    return tuple(path)
+    while True:
+        last = len(path) - 1
+        inner = next(((i, j) for i in range(last) for j in range(i + 2, last + 1)
+                      if (i, j) != (0, last) and diagram.is_edge(path[i], path[j])),
+                     None)
+        if inner is None:
+            return tuple(path)
+        path = path[:inner[0] + 1] + path[inner[1]:]
 
 
 def circuit_trace(rep: ReflectionRep, chord: tuple[int, int]) -> CircuitTrace:
@@ -402,23 +396,15 @@ def circuit_trace(rep: ReflectionRep, chord: tuple[int, int]) -> CircuitTrace:
     asserted equal to the direct matrix product trace.  For circuits with
     inner chords only the direct trace is reported.
     """
-    circuit = chord_circuit(rep.tree, chord)
-    path = circuit.path
+    path = chord_circuit(rep.tree, chord).path
     diagram = rep.diagram
     ctx = rep.ctx
     word = tuple(path)
     direct = rep.word_trace(word)
-    # inner chord: a diagram edge joining non-consecutive circuit vertices
-    onpath = set(path)
-    inner = False
-    consecutive = {frozenset((path[i], path[i + 1])) for i in range(len(path) - 1)}
-    consecutive.add(frozenset((path[0], path[-1])))
-    for s in onpath:
-        for t in onpath:
-            if s < t and diagram.is_edge(s, t) and frozenset((s, t)) not in consecutive:
-                inner = True
-    if inner:
-        shortcut = chordless_circuit_word(rep, chord)
+    # an inner chord, a diagram edge joining non-consecutive circuit
+    # vertices, is exactly what the shortcut removes
+    shortcut = chordless_circuit_word(rep, chord)
+    if shortcut != word:
         return CircuitTrace(word, direct, None, False,
                             shortcut, rep.word_trace(shortcut))
     m = len(path)
@@ -439,6 +425,12 @@ def circuit_trace(rep: ReflectionRep, chord: tuple[int, int]) -> CircuitTrace:
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceVerdict:
+    """The kind is "equivalent", with the diagonal intertwiner that is 1
+    at the second representation's root; "distinct", with the first word
+    of the family whose traces differ and the two traces; or
+    "inconclusive": proven inequivalent, but no word of the family
+    separates the two."""
+
     kind: str                   # "distinct" | "equivalent" | "inconclusive"
     word: Optional[tuple[int, ...]] = None
     traces: Optional[tuple[FieldElement, FieldElement]] = None
@@ -464,17 +456,16 @@ def character_word_family(rep: ReflectionRep) -> list[tuple[int, ...]]:
 
 def characters_distinguish(rep1: ReflectionRep, rep2: ReflectionRep
                            ) -> EquivalenceVerdict:
-    """Compare traces over the word family; equal traces fall back to an
-    exact intertwiner solve."""
-    if rep1.diagram != rep2.diagram:
-        raise ValueError("representations live on different diagrams")
+    """Decide equivalence by the tree rescaling (equivalence_intertwiner);
+    only for an inequivalent pair are traces compared over the word
+    family, to find a separating word.  "inconclusive" means the pair is
+    proven inequivalent but every word of the family has equal traces."""
+    moved = equivalence_intertwiner(rep1, rep2)
+    if moved is not None:
+        return EquivalenceVerdict("equivalent", intertwiner=moved.matrix)
     for word in character_word_family(rep1):
         t1 = rep1.word_trace(word)
         t2 = rep2.word_trace(word)
         if t1 != t2:
             return EquivalenceVerdict("distinct", word, (t1, t2))
-    space = linalg.intertwiner_space(rep1.ctx, rep1.generators, rep2.generators)
-    for candidate in space:
-        if not linalg.determinant(rep1.ctx, candidate).is_zero():
-            return EquivalenceVerdict("equivalent", intertwiner=candidate)
     return EquivalenceVerdict("inconclusive")

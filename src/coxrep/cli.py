@@ -29,7 +29,7 @@ from .analysis import (
     commutant_dimension,
     verify_good_morphism,
 )
-from .construction import build, cartan_matrix, root_change_intertwiner
+from .construction import build, cartan_matrix
 from .cyclotomic import NotCoprime
 from .forms import (
     Automorphism,
@@ -100,8 +100,7 @@ def _job_rep(args, first=None):
 
 def _emit(args, document: dict, text: str) -> None:
     if args.format == "json":
-        json.dump(document, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(document, indent=2) + "\n")
     else:
         sys.stdout.write(text + "\n")
 
@@ -212,34 +211,36 @@ def cmd_form(args) -> int:
 def cmd_equiv(args) -> int:
     rep1 = _job_rep(args)
     rep2 = _job_rep(args, first=rep1)
-    document: dict = {}
-    lines: list[str] = []
-    same_tree = rep1.tree.tree_edges == rep2.tree.tree_edges
-    if same_tree and rep1.root != rep2.root and \
-            dict(rep1.params.alpha_index) == dict(rep2.params.alpha_index):
-        moved = root_change_intertwiner(rep1, rep2.root)
-        if moved.target.params == rep2.params and moved.verify():
-            g = moved.matrix
-            return _emit_equivalent(args, rep1, g, document, lines)
     verdict = characters_distinguish(rep1, rep2)
     if verdict.kind == "distinct":
         labels = rep1.diagram.labels
         word = [labels[s] for s in verdict.word]
         t1, t2 = verdict.traces
-        document.update({
+        document = {
             "verdict": "distinct",
             "separating_word": word,
             "traces": [cio.scalar_to_json(t1), cio.scalar_to_json(t2)],
-        })
-        lines.append("verdict: distinct")
-        lines.append(f"separating word: {' '.join(word)}")
-        lines.append(f"traces: {t1}  vs  {t2}")
-        _emit(args, document, "\n".join(lines))
-        return EXIT_OK
-    if verdict.kind == "equivalent":
-        return _emit_equivalent(args, rep1, verdict.intertwiner, document, lines)
-    document["verdict"] = "inconclusive"
-    _emit(args, document, "verdict: inconclusive")
+        }
+        lines = ["verdict: distinct", f"separating word: {' '.join(word)}",
+                 f"traces: {t1}  vs  {t2}"]
+    elif verdict.kind == "equivalent":
+        g = _normalize_integral(verdict.intertwiner)
+        ginv = linalg.inverse(rep1.ctx, g)
+        integral = all(x.is_integral() for row in g for x in row)
+        inv_integral = all(x.is_integral() for row in ginv for x in row)
+        document = {
+            "verdict": "equivalent",
+            "intertwiner": cio.matrix_to_json(g),
+            "intertwiner_inverse": cio.matrix_to_json(ginv),
+            "intertwiner_integral": integral,
+            "inverse_integral": inv_integral,
+        }
+        lines = ["verdict: equivalent", "intertwiner g:", _matrix_text(g),
+                 f"g integral: {integral}; g^-1 integral: {inv_integral}"]
+    else:
+        document = {"verdict": "inconclusive"}
+        lines = ["verdict: inconclusive"]
+    _emit(args, document, "\n".join(lines))
     return EXIT_OK
 
 
@@ -251,26 +252,6 @@ def _normalize_integral(g):
     if lead is not None and lead.num[lead.effective_degree] < 0:
         return linalg.mat_scale(g, -1)
     return g
-
-
-def _emit_equivalent(args, rep, g, document, lines) -> int:
-    g = _normalize_integral(g)
-    ginv = linalg.inverse(rep.ctx, g)
-    integral = all(x.is_integral() for row in g for x in row)
-    inv_integral = all(x.is_integral() for row in ginv for x in row)
-    document.update({
-        "verdict": "equivalent",
-        "intertwiner": cio.matrix_to_json(g),
-        "intertwiner_inverse": cio.matrix_to_json(ginv),
-        "intertwiner_integral": integral,
-        "inverse_integral": inv_integral,
-    })
-    lines.append("verdict: equivalent")
-    lines.append("intertwiner g:")
-    lines.append(_matrix_text(g))
-    lines.append(f"g integral: {integral}; g^-1 integral: {inv_integral}")
-    _emit(args, document, "\n".join(lines))
-    return EXIT_OK
 
 
 def cmd_dual(args) -> int:

@@ -15,8 +15,8 @@ Every generator is I - e_s * (Cartan row s), so a change of basis between
 two representations on one diagram is diagonal: scaling a_s by scale_s
 turns c_st into c_st * scale_t / scale_s.  One walk down a rooted tree
 finds the scales that give the tree's convention; it yields the chord
-scalars of the geometric representation and the intertwiners of root and
-tree changes.
+scalars of the geometric representation, the intertwiners of root and
+tree changes, and the decision whether two representations are equivalent.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def cartan_matrix(rep: ReflectionRep) -> CartanMatrixData:
 
 
 # ---------------------------------------------------------------------------
-# equivalences: root change and tree change
+# equivalences: root change, tree change and the equivalence decision
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -304,6 +304,30 @@ def tree_change_intertwiner(rep: ReflectionRep, new_tree: SpanningTree) -> Inter
     scale, chords = _tree_rescaling(new_tree, lambda s, t: c[s][t], rep.ctx.one)
     params = ParameterSystem(rep.ctx, dict(rep.params.alpha_index), chords)
     return Intertwiner(rep, build(new_tree, params), tuple(scale))
+
+
+def equivalence_intertwiner(rep: ReflectionRep, other: ReflectionRep
+                            ) -> Intertwiner | None:
+    """The intertwiner from rep to other (rep(s) g = g other(s)), 1 at
+    other's root, or None when the two are inequivalent.
+
+    g maps e_s, which spans the -1 eigenspace of other(s), into that of
+    rep(s), also spanned by e_s; so g is diagonal, and the tree edges of
+    other.tree fix it up to a scalar as rep's rescaling to that tree.  The
+    pair is equivalent exactly when the alpha indices agree, the rescaling
+    gives other's chord scalars, and g passes the exact check.
+    """
+    if other.diagram != rep.diagram:
+        raise DifferentDiagram("representations live on different diagrams")
+    alpha1, alpha2 = rep.params.alpha_index, other.params.alpha_index
+    if any(alpha1[e] != alpha2[e] for e in rep.diagram.edges):
+        return None
+    c = cartan_matrix(rep).entries
+    scale, chords = _tree_rescaling(other.tree, lambda s, t: c[s][t], rep.ctx.one)
+    if any(other.params.chord_l[e] != l for e, l in chords.items()):
+        return None
+    moved = Intertwiner(rep, other, tuple(scale))
+    return moved if moved.verify() else None
 
 
 def root_change_intertwiner(rep: ReflectionRep, new_root: int | str) -> Intertwiner:

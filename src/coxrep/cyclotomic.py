@@ -364,10 +364,9 @@ class FieldContext:
         coeffs = [Fraction(c) for c in coefficients]
         if len(coeffs) > self.degree:
             raise ValueError("coordinate vector longer than field degree")
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
         den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-        num = [int(c * den) for c in coeffs]
-        return FieldElement(self, num, den)
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        return FieldElement(self, num + [0] * (self.degree - len(num)), den)
 
     @property
     def generator(self) -> "FieldElement":

@@ -332,7 +332,10 @@ def intertwiner_space(ctx: FieldContext, gens_a: Sequence[Matrix],
     """Basis of {g : A_s g = g B_s for all s}, as n x n matrices.
 
     Solves the n^2-unknown linear system exactly; a nonzero invertible
-    solution conjugates the B generators into the A generators.
+    solution conjugates the B generators into the A generators.  No
+    command uses it: equivalence is decided by the tree rescaling
+    (construction.equivalence_intertwiner), and this solve is the exact
+    reference the tests check that decision against.
     """
     n = len(gens_a[0])
     basis = nullspace(ctx, _sylvester_rows(ctx.zero, gens_a, gens_b))

@@ -1,13 +1,18 @@
 """Reference routes kept as test oracles: the extended Euclid over Fraction
 lists that `FieldElement.invert` replaced, polynomial division with
-remainder by a monic polynomial, and the circuit formula for the geometric
-chord scalars that `geometric_parameters` replaced."""
+remainder by a monic polynomial, the circuit formula for the geometric
+chord scalars that `geometric_parameters` replaced, the pairwise inner-chord
+scan that `circuit_trace` replaced, and the equivalence decision by traces
+and the exact n^2-unknown solve that `characters_distinguish` replaced."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from coxrep.construction import conductor_for
+from coxrep import linalg
+from coxrep.analysis import EquivalenceVerdict, character_word_family
+from coxrep.construction import ReflectionRep, conductor_for
 from coxrep.cyclotomic import DivisionByZero, FieldElement, IntPolynomial, field_context
 from coxrep.graph import SpanningTree, chord_circuit
 
@@ -98,3 +103,27 @@ def geometric_chord_scalar(tree: SpanningTree, chord: tuple[int, int]) -> FieldE
     for s, t in zip(to_entry, to_entry[1:]):
         b = b / (2 + ctx.cos_element(1, diagram.edge_label(s, t)))
     return b
+
+
+def has_inner_chord(rep: ReflectionRep, chord: tuple[int, int]) -> bool:
+    """Whether a diagram edge joins two non-consecutive vertices of the
+    chord's circuit, by scanning every pair of circuit vertices."""
+    path = chord_circuit(rep.tree, chord).path
+    consecutive = {frozenset(pair) for pair in zip(path, path[1:])}
+    consecutive.add(frozenset((path[0], path[-1])))
+    return any(rep.diagram.is_edge(s, t) and frozenset((s, t)) not in consecutive
+               for s, t in itertools.combinations(path, 2))
+
+
+def equivalence_by_solve(rep1: ReflectionRep, rep2: ReflectionRep) -> EquivalenceVerdict:
+    """Traces over the word family first; when all agree, the exact solve
+    of A_s g = g B_s, equivalent on the first basis matrix with a nonzero
+    determinant and inconclusive when there is none."""
+    for word in character_word_family(rep1):
+        t1, t2 = rep1.word_trace(word), rep2.word_trace(word)
+        if t1 != t2:
+            return EquivalenceVerdict("distinct", word, (t1, t2))
+    for candidate in linalg.intertwiner_space(rep1.ctx, rep1.generators, rep2.generators):
+        if not linalg.determinant(rep1.ctx, candidate).is_zero():
+            return EquivalenceVerdict("equivalent", intertwiner=candidate)
+    return EquivalenceVerdict("inconclusive")
