@@ -15,10 +15,12 @@ classified exactly; verify's optional --max-order (at least 3) caps them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from . import io as cio
 from . import linalg
@@ -49,6 +51,7 @@ EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
 
 BUNDLED = ("a3", "b3", "bc3", "h3", "affine_triangle", "k4")
+_JSON_FLOAT_WORDS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 class CliError(Exception):
@@ -99,10 +102,32 @@ def _job_rep(args, first=None):
 
 
 def _emit(args, document: dict, text: str) -> None:
-    if args.format == "json":
-        sys.stdout.write(json.dumps(document, indent=2) + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    """Write the text, or the document: exactly the bytes of
+    `json.dumps(document, indent=2)`."""
+    sys.stdout.write((_json_text(document) if args.format == "json" else text) + "\n")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, which would use CPython's pure-Python
+    encoder; `indent` is the newline and indentation of the enclosing level."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_FLOAT_WORDS.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    items = [_json_text(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
 
 
 def _matrix_text(m) -> str:
@@ -292,7 +317,10 @@ def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="text")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """Built once per process: `parse_args` returns a fresh namespace and argparse
+    looks up sys.stdout/sys.stderr when it prints, so no call sees another's state."""
     parser = argparse.ArgumentParser(
         prog="coxrep",
         description="exact reflection representations of 2-spherical "
@@ -334,6 +362,12 @@ def main(argv: list[str] | None = None) -> int:
     except (OrderMismatch, EquivalenceViolation) as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ValueError as exc:  # str() of an output integer; the limit is process-wide
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: an output integer has more than {sys.get_int_max_str_digits()} "
+              "digits", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

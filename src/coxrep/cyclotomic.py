@@ -451,9 +451,9 @@ class FieldContext:
         """
         if self.N == 1:
             return 1
-        j %= self.N
         if math.gcd(j, self.N) != 1:
             raise NotCoprime(f"index {j} not coprime to conductor {self.N}")
+        j %= self.N
         if self.N == 2:
             return 1
         return min(j, self.N - j)
@@ -713,7 +713,10 @@ class FieldElement:
     def __float__(self) -> float:
         if self._float is None:
             if self.is_rational():
-                self._float = self.num[0] / self.den
+                try:
+                    self._float = self.num[0] / self.den
+                except OverflowError:  # beyond the float range: ±inf, as approximate()
+                    self._float = math.inf if self.num[0] > 0 else -math.inf
             else:
                 self._float = float(self.approximate(64))
         return self._float

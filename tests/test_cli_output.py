@@ -1,0 +1,141 @@
+"""Command output: the JSON writer against `json.dumps`, one parser reused
+by every `main` call, the help and argparse error bytes, and scalars or
+integers that leave the float or str range."""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coxrep import cli
+
+HELP_AND_ERRORS = Path(__file__).parent / "data" / "cli_help_errors.json"
+TRIANGLE = {"rank": 3, "m": [[1, 5, 5], [5, 1, 5], [5, 5, 1]]}
+
+
+def call(capsys, argv):
+    """Exit code, stdout and stderr of one `main` call, argparse exits included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# -- the JSON writer ------------------------------------------------------------
+
+_text = st.text() | st.sampled_from(
+    ["", "\"", "\\", "\x00\x1f\x7f", "é ü ß", " ", "\U0001f600", "\ud800"])
+_scalars = (
+    st.none() | st.booleans() | _text
+    | st.integers() | st.sampled_from([10**400, -10**400, 2**63, -2**63 - 1])
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                       math.inf, -math.inf, math.nan]))
+_documents = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_documents)
+def test_json_writer_gives_the_bytes_of_json_dumps_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_refuses_what_json_dumps_refuses():
+    for value in ({1, 2}, object(), {"a": [range(2)]}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+
+# -- one parser per process ---------------------------------------------------------
+
+SEQUENCE = [
+    ["form", "--diagram", "h3", "--root", "s1", "--theta", "3"],
+    ["form", "--diagram", "h3", "--root", "s1", "--format", "json"],
+    ["form", "--diagram", "h3", "--root", "s1", "--theta", "7"],
+    ["form", "--diagram", "h3", "--root", "s1"],
+    ["equiv", "--diagram", "b3", "--root", "s1", "--root2", "s2"],
+    ["equiv", "--diagram", "b3", "--root", "s1"],
+    ["verify", "--diagram", "a3", "--root", "s1", "--max-order", "5"],
+    ["verify", "--diagram", "a3", "--root", "s1"],
+    ["--help"],
+    ["verify", "--help"],
+    ["nosuch"],
+    ["verify", "--diagram", "a3"],
+    ["form", "--diagram", "h3", "--root", "s1", "--theta", "x"],
+    ["build", "--diagram", "a3", "--root", "s1", "--format", "yaml"],
+    ["build", "--diagram", "a3", "--root", "s1"],
+]
+
+
+def test_make_parser_is_built_once():
+    assert cli.make_parser() is cli.make_parser()
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    reused = [call(capsys, argv) for argv in SEQUENCE]
+    monkeypatch.setattr(cli, "make_parser", cli.make_parser.__wrapped__)
+    fresh = [call(capsys, argv) for argv in SEQUENCE]
+    for argv, got, expected in zip(SEQUENCE, reused, fresh):
+        assert got == expected, argv
+
+
+def test_help_and_argparse_errors_keep_their_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for record in json.loads(HELP_AND_ERRORS.read_text()):
+        assert call(capsys, record["argv"]) == \
+            (record["code"], record["stdout"], record["stderr"]), record["argv"]
+
+
+# -- scalars and integers out of range ----------------------------------------------
+
+def _triangle_job(tmp_path, chord):
+    diagram, params = tmp_path / "triangle.json", tmp_path / "params.json"
+    diagram.write_text(json.dumps(TRIANGLE))
+    params.write_text(json.dumps({"chords": {"s2-s3": chord}}))
+    return ["--diagram", str(diagram), "--root", "s1", "--params", str(params)]
+
+
+@pytest.mark.parametrize("chord", ["1e400", "-1e400", {"num": [0, 10**400], "den": 1}])
+@pytest.mark.parametrize("command", ["build", "dual"])
+def test_scalar_beyond_the_float_range_prints_infinity(capsys, tmp_path, command,
+                                                       chord):
+    job = [command, *_triangle_job(tmp_path, chord)]
+    code, out, err = call(capsys, job + ["--format", "json"])
+    assert code == 0 and err == ""
+    assert '"approx": Infinity' in out or '"approx": -Infinity' in out
+    assert json.loads(out)
+    code, out, err = call(capsys, job + ["--format", "text"])
+    assert code == 0 and err == "" and out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["build", "dual"])
+def test_output_integer_beyond_the_str_limit_exit_2(capsys, tmp_path, command, fmt):
+    # 2201 digits are read; the products of two such coordinates have more
+    # than the 4300 digits str() allows by default
+    job = _triangle_job(tmp_path, {"num": [0, 10**2200], "den": 1})
+    code, out, err = call(capsys, [command, *job, "--format", fmt])
+    assert code == 2 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: an output integer has more than {limit} digits\n"
+
+
+@pytest.mark.parametrize("theta", ["99999999999999999999999", "-3", "33"])
+def test_theta_error_names_the_index_given(capsys, theta):
+    code, out, err = call(capsys, ["form", "--diagram", "h3", "--root", "s1",
+                                   "--theta", theta])
+    assert (code, out) == (2, "")
+    assert err == f"error: index {theta} not coprime to conductor 30\n"
