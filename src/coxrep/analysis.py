@@ -2,7 +2,8 @@
 
 Everything here is an exact cross-check: pair orders are decided both by
 polynomial classification of the Cartan coefficient and by literal matrix
-powers, characteristic polynomials are compared against the closed form,
+powers, characteristic polynomials, read off the rank-two rs - I, are
+compared against the closed form in the Cartan coefficient,
 the commutant dimension is certified by two bounds that must meet, and
 circuit traces against the closed-form trace.  Disagreement between redundant routes raises, since it
 can only mean an arithmetic bug.
@@ -11,6 +12,7 @@ can only mean an arithmetic bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial, reduce
 from typing import Optional, Sequence
 
@@ -149,8 +151,10 @@ class ProductAnalysis:
 def product_analysis(r: ReflectionData, s: ReflectionData,
                      max_order: int | None = None) -> ProductAnalysis:
     """Order class of the pair product, cross-validated by matrix powers,
-    with its characteristic polynomial checked against the closed form
-    (X-1)^(n-2) (X^2 - (C-2) X + 1)."""
+    with its characteristic polynomial, read off the rank-two M = rs - I,
+    checked against the closed form (X-1)^(n-2) (X^2 - (C-2) X + 1) in the
+    Cartan coefficient C (C = 4 for parallel directing vectors, where the
+    product has passed the unipotency check)."""
     ctx = r.ctx
     n = len(r.matrix)
     coeffs = pair_coefficients(r, s)
@@ -170,28 +174,43 @@ def product_analysis(r: ReflectionData, s: ReflectionData,
     elif order_class.kind == "unipotent":
         if not _is_unipotent(ctx, product):
             raise OrderMismatch("classified unipotent but (rs - I)^n != 0")
-    char = tuple(linalg.charpoly(ctx, product))
-    matches: Optional[bool] = None
-    if coeffs is not None:
-        closed = _closed_form_char_poly(ctx, n, coefficient)
-        matches = char == closed
-        if not matches:
-            raise OrderMismatch("characteristic polynomial differs from closed form")
-    return ProductAnalysis(order_class, char, matches, coefficient)
+    char = pair_char_poly(ctx, product)
+    if char != _closed_form_char_poly(ctx, n, coefficient):
+        raise OrderMismatch("characteristic polynomial differs from closed form")
+    return ProductAnalysis(order_class, char, None if coeffs is None else True,
+                           coefficient)
+
+
+def _times_x_minus_one(poly: Sequence[FieldElement], k: int) -> tuple[FieldElement, ...]:
+    """poly * (X - 1)^k, coefficients lowest first."""
+    acc = tuple(poly)
+    for _ in range(k):
+        acc = (-acc[0], *(a - b for a, b in zip(acc, acc[1:])), acc[-1])
+    return acc
+
+
+def pair_char_poly(ctx: FieldContext, product: Matrix) -> tuple[FieldElement, ...]:
+    """det(XI - rs), coefficients lowest first, for a product of two
+    reflections.  M = rs - I has rank at most 2, so its characteristic
+    polynomial is Y^(n-2) (Y^2 - e1 Y + e2) with e1 = tr M and
+    e2 = (e1^2 - tr M^2) / 2; substitute Y = X - 1.  Only the nonzero rows
+    of M enter tr M^2 = sum M_ij M_ji."""
+    n = len(product)
+    m = _minus_identity(product)
+    e1 = linalg.trace(ctx, m)
+    if n == 1:
+        return (-1 - e1, ctx.one)
+    rows = [i for i in range(n) if any(m[i])]
+    tr_sq = sum((m[i][j] * m[j][i] for i in rows for j in rows), ctx.zero)
+    e2 = (e1 * e1 - tr_sq) * Fraction(1, 2)
+    # (X-1)^2 - e1 (X-1) + e2 = X^2 - (e1 + 2) X + (e1 + e2 + 1)
+    return _times_x_minus_one((e1 + e2 + 1, -(e1 + 2), ctx.one), n - 2)
 
 
 def _closed_form_char_poly(ctx: FieldContext, n: int,
                            coefficient: FieldElement) -> tuple[FieldElement, ...]:
     # (X - 1)^(n-2) * (X^2 - (C - 2) X + 1), coefficients lowest first
-    quad = [ctx.one, 2 - coefficient, ctx.one]
-    acc = quad
-    for _ in range(n - 2):
-        nxt = [ctx.zero] * (len(acc) + 1)
-        for i, v in enumerate(acc):
-            nxt[i] = nxt[i] - v
-            nxt[i + 1] = nxt[i + 1] + v
-        acc = nxt
-    return tuple(acc)
+    return _times_x_minus_one((ctx.one, 2 - coefficient, ctx.one), n - 2)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .analysis import (
 from .construction import build, cartan_matrix
 from .cyclotomic import NotCoprime
 from .forms import (
+    AdaptedBasisMismatch,
     Automorphism,
     build_form,
     dual_chord_coefficients_match,
@@ -250,7 +251,7 @@ def cmd_equiv(args) -> int:
                  f"traces: {t1}  vs  {t2}"]
     elif verdict.kind == "equivalent":
         g = _normalize_integral(verdict.intertwiner)
-        ginv = linalg.inverse(rep1.ctx, g)
+        ginv = _diagonal_inverse(g)
         integral = all(x.is_integral() for row in g for x in row)
         inv_integral = all(x.is_integral() for row in ginv for x in row)
         document = {
@@ -277,6 +278,13 @@ def _normalize_integral(g):
     if lead is not None and lead.num[lead.effective_degree] < 0:
         return linalg.mat_scale(g, -1)
     return g
+
+
+def _diagonal_inverse(g):
+    """The inverse of a diagonal matrix, such as the intertwiner of
+    construction.equivalence_intertwiner: one field inversion per entry."""
+    return [[x.invert() if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(g)]
 
 
 def cmd_dual(args) -> int:
@@ -359,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (OrderMismatch, EquivalenceViolation) as exc:
+    except (OrderMismatch, EquivalenceViolation, AdaptedBasisMismatch) as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:  # str() of an output integer; the limit is process-wide

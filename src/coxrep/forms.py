@@ -231,6 +231,10 @@ def form_space_dimension(rep: ReflectionRep, theta: Automorphism,
 # dual representation
 # ---------------------------------------------------------------------------
 
+class AdaptedBasisMismatch(ArithmeticError):
+    """The closed-form adapted generators fail the exact intertwining check."""
+
+
 @dataclass(frozen=True, eq=False)
 class DualRep:
     """Action on the dual space, with the adapted basis when it exists.
@@ -239,7 +243,8 @@ class DualRep:
     primal involutions).  adapted_rows are the images of the Cartan rows;
     scaled by the tree products they give the adapted basis, and when the
     discriminant is nonzero the generators rewritten in that basis are
-    again a reflection representation.
+    again a reflection representation, I - e_s * (row s of P^-1 C^T P)
+    with P = diag(scalings).
     """
 
     primal: ReflectionRep
@@ -258,6 +263,25 @@ class DualRep:
         return linalg.rank(self.ctx, [list(r) for r in self.adapted_rows])
 
 
+def adapted_generators(rows: Matrix, products: Sequence[FieldElement]) -> tuple:
+    """The dual generators in the adapted basis B = C^T P, P = diag(products).
+
+    The dual generator D_s = I - (column s of C^T) e_s^T, and column s of
+    C^T is B e_s / p_s, so B^-1 D_s B = I - e_s (row s of B) / p_s: row s
+    has entries delta_sj - c_js p_j / p_s, every other row is that of I.
+    One field inversion per vertex, no matrix inverse.
+    """
+    ctx = products[0].ctx
+    n = len(products)
+    out = []
+    for s in range(n):
+        mat = linalg.identity(ctx, n)
+        inv = products[s].invert()
+        mat[s] = [mat[s][j] - rows[j][s] * products[j] * inv for j in range(n)]
+        out.append(linalg.mat_freeze(mat))
+    return tuple(out)
+
+
 def dual_representation(rep: ReflectionRep) -> DualRep:
     """Contragredient action plus the adapted basis data.
 
@@ -265,6 +289,9 @@ def dual_representation(rep: ReflectionRep) -> DualRep:
     The candidate adapted basis vectors are the Cartan rows scaled by tree
     products; they form a basis exactly when the discriminant is nonzero,
     and the degenerate case is flagged with the rank evidence instead.
+    The adapted generators come in closed form (adapted_generators) and
+    are accepted only by the exact check D_s B = B A'_s for every s, which
+    fixes them since B is invertible; a failure raises AdaptedBasisMismatch.
     """
     ctx = rep.ctx
     n = rep.rank
@@ -275,12 +302,11 @@ def dual_representation(rep: ReflectionRep) -> DualRep:
     degenerate = data.discriminant.is_zero()
     adapted = None
     if not degenerate:
+        adapted = adapted_generators(rows, products)
         basis_cols = [[products[j] * rows[j][i] for j in range(n)] for i in range(n)]
-        basis_inv = linalg.inverse(ctx, basis_cols)
-        adapted = tuple(
-            linalg.mat_freeze(
-                linalg.mat_mul(ctx, linalg.mat_mul(ctx, basis_inv, d), basis_cols))
-            for d in duals)
+        if not linalg.is_intertwiner(ctx, duals, adapted, basis_cols):
+            raise AdaptedBasisMismatch(
+                "adapted generators fail the exact check D_s B = B A'_s")
     return DualRep(rep, duals, tuple(tuple(r) for r in rows), products,
                    data.discriminant, degenerate, adapted)
 

@@ -8,6 +8,7 @@ attached for human readability but never parsed back.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -34,16 +35,27 @@ def _is_integer(value: Any) -> bool:
 
 
 def _fraction_from(value: Any) -> Fraction:
+    """A rational from an int or a literal `Fraction` accepts.  A literal
+    whose numerator or denominator would pass Python's str-conversion digit
+    limit is refused, as `json.load` refuses such an integer, and so, before
+    `Fraction` builds the power of ten, is one whose decimal exponent passes
+    the limit by more than its length (were it nonzero, it would pass too)."""
     if isinstance(value, bool):
         raise InputError("booleans are not scalars")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational literal {value!r}") from exc
-    raise InputError(f"cannot read a rational from {value!r}")
+    if not isinstance(value, str):
+        raise InputError(f"cannot read a rational from {value!r}")
+    limit = sys.get_int_max_str_digits()
+    exponent = value.lower().partition("e")[2]
+    try:
+        too_long = bool(limit and exponent) and abs(int(exponent)) > limit + len(value)
+        x = None if too_long else Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational literal {value!r}") from exc
+    if x is None or limit and max(abs(x.numerator), x.denominator) >= 10 ** limit:
+        raise InputError(f"rational literal {value!r} has more than {limit} digits")
+    return x
 
 
 def scalar_from_json(ctx: FieldContext, obj: Any) -> FieldElement:

@@ -3,7 +3,10 @@
 Matrices are lists (or tuples) of rows of FieldElement.  Characteristic
 polynomials, determinants and inverses go through Faddeev-LeVerrier, which
 only ever divides by small integers and by the determinant; rank and
-nullspace use fraction-free elimination, with no field inversions.
+nullspace use fraction-free elimination, with no field inversions.  The
+commands need only the determinant; charpoly and inverse are the references
+the tests check the rank-one closed forms against (analysis.pair_char_poly,
+forms.adapted_generators and the diagonal inverse of cli's equiv).
 
 Every matrix product is one integer kernel, mat_mul.  Each row of A and
 each column of B is brought to a common denominator, and each nonzero
@@ -179,7 +182,9 @@ def charpoly(ctx: FieldContext, a: Matrix) -> list[FieldElement]:
     """Characteristic polynomial det(XI - A) by Faddeev-LeVerrier.
 
     Returns coefficients lowest degree first, length n+1, monic.  Only
-    divides by the integers 1..n, so everything stays exact.
+    divides by the integers 1..n, so everything stays exact.  Commands
+    reach it only through determinant; the pair products of verify use the
+    rank-two closed form analysis.pair_char_poly, checked against this.
     """
     return _faddeev_leverrier(ctx, a)[0]
 
@@ -194,7 +199,12 @@ def determinant(ctx: FieldContext, a: Matrix) -> FieldElement:
 
 def inverse(ctx: FieldContext, a: Matrix) -> list[list[FieldElement]]:
     """Inverse -B / c_0 from the Faddeev-LeVerrier sequence (Cayley-Hamilton),
-    with a single field inversion (of c_0 = +-det)."""
+    with a single field inversion (of c_0 = +-det).
+
+    No command calls it: the adapted dual generators and the inverse of
+    the diagonal equivalence intertwiner have closed forms.  It is the
+    reference the tests check those against.
+    """
     poly, horner = _faddeev_leverrier(ctx, a)
     if poly[0].is_zero():
         raise ZeroDivisionError("matrix is singular")

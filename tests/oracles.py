@@ -2,8 +2,10 @@
 lists that `FieldElement.invert` replaced, polynomial division with
 remainder by a monic polynomial, the circuit formula for the geometric
 chord scalars that `geometric_parameters` replaced, the pairwise inner-chord
-scan that `circuit_trace` replaced, and the equivalence decision by traces
-and the exact n^2-unknown solve that `characters_distinguish` replaced."""
+scan that `circuit_trace` replaced, the equivalence decision by traces
+and the exact n^2-unknown solve that `characters_distinguish` replaced, and
+the conjugation by a Faddeev-LeVerrier inverse that the closed-form adapted
+dual generators replaced."""
 
 from __future__ import annotations
 
@@ -12,8 +14,9 @@ from fractions import Fraction
 
 from coxrep import linalg
 from coxrep.analysis import EquivalenceVerdict, character_word_family
-from coxrep.construction import ReflectionRep, conductor_for
+from coxrep.construction import ReflectionRep, cartan_matrix, conductor_for
 from coxrep.cyclotomic import DivisionByZero, FieldElement, IntPolynomial, field_context
+from coxrep.forms import tree_product
 from coxrep.graph import SpanningTree, chord_circuit
 
 
@@ -127,3 +130,19 @@ def equivalence_by_solve(rep1: ReflectionRep, rep2: ReflectionRep) -> Equivalenc
         if not linalg.determinant(rep1.ctx, candidate).is_zero():
             return EquivalenceVerdict("equivalent", intertwiner=candidate)
     return EquivalenceVerdict("inconclusive")
+
+
+def adapted_by_conjugation(rep: ReflectionRep) -> tuple:
+    """The dual generators in the adapted basis B = C^T diag(tree products),
+    as B^-1 D_s B with B^-1 from linalg.inverse; the discriminant must be
+    nonzero."""
+    ctx = rep.ctx
+    n = rep.rank
+    rows = cartan_matrix(rep).entries
+    products = [tree_product(rep, s) for s in range(n)]
+    basis = [[products[j] * rows[j][i] for j in range(n)] for i in range(n)]
+    basis_inv = linalg.inverse(ctx, basis)
+    return tuple(
+        linalg.mat_freeze(linalg.mat_mul(
+            ctx, linalg.mat_mul(ctx, basis_inv, linalg.transpose(g)), basis))
+        for g in rep.generators)
