@@ -2,11 +2,11 @@
 
 Everything here is an exact cross-check: pair orders are decided both by
 polynomial classification of the Cartan coefficient and by literal matrix
-powers, characteristic polynomials, read off the rank-two rs - I, are
-compared against the closed form in the Cartan coefficient,
-the commutant dimension is certified by two bounds that must meet, and
-circuit traces against the closed-form trace.  Disagreement between redundant routes raises, since it
-can only mean an arithmetic bug.
+powers, the quadratic factor of each characteristic polynomial, read off
+the rank-two rs - I, is compared against the closed form in the Cartan
+coefficient, the commutant dimension is certified by two bounds that must
+meet, and circuit traces against the closed-form trace.  Disagreement
+between redundant routes raises, since it can only mean an arithmetic bug.
 """
 
 from __future__ import annotations
@@ -142,19 +142,32 @@ def _is_unipotent(ctx: FieldContext, product: Matrix) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ProductAnalysis:
+    """A pair product's order class, Cartan coefficient C and rank-two
+    quadratic X^2 - (e1 + 2) X + (e1 + e2 + 1), which the analysis has
+    found equal to X^2 - (C - 2) X + 1; char_poly, the quadratic times
+    (X - 1)^(n-2), is expanded only when read."""
+
     order_class: OrderClass
-    char_poly: tuple[FieldElement, ...]
+    quadratic: tuple[FieldElement, ...]
+    dimension: int
     closed_form_matches: Optional[bool]   # None when directing vectors are parallel
     coefficient: FieldElement
+
+    @property
+    def char_poly(self) -> tuple[FieldElement, ...]:
+        return _times_x_minus_one(self.quadratic, self.dimension - 2)
 
 
 def product_analysis(r: ReflectionData, s: ReflectionData,
                      max_order: int | None = None) -> ProductAnalysis:
     """Order class of the pair product, cross-validated by matrix powers,
-    with its characteristic polynomial, read off the rank-two M = rs - I,
-    checked against the closed form (X-1)^(n-2) (X^2 - (C-2) X + 1) in the
-    Cartan coefficient C (C = 4 for parallel directing vectors, where the
-    product has passed the unipotency check)."""
+    with its characteristic polynomial (X-1)^(n-2) q(X), q read off the
+    rank-two M = rs - I, checked against the closed form
+    (X-1)^(n-2) (X^2 - (C-2) X + 1) in the Cartan coefficient C (C = 4 for
+    parallel directing vectors, where the product has passed the
+    unipotency check).  K[X] has no zero divisors, so the two agree
+    exactly when q = X^2 - (C-2) X + 1, and only the quadratics are
+    compared."""
     ctx = r.ctx
     n = len(r.matrix)
     coeffs = pair_coefficients(r, s)
@@ -174,11 +187,11 @@ def product_analysis(r: ReflectionData, s: ReflectionData,
     elif order_class.kind == "unipotent":
         if not _is_unipotent(ctx, product):
             raise OrderMismatch("classified unipotent but (rs - I)^n != 0")
-    char = pair_char_poly(ctx, product)
-    if char != _closed_form_char_poly(ctx, n, coefficient):
+    quadratic = _pair_quadratic(ctx, product)
+    if quadratic != (ctx.one, 2 - coefficient, ctx.one):     # X^2 - (C-2) X + 1
         raise OrderMismatch("characteristic polynomial differs from closed form")
-    return ProductAnalysis(order_class, char, None if coeffs is None else True,
-                           coefficient)
+    return ProductAnalysis(order_class, quadratic, n,
+                           None if coeffs is None else True, coefficient)
 
 
 def _times_x_minus_one(poly: Sequence[FieldElement], k: int) -> tuple[FieldElement, ...]:
@@ -189,28 +202,29 @@ def _times_x_minus_one(poly: Sequence[FieldElement], k: int) -> tuple[FieldEleme
     return acc
 
 
-def pair_char_poly(ctx: FieldContext, product: Matrix) -> tuple[FieldElement, ...]:
-    """det(XI - rs), coefficients lowest first, for a product of two
-    reflections.  M = rs - I has rank at most 2, so its characteristic
-    polynomial is Y^(n-2) (Y^2 - e1 Y + e2) with e1 = tr M and
-    e2 = (e1^2 - tr M^2) / 2; substitute Y = X - 1.  Only the nonzero rows
-    of M enter tr M^2 = sum M_ij M_ji."""
-    n = len(product)
+def _pair_quadratic(ctx: FieldContext, product: Matrix) -> tuple[FieldElement, ...]:
+    """For n >= 2, the quadratic factor X^2 - (e1 + 2) X + (e1 + e2 + 1)
+    of det(XI - rs), coefficients lowest first, from M = rs - I of rank at
+    most 2: its characteristic polynomial is Y^(n-2) (Y^2 - e1 Y + e2) with
+    e1 = tr M and e2 = (e1^2 - tr M^2) / 2, and Y = X - 1.  Only the
+    nonzero rows of M enter tr M^2 = sum M_ij M_ji."""
     m = _minus_identity(product)
     e1 = linalg.trace(ctx, m)
-    if n == 1:
-        return (-1 - e1, ctx.one)
-    rows = [i for i in range(n) if any(m[i])]
+    rows = [i for i in range(len(m)) if any(m[i])]
     tr_sq = sum((m[i][j] * m[j][i] for i in rows for j in rows), ctx.zero)
     e2 = (e1 * e1 - tr_sq) * Fraction(1, 2)
     # (X-1)^2 - e1 (X-1) + e2 = X^2 - (e1 + 2) X + (e1 + e2 + 1)
-    return _times_x_minus_one((e1 + e2 + 1, -(e1 + 2), ctx.one), n - 2)
+    return (e1 + e2 + 1, -(e1 + 2), ctx.one)
 
 
-def _closed_form_char_poly(ctx: FieldContext, n: int,
-                           coefficient: FieldElement) -> tuple[FieldElement, ...]:
-    # (X - 1)^(n-2) * (X^2 - (C - 2) X + 1), coefficients lowest first
-    return _times_x_minus_one((ctx.one, 2 - coefficient, ctx.one), n - 2)
+def pair_char_poly(ctx: FieldContext, product: Matrix) -> tuple[FieldElement, ...]:
+    """det(XI - rs), coefficients lowest first, for a product of two
+    reflections: X - rs for n = 1, otherwise (X-1)^(n-2) times the
+    rank-two quadratic of _pair_quadratic."""
+    n = len(product)
+    if n == 1:
+        return (-product[0][0], ctx.one)
+    return _times_x_minus_one(_pair_quadratic(ctx, product), n - 2)
 
 
 @dataclass(frozen=True)

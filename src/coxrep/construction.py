@@ -126,17 +126,26 @@ class ParameterSystem:
                 raise ZeroChordParameter(f"chord {chord} has zero scalar")
 
 
-def geometric_parameters(tree: SpanningTree) -> ParameterSystem:
+def geometric_parameters(tree: SpanningTree,
+                         chord_l: Mapping[tuple[int, int], FieldElement] | None = None
+                         ) -> ParameterSystem:
     """The parameter system of the classical geometric representation.
 
     Every edge takes the k = 1 root 4*cos^2(pi/m), and the chord scalars
     are those of the symmetric geometric Cartan matrix
-    c_st = -2*cos(pi/m_st) rescaled to the tree's convention.
+    c_st = -2*cos(pi/m_st) rescaled to the tree's convention.  Scalars
+    given in chord_l, keyed by chords of the tree, are kept: the tree walk
+    runs only when some chord is left out, and only for those chords.
     """
     diagram = tree.diagram
     ctx = field_context(conductor_for(diagram))
-    _, chords = _tree_rescaling(
-        tree, lambda s, t: -ctx.cos_element(1, 2 * diagram.edge_label(s, t)), ctx.one)
+    chords = dict(chord_l or {})
+    missing = [chord for chord in tree.chords if chord not in chords]
+    if missing:
+        _, geometric = _tree_rescaling(
+            tree, lambda s, t: -ctx.cos_element(1, 2 * diagram.edge_label(s, t)),
+            ctx.one, missing)
+        chords.update(geometric)
     return ParameterSystem(ctx, {edge: 1 for edge in diagram.edges}, chords)
 
 
@@ -274,11 +283,12 @@ class Intertwiner:
 
 
 def _tree_rescaling(tree: SpanningTree, c: Callable[[int, int], FieldElement],
-                    one: FieldElement
+                    one: FieldElement, chords: Sequence[tuple[int, int]] | None = None
                     ) -> tuple[list[FieldElement], dict[tuple[int, int], FieldElement]]:
-    """The basis scales and chord scalars that put the Cartan entries
-    c(s, t) of a representation on the tree's diagram into the tree's
-    convention; only the entries on diagram edges are read.
+    """The basis scales and the scalars of the given chords (all of the
+    tree's by default) that put the Cartan entries c(s, t) of a
+    representation on the tree's diagram into the tree's convention; only
+    the entries on diagram edges are read.
 
     Rescaling the basis a_s -> scale_s * a_s turns c_st into
     c_st * scale_t / scale_s.  Walking the tree parents before children,
@@ -291,8 +301,9 @@ def _tree_rescaling(tree: SpanningTree, c: Callable[[int, int], FieldElement],
         p = tree.parent[v]
         if p is not None:
             scale[v] = -c(v, p) * scale[p]
-    chords = {(s, t): -c(s, t) * scale[t] / scale[s] for s, t in tree.chords}
-    return scale, chords
+    scalars = {(s, t): -c(s, t) * scale[t] / scale[s]
+               for s, t in (tree.chords if chords is None else chords)}
+    return scale, scalars
 
 
 def tree_change_intertwiner(rep: ReflectionRep, new_tree: SpanningTree) -> Intertwiner:

@@ -370,12 +370,9 @@ class FieldContext:
 
     @property
     def generator(self) -> "FieldElement":
-        """The element c = 2*cos(2*pi/N)."""
-        if self.degree == 1:
-            # rational field (N in {1, 2, 3, 4, 6}); c is the root of the
-            # linear minimal polynomial
-            return self.from_rational(-self.min_poly.coeffs[0])
-        return self.from_coeffs([0, 1])
+        """The element c = 2*cos(2*pi/N): the coordinates of x reduced by
+        psi, which for degree 1 (N in {1, 2, 3, 4, 6}) is x - c."""
+        return FieldElement(self, tuple(self._reduce_product([0, 1])), 1, _normalized=True)
 
     # -- special values ----------------------------------------------------
 
@@ -387,16 +384,18 @@ class FieldContext:
         j = min(j, self.N - j) if j else 0  # cosine parity: 2cos(2pi j/N) = 2cos(2pi (N-j)/N)
         cache = self._cos_cache
         if j >= len(cache):
-            # three-term recurrence, reduced in the field at every step and
-            # resumed where the cache ends; every value lies in Z[c], so its
-            # denominator is 1
-            c = self.generator
+            # three-term recurrence b_(i+1) = c b_i - b_(i-1) on the integer
+            # coordinates, resumed where the cache ends: multiplying by c
+            # shifts b_i up one place, and the one coordinate that leaves
+            # the basis is reduced by psi (for degree 1, psi = x - c); every
+            # value lies in Z[c], so its denominator is 1
             if not cache:
-                cache += [self.from_rational(2).num, c.num]
-            prev, cur = (FieldElement(self, v, 1, _normalized=True) for v in cache[-2:])
+                cache += [(2,) + (0,) * (self.degree - 1), self.generator.num]
+            prev, cur = cache[-2:]
             while len(cache) <= j:
-                prev, cur = cur, c * cur - prev
-                cache.append(cur.num)
+                shifted = [-prev[0], *(a - b for a, b in zip(cur, prev[1:])), cur[-1]]
+                prev, cur = cur, tuple(self._reduce_product(shifted))
+                cache.append(cur)
         return FieldElement(self, cache[j], 1, _normalized=True)
 
     def _reduce_product(self, conv: list[int]) -> list[int]:
@@ -511,8 +510,9 @@ class FieldElement:
     denominator, normalized so gcd(content, den) = 1.  The constructor is
     the one place that normalizes: it takes integer coordinates over any
     nonzero denominator.  `_normalized`, private to this module, skips that
-    for values already in canonical form: zero, one, negations, cached
-    cosines and the den-1 values of the p-adic lift in `invert`.
+    for values already in canonical form: zero, one, the generator,
+    negations, cached cosines and the den-1 values of the p-adic lift in
+    `invert`.
     """
 
     __slots__ = ("ctx", "num", "den", "_float")

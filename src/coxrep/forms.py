@@ -243,8 +243,10 @@ class DualRep:
     primal involutions).  adapted_rows are the images of the Cartan rows;
     scaled by the tree products they give the adapted basis, and when the
     discriminant is nonzero the generators rewritten in that basis are
-    again a reflection representation, I - e_s * (row s of P^-1 C^T P)
-    with P = diag(scalings).
+    again a reflection representation on the same spanning tree,
+    I - e_s * (row s of P^-1 C^T P) with P = diag(scalings): its tree
+    entries are those of the primal, and each chord's two scalars are
+    swapped and rescaled by a tree-product ratio (adapted_generators).
     """
 
     primal: ReflectionRep
@@ -260,24 +262,39 @@ class DualRep:
         return self.primal.ctx
 
     def adapted_rank(self) -> int:
+        """Rank of the adapted rows: n when the discriminant, their
+        determinant, is nonzero, and by elimination otherwise."""
+        if not self.degenerate:
+            return len(self.adapted_rows)
         return linalg.rank(self.ctx, [list(r) for r in self.adapted_rows])
 
 
-def adapted_generators(rows: Matrix, products: Sequence[FieldElement]) -> tuple:
+def adapted_generators(rep: ReflectionRep, products: Sequence[FieldElement]) -> tuple:
     """The dual generators in the adapted basis B = C^T P, P = diag(products).
 
     The dual generator D_s = I - (column s of C^T) e_s^T, and column s of
     C^T is B e_s / p_s, so B^-1 D_s B = I - e_s (row s of B) / p_s: row s
     has entries delta_sj - c_js p_j / p_s, every other row is that of I.
-    One field inversion per vertex, no matrix inverse.
+    On the tree that row is row s of generator s: -1 at s, 1 at the tree
+    parent (c_(parent, s) = -alpha_e and p_s = alpha_e p_parent) and
+    alpha_e at each tree child (c_(child, s) = -1 and p_child = alpha_e p_s).
+    Only a chord (s, t) needs a ratio, -c_ts p_t / p_s, and -c_ts is entry
+    (t, s) of generator t; each chord endpoint's tree product is inverted
+    at most once, no other.
     """
-    ctx = products[0].ctx
-    n = len(products)
+    ctx = rep.ctx
+    gens = rep.generators
+    rows = [list(gen[s]) for s, gen in enumerate(gens)]
+    inverses: dict[int, FieldElement] = {}
+    for chord in rep.tree.chords:
+        for s, t in (chord, chord[::-1]):
+            if s not in inverses:
+                inverses[s] = products[s].invert()
+            rows[s][t] = gens[t][t][s] * products[t] * inverses[s]
     out = []
-    for s in range(n):
-        mat = linalg.identity(ctx, n)
-        inv = products[s].invert()
-        mat[s] = [mat[s][j] - rows[j][s] * products[j] * inv for j in range(n)]
+    for s, row in enumerate(rows):
+        mat = linalg.identity(ctx, len(rows))
+        mat[s] = row
         out.append(linalg.mat_freeze(mat))
     return tuple(out)
 
@@ -289,7 +306,8 @@ def dual_representation(rep: ReflectionRep) -> DualRep:
     The candidate adapted basis vectors are the Cartan rows scaled by tree
     products; they form a basis exactly when the discriminant is nonzero,
     and the degenerate case is flagged with the rank evidence instead.
-    The adapted generators come in closed form (adapted_generators) and
+    The adapted generators come in closed form (adapted_generators: the
+    primal's tree entries, and a tree-product ratio only at chords) and
     are accepted only by the exact check D_s B = B A'_s for every s, which
     fixes them since B is invertible; a failure raises AdaptedBasisMismatch.
     """
@@ -302,7 +320,7 @@ def dual_representation(rep: ReflectionRep) -> DualRep:
     degenerate = data.discriminant.is_zero()
     adapted = None
     if not degenerate:
-        adapted = adapted_generators(rows, products)
+        adapted = adapted_generators(rep, products)
         basis_cols = [[products[j] * rows[j][i] for j in range(n)] for i in range(n)]
         if not linalg.is_intertwiner(ctx, duals, adapted, basis_cols):
             raise AdaptedBasisMismatch(
@@ -318,18 +336,22 @@ def dual_chord_coefficients_match(dual: DualRep) -> bool:
     A_s + (prod(s) / prod(t)) * l * A_t where l is the scalar attached to
     the s->t direction (the one carried by the Cartan entry c_st): the
     dual action swaps a chord's two scalars, rescaled by the tree-product
-    ratio.  True when every chord matches exactly.
+    ratio.  The reverse scalar is alpha_e / l, so with p the tree products
+    both entries are compared cross-multiplied, gen_t[t][s] p_t = p_s l and
+    gen_s[s][t] p_s l = p_t alpha_e, with no inversion.  True when every
+    chord matches exactly.
     """
     rep = dual.primal
     if dual.degenerate:
         raise ValueError("no adapted basis in the degenerate case")
     diagram = rep.diagram
+    p = dual.scalings
     for s, t in rep.tree.chords:
-        forward, backward = rep.params.chord_pair(diagram, s, t)
-        expected_ts = dual.scalings[s] * forward / dual.scalings[t]
-        expected_st = dual.scalings[t] * backward / dual.scalings[s]
+        forward = rep.params.chord_l[(s, t)]
+        alpha = rep.params.alpha(diagram, s, t)
         gen_t = dual.adapted_generators[t]
         gen_s = dual.adapted_generators[s]
-        if gen_t[t][s] != expected_ts or gen_s[s][t] != expected_st:
+        if gen_t[t][s] * p[t] != p[s] * forward or \
+                gen_s[s][t] * p[s] * forward != p[t] * alpha:
             return False
     return True

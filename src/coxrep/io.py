@@ -12,7 +12,12 @@ import sys
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .construction import ParameterSystem, ReflectionRep, geometric_parameters
+from .construction import (
+    ParameterSystem,
+    ReflectionRep,
+    conductor_for,
+    geometric_parameters,
+)
 from .cyclotomic import FieldContext, FieldElement, field_context
 from .graph import Diagram, SpanningTree, spanning_tree_from_edges, validate
 
@@ -146,28 +151,31 @@ def _edge_from_key(diagram: Diagram, key: str) -> tuple[int, int]:
 
 def params_from_json(tree: SpanningTree, obj: Any) -> ParameterSystem:
     """Parameter system from {"alpha": {...}, "chords": {...}}; entries not
-    present fall back to the geometric values."""
+    present fall back to the geometric values, and only the chords the
+    document leaves out are given geometric scalars."""
     diagram = tree.diagram
-    base = geometric_parameters(tree)
     if obj is None:
-        return base
+        return geometric_parameters(tree)
     if not isinstance(obj, Mapping):
         raise InputError("parameter document must be an object")
     alpha, chords = (obj.get(name) or {} for name in ("alpha", "chords"))
     if not isinstance(alpha, Mapping) or not isinstance(chords, Mapping):
         raise InputError('"alpha" and "chords" must be objects')
-    params = base
+    alpha_index = {}
     for key, k in alpha.items():
         edge = _edge_from_key(diagram, key)
         if not _is_integer(k):
             raise InputError(f"alpha index for {key!r} must be an integer")
-        params = params.with_alpha(edge, k)
+        alpha_index[edge] = k
+    ctx = field_context(conductor_for(diagram))
+    chord_l = {}
     for key, spec in chords.items():
         edge = _edge_from_key(diagram, key)
         if edge not in tree.chords:
             raise InputError(f"{key!r} is not a chord of the chosen tree")
-        params = params.with_chord(edge, scalar_from_json(params.ctx, spec))
-    return params
+        chord_l[edge] = scalar_from_json(ctx, spec)
+    params = geometric_parameters(tree, chord_l)
+    return ParameterSystem(ctx, {**params.alpha_index, **alpha_index}, params.chord_l)
 
 
 def load_params(tree: SpanningTree, path: str | None) -> ParameterSystem:

@@ -136,12 +136,9 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def is_identity(ctx: FieldContext, a: Matrix) -> bool:
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != (ctx.one if i == j else ctx.zero):
-                return False
-    return True
+    one, zero = ctx.one, ctx.zero
+    return all(x == (one if i == j else zero)
+               for i, row in enumerate(a) for j, x in enumerate(row))
 
 
 def is_zero_matrix(a: Matrix) -> bool:

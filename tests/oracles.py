@@ -3,9 +3,11 @@ lists that `FieldElement.invert` replaced, polynomial division with
 remainder by a monic polynomial, the circuit formula for the geometric
 chord scalars that `geometric_parameters` replaced, the pairwise inner-chord
 scan that `circuit_trace` replaced, the equivalence decision by traces
-and the exact n^2-unknown solve that `characters_distinguish` replaced, and
-the conjugation by a Faddeev-LeVerrier inverse that the closed-form adapted
-dual generators replaced."""
+and the exact n^2-unknown solve that `characters_distinguish` replaced, the
+conjugation by a Faddeev-LeVerrier inverse and the closed form with one
+inversion per vertex that the adapted dual generators replaced, the
+`FieldElement` recurrence for cosines that `cos_element` replaced, and the
+division form of the dual chord check."""
 
 from __future__ import annotations
 
@@ -146,3 +148,47 @@ def adapted_by_conjugation(rep: ReflectionRep) -> tuple:
         linalg.mat_freeze(linalg.mat_mul(
             ctx, linalg.mat_mul(ctx, basis_inv, linalg.transpose(g)), basis))
         for g in rep.generators)
+
+
+def cosines_by_field_recurrence(ctx, j: int) -> list[tuple[int, ...]]:
+    """The integer coordinates of 2cos(2 pi i/N) for i <= j, by the
+    three-term recurrence b_(i+1) = c b_i - b_(i-1) in full field
+    arithmetic."""
+    c = ctx.from_rational(-ctx.min_poly.coeffs[0]) if ctx.degree == 1 \
+        else ctx.from_coeffs([0, 1])
+    prev, cur = ctx.from_rational(2), c
+    out = [prev.num, cur.num]
+    while len(out) <= j:
+        prev, cur = cur, c * cur - prev
+        out.append(cur.num)
+    return out[:j + 1]
+
+
+def adapted_by_inversions(rep: ReflectionRep) -> tuple:
+    """The dual generators in the adapted basis as the identity with row s
+    equal to delta_sj - c_js p_j / p_s, inverting every tree product."""
+    ctx = rep.ctx
+    n = rep.rank
+    rows = cartan_matrix(rep).entries
+    products = [tree_product(rep, s) for s in range(n)]
+    out = []
+    for s in range(n):
+        mat = linalg.identity(ctx, n)
+        inv = products[s].invert()
+        mat[s] = [mat[s][j] - rows[j][s] * products[j] * inv for j in range(n)]
+        out.append(linalg.mat_freeze(mat))
+    return tuple(out)
+
+
+def chord_check_by_division(dual) -> bool:
+    """The dual chord check with the expected entries divided out:
+    gen_t[t][s] = p_s l / p_t and gen_s[s][t] = p_t l' / p_s, l' = alpha / l."""
+    rep = dual.primal
+    for s, t in rep.tree.chords:
+        forward, backward = rep.params.chord_pair(rep.diagram, s, t)
+        expected_ts = dual.scalings[s] * forward / dual.scalings[t]
+        expected_st = dual.scalings[t] * backward / dual.scalings[s]
+        if dual.adapted_generators[t][t][s] != expected_ts or \
+                dual.adapted_generators[s][s][t] != expected_st:
+            return False
+    return True
