@@ -32,7 +32,7 @@ from .analysis import (
     verify_good_morphism,
 )
 from .construction import build, cartan_matrix
-from .cyclotomic import NotCoprime
+from .cyclotomic import FieldElement, NotCoprime
 from .forms import (
     AdaptedBasisMismatch,
     Automorphism,
@@ -104,13 +104,26 @@ def _job_rep(args, first=None):
 
 def _emit(args, document: dict, text: str) -> None:
     """Write the text, or the document: exactly the bytes of
-    `json.dumps(document, indent=2)`."""
+    `json.dumps(document, indent=2)`, with each FieldElement in it written
+    as its `io.scalar_to_json` record."""
     sys.stdout.write((_json_text(document) if args.format == "json" else text) + "\n")
 
 
-def _json_text(value, indent: str = "\n") -> str:
+def _json_text(value, indent: str = "\n", records: dict | None = None) -> str:
     """`json.dumps(value, indent=2)`, which would use CPython's pure-Python
-    encoder; `indent` is the newline and indentation of the enclosing level."""
+    encoder; `indent` is the newline and indentation of the enclosing level.
+    A FieldElement is written as the text of its `io.scalar_to_json` record.
+    `records`, made by the top-level call and dropped when it returns, holds
+    that text by (context, num, den, indent), so each distinct element is
+    made into a record once per document."""
+    if records is None:
+        records = {}
+    if type(value) is FieldElement:
+        key = (value.ctx, value.num, value.den, indent)
+        text = records.get(key)
+        if text is None:
+            text = records[key] = _json_text(cio.scalar_to_json(value), indent, records)
+        return text
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
@@ -122,12 +135,12 @@ def _json_text(value, indent: str = "\n") -> str:
         return encode_basestring_ascii(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner, records)
                  for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    items = [_json_text(v, inner) for v in value]
+    items = [_json_text(v, inner, records) for v in value]
     return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
 
 
@@ -142,8 +155,8 @@ def cmd_build(args) -> int:
     rep = _job_rep(args)
     data = cartan_matrix(rep)
     document = cio.rep_to_json(rep)
-    document["cartan"] = cio.matrix_to_json(data.entries)
-    document["discriminant"] = cio.scalar_to_json(data.discriminant)
+    document["cartan"] = data.entries
+    document["discriminant"] = data.discriminant
     lines = [str(rep), f"conductor N = {rep.ctx.N}",
              "Cartan matrix:", _matrix_text(data.entries),
              f"discriminant = {data.discriminant}"]
@@ -214,7 +227,7 @@ def cmd_form(args) -> int:
              f"dimension route: {route}"]
     if existence:
         invariant = verify_invariance(rep, gram)
-        document["gram"] = cio.matrix_to_json(gram.entries)
+        document["gram"] = gram.entries
         document["invariance_verified"] = invariant
         lines.append("Gram matrix (root diagonal normalized to 2):")
         lines.append(_matrix_text(gram.entries))
@@ -245,7 +258,7 @@ def cmd_equiv(args) -> int:
         document = {
             "verdict": "distinct",
             "separating_word": word,
-            "traces": [cio.scalar_to_json(t1), cio.scalar_to_json(t2)],
+            "traces": [t1, t2],
         }
         lines = ["verdict: distinct", f"separating word: {' '.join(word)}",
                  f"traces: {t1}  vs  {t2}"]
@@ -256,8 +269,8 @@ def cmd_equiv(args) -> int:
         inv_integral = all(x.is_integral() for row in ginv for x in row)
         document = {
             "verdict": "equivalent",
-            "intertwiner": cio.matrix_to_json(g),
-            "intertwiner_inverse": cio.matrix_to_json(ginv),
+            "intertwiner": g,
+            "intertwiner_inverse": ginv,
             "intertwiner_integral": integral,
             "inverse_integral": inv_integral,
         }
@@ -292,19 +305,17 @@ def cmd_dual(args) -> int:
     dual = dual_representation(rep)
     adapted_rank = dual.adapted_rank()
     document = {
-        "discriminant": cio.scalar_to_json(dual.discriminant),
+        "discriminant": dual.discriminant,
         "degenerate": dual.degenerate,
-        "dual_generators": {rep.diagram.labels[s]: cio.matrix_to_json(m)
-                            for s, m in enumerate(dual.dual_generators)},
+        "dual_generators": dict(zip(rep.diagram.labels, dual.dual_generators)),
         "adapted_row_rank": adapted_rank,
     }
     lines = [f"discriminant = {dual.discriminant}",
              f"degenerate: {dual.degenerate}",
              f"adapted row rank: {adapted_rank} of {rep.rank}"]
     if not dual.degenerate:
-        document["adapted_generators"] = {
-            rep.diagram.labels[s]: cio.matrix_to_json(m)
-            for s, m in enumerate(dual.adapted_generators)}
+        document["adapted_generators"] = dict(zip(rep.diagram.labels,
+                                                  dual.adapted_generators))
         chords_ok = dual_chord_coefficients_match(dual)
         document["chord_coefficients_match"] = chords_ok
         lines.append(f"chord coefficient formula: {chords_ok}")

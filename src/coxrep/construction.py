@@ -220,17 +220,19 @@ def cartan_rows(tree: SpanningTree, params: ParameterSystem
 
 
 def build(tree: SpanningTree, params: ParameterSystem) -> ReflectionRep:
-    """The reflection representation determined by the tree and parameters."""
+    """The reflection representation determined by the tree and parameters:
+    generator s is the identity with row s replaced by e_s - (Cartan row s),
+    its other rows shared with one identity."""
     params.validate_for(tree)
     ctx = params.ctx
     n = tree.diagram.rank
     rows = cartan_rows(tree, params)
+    eye = linalg.mat_freeze(linalg.identity(ctx, n))
+    one = ctx.one
     generators = []
-    for s in range(n):
-        mat = linalg.identity(ctx, n)
-        for t in range(n):
-            mat[s][t] = (ctx.one if s == t else ctx.zero) - rows[s][t]
-        generators.append(linalg.mat_freeze(mat))
+    for s, row in enumerate(rows):
+        reflected = tuple(one - c if t == s else -c for t, c in enumerate(row))
+        generators.append(eye[:s] + (reflected,) + eye[s + 1:])
     return ReflectionRep(ctx, tree.diagram, tree, params, tuple(generators))
 
 
@@ -242,13 +244,11 @@ def geometric_representation(diagram: Diagram, root: int | str = 0) -> Reflectio
 def cartan_matrix(rep: ReflectionRep) -> CartanMatrixData:
     """Cartan matrix read off the generator matrices: generator s is
     I - e_s * (Cartan row s)."""
-    n = rep.rank
-    ctx = rep.ctx
+    one = rep.ctx.one
     rows = []
-    for s in range(n):
+    for s in range(rep.rank):
         gen_row = rep.generators[s][s]
-        rows.append(tuple((ctx.one if s == t else ctx.zero) - gen_row[t]
-                          for t in range(n)))
+        rows.append(tuple(one - x if t == s else -x for t, x in enumerate(gen_row)))
     return CartanMatrixData(tuple(rows))
 
 

@@ -336,6 +336,8 @@ class FieldContext:
         # element refers to its context, so one held here would make a
         # reference cycle, and a context dropped from field_context's cache
         # would then wait, caches and all, for the cycle collector.
+        self._zero_num = (0,) * self.degree            # coordinates of 0, 1
+        self._one_num = (1,) + self._zero_num[1:]
         self._cos_cache: list[tuple[int, ...]] = []     # 2cos(2 pi j/N), j < len
         self._galois_pow_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._approx_cache: dict[int, object] = {}
@@ -348,13 +350,15 @@ class FieldContext:
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.degree, 1, _normalized=True)
+        return FieldElement(self, self._zero_num, 1, _normalized=True)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.degree - 1), 1, _normalized=True)
+        return FieldElement(self, self._one_num, 1, _normalized=True)
 
     def from_rational(self, value: Fraction | int) -> "FieldElement":
+        if type(value) is int:
+            return FieldElement(self, (value,) + self._zero_num[1:], 1, _normalized=True)
         q = Fraction(value)
         num = [q.numerator] + [0] * (self.degree - 1)
         return FieldElement(self, num, q.denominator)
@@ -510,9 +514,9 @@ class FieldElement:
     denominator, normalized so gcd(content, den) = 1.  The constructor is
     the one place that normalizes: it takes integer coordinates over any
     nonzero denominator.  `_normalized`, private to this module, skips that
-    for values already in canonical form: zero, one, the generator,
-    negations, cached cosines and the den-1 values of the p-adic lift in
-    `invert`.
+    for values already in canonical form: integers, zero, one, the
+    generator, negations, cached cosines and the den-1 values of the p-adic
+    lift in `invert`.
     """
 
     __slots__ = ("ctx", "num", "den", "_float")
@@ -556,7 +560,7 @@ class FieldElement:
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
+        if type(other) is FieldElement:
             if other.ctx is not self.ctx:
                 raise ContextMismatch("elements from different field contexts")
             return other
@@ -681,10 +685,10 @@ class FieldElement:
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not FieldElement:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ctx.from_rational(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
         if other.ctx is not self.ctx:
             return False
         return self.num == other.num and self.den == other.den

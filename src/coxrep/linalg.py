@@ -42,7 +42,9 @@ Matrix = Sequence[Sequence[FieldElement]]
 
 
 def identity(ctx: FieldContext, n: int) -> list[list[FieldElement]]:
-    return [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
+    """Fresh rows that share one zero and one one: elements are immutable."""
+    one, zero = ctx.one, ctx.zero
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_freeze(m: Matrix) -> tuple[tuple[FieldElement, ...], ...]:

@@ -1,6 +1,7 @@
-"""Command output: the JSON writer against `json.dumps`, one parser reused
-by every `main` call, the help and argparse error bytes, and scalars or
-integers that leave the float or str range."""
+"""Command output: the JSON writer against `json.dumps`, field elements
+written as their records once per document, one parser reused by every
+`main` call, the help and argparse error bytes, and scalars or integers
+that leave the float or str range."""
 
 import json
 import math
@@ -8,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coxrep import cli
+from coxrep import io as cio
+from coxrep.cyclotomic import FieldElement, field_context
 
 HELP_AND_ERRORS = Path(__file__).parent / "data" / "cli_help_errors.json"
 TRIANGLE = {"rank": 3, "m": [[1, 5, 5], [5, 1, 5], [5, 5, 1]]}
@@ -48,6 +51,90 @@ _documents = st.recursive(
 @given(value=_documents)
 def test_json_writer_gives_the_bytes_of_json_dumps_indent_2(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+# field elements at several conductors, 1260 among them, with coordinates
+# drawn once and put in up to three fields of one degree, so that equal
+# (num, den) occur at different conductors, where their "approx" differs
+_SAME_DEGREE = ((1, 3, 4), (5, 8, 10, 12), (7, 9, 14), (15, 16, 30), (1008, 1260))
+_big = st.integers(-3, 3) | st.integers(-10 ** 40, 10 ** 40)
+
+
+@st.composite
+def _element_pool(draw):
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        coords = draw(st.dictionaries(st.integers(0, 200), _big, max_size=3))
+        den = draw(st.integers(1, 3) | st.integers(1, 10 ** 40))
+        conductors = draw(st.sampled_from(_SAME_DEGREE))
+        for n in draw(st.lists(st.sampled_from(conductors), min_size=1, max_size=3,
+                               unique=True)):
+            ctx = field_context(n)
+            num = [0] * ctx.degree
+            for i, v in coords.items():
+                num[i % ctx.degree] += v
+            pool.append(FieldElement(ctx, num, den))
+    return pool
+
+
+@st.composite
+def _documents_with_elements(draw):
+    """Documents whose leaves include elements of one pool: the same object,
+    or an equal value in a distinct object, at any depth, next to plain
+    dicts, among them the records of pool elements themselves."""
+    pool = draw(_element_pool())
+    same_or_equal = st.sampled_from(pool).flatmap(
+        lambda x: st.sampled_from([x, FieldElement(x.ctx, x.num, x.den)]))
+    leaves = same_or_equal | st.sampled_from(pool).map(cio.scalar_to_json) | _scalars
+    return draw(st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.lists(inner, max_size=3).map(tuple)
+                       | st.dictionaries(_text, inner, max_size=4)),
+        max_leaves=25))
+
+
+def _as_records(value):
+    if isinstance(value, FieldElement):
+        return cio.scalar_to_json(value)
+    if isinstance(value, dict):
+        return {k: _as_records(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_records(v) for v in value]
+    return value
+
+
+_C5, _C12 = field_context(5).generator, field_context(12).generator
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_documents_with_elements())
+@example(value=[_C5, _C12, [_C5, -(-_C5)], {"c": _C5}])
+def test_json_writer_writes_field_elements_as_their_records(value):
+    assert cli._json_text(value) == json.dumps(_as_records(value), indent=2)
+
+
+def _records(value, depth=0):
+    """The (num, den, depth) of every scalar record in a parsed document."""
+    if isinstance(value, dict) and set(value) == {"num", "den", "approx"}:
+        return [(tuple(value["num"]), value["den"], depth)]
+    children = value.values() if isinstance(value, dict) else \
+        value if isinstance(value, list) else ()
+    return [r for v in children for r in _records(v, depth + 1)]
+
+
+@pytest.mark.parametrize("command", ["dual", "build"])
+@pytest.mark.parametrize("diagram", cli.BUNDLED)
+def test_one_record_per_distinct_element_and_indentation(capsys, monkeypatch,
+                                                         command, diagram):
+    made = []
+    scalar_to_json = cio.scalar_to_json
+    monkeypatch.setattr(cio, "scalar_to_json", lambda x: made.append(x) or scalar_to_json(x))
+    code, out, err = call(capsys, [command, "--diagram", diagram, "--root", "s1",
+                                   "--format", "json"])
+    assert (code, err) == (0, "")
+    records = _records(json.loads(out))
+    assert len(made) == len(set(records)) < len(records)
 
 
 def test_json_writer_refuses_what_json_dumps_refuses():

@@ -1,6 +1,7 @@
 """Fundamental construction: golden Cartan matrices, parameters, intertwiners."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from coxrep.construction import (
     ZeroChordParameter,
     build,
     cartan_matrix,
+    cartan_rows,
     conductor_for,
     geometric_parameters,
     geometric_representation,
@@ -282,3 +284,26 @@ def test_tree_change_on_the_corpus_matches_the_exact_solve(suite_instances):
                                                result.target.generators)
         scaled = linalg.mat_scale(solution, solution[root][root].invert())
         assert linalg.mat_eq(scaled, result.matrix)
+
+
+def test_generators_are_the_identity_but_row_s_on_the_corpus(suite_instances):
+    """Generator s is I - e_s (Cartan row s) in canonical form, every row but
+    row s an identity row, and cartan_matrix reads the Cartan rows back;
+    the oracle subtracts Fraction coordinates."""
+    def exact(x):
+        return x.num, x.den
+
+    for inst in suite_instances:
+        ctx, n = inst.rep.ctx, inst.rep.rank
+        rows = cartan_rows(inst.tree, inst.params)
+        for s, gen in enumerate(inst.rep.generators):
+            assert isinstance(gen, tuple) and all(isinstance(row, tuple) for row in gen)
+            for i in range(n):
+                for t in range(n):
+                    coords = [Fraction(int(i == t))] + [Fraction(0)] * (ctx.degree - 1)
+                    if i == s:
+                        c = rows[s][t]
+                        coords = [a - Fraction(v, c.den) for a, v in zip(coords, c.num)]
+                    assert exact(gen[i][t]) == exact(ctx.from_coeffs(coords))
+        assert [[exact(x) for x in row] for row in cartan_matrix(inst.rep).entries] == \
+            [[exact(x) for x in row] for row in rows]

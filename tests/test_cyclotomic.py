@@ -432,3 +432,49 @@ def test_field_set_up_keeps_psi_and_nothing_of_size_d_squared():
         tracemalloc.stop()
     assert ctx.degree == 1001
     assert peak < 10 * 2 ** 20
+
+
+@st.composite
+def _sparse_elements(draw, ctx):
+    """Elements with a few nonzero coordinates, anywhere up to the degree,
+    some of them big, over a big or small denominator."""
+    coords = [Fraction(0)] * ctx.degree
+    for i, v in draw(st.dictionaries(st.integers(0, ctx.degree - 1),
+                                     _fractions | st.integers(-10 ** 30, 10 ** 30),
+                                     max_size=4)).items():
+        coords[i] = Fraction(v)
+    return ctx.from_coeffs(coords)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 5, 12, 30, 1260]))
+def test_subtraction_and_rational_coercion_match_fraction_coordinates(data, n):
+    """x - y, k - x, x - k, from_rational and == against from_coeffs of the
+    Fraction coordinates: the same canonical (num, den)."""
+    ctx = field_context(n)
+    x, y = data.draw(_sparse_elements(ctx)), data.draw(_sparse_elements(ctx))
+    k = data.draw(st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30))
+    q = data.draw(_fractions)
+
+    def coords(z):
+        return [Fraction(v, z.den) for v in z.num]
+
+    def exact(z):
+        return z.num, z.den
+
+    def rational(r):
+        return [Fraction(r)] + [Fraction(0)] * (ctx.degree - 1)
+
+    assert exact(x - y) == exact(ctx.from_coeffs([a - b for a, b in zip(coords(x), coords(y))]))
+    for r in (k, q):
+        assert exact(x - r) == exact(ctx.from_coeffs([a - b for a, b in zip(coords(x), rational(r))]))
+        assert exact(r - x) == exact(ctx.from_coeffs([b - a for a, b in zip(coords(x), rational(r))]))
+        assert exact(ctx.from_rational(r)) == exact(ctx.from_coeffs(rational(r)))
+        assert (x == r) == (coords(x) == rational(r))
+        assert (x + r == r) == x.is_zero()
+    assert isinstance(ctx.from_rational(k).num, tuple)
+    assert (x == y) == (coords(x) == coords(y))
+    assert x.__eq__("x") is NotImplemented and x.__eq__(0.5) is NotImplemented
+    # the same coordinates in another field of the same degree
+    twin = field_context({1: 2, 5: 10, 12: 10, 30: 15, 1260: 1008}[n])
+    assert twin.degree == ctx.degree and x != twin.from_coeffs(coords(x))
