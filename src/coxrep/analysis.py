@@ -53,7 +53,7 @@ def is_reflection(ctx: FieldContext, matrix: Matrix) -> Optional[ReflectionData]
     """ReflectionData when the matrix squares to the identity and M - I has
     rank one, that is, a nullspace of n - 1 basis vectors (one
     elimination); None otherwise."""
-    if not linalg.is_identity(ctx, linalg.mat_mul(ctx, matrix, matrix)):
+    if not linalg.is_identity(ctx, linalg.near_identity_mul(ctx, matrix, matrix)):
         return None
     shifted = _minus_identity(matrix)
     hyperplane = linalg.nullspace(ctx, shifted)
@@ -65,13 +65,6 @@ def is_reflection(ctx: FieldContext, matrix: Matrix) -> Optional[ReflectionData]
     inv = next(x for x in col if x).invert()
     return ReflectionData(ctx, linalg.mat_freeze(matrix), tuple(x * inv for x in col),
                           linalg.mat_freeze(hyperplane))
-
-
-def rep_reflection(rep: ReflectionRep, s: int) -> ReflectionData:
-    data = is_reflection(rep.ctx, rep.generators[s])
-    if data is None:
-        raise ArithmeticError(f"generator {s} is not a reflection")
-    return data
 
 
 def _directing_dependent(r: ReflectionData, s: ReflectionData) -> bool:
@@ -97,11 +90,11 @@ def pair_coefficients(r: ReflectionData, s: ReflectionData
     if _directing_dependent(r, s):
         return None
     ctx = r.ctx
-    rb = linalg.mat_mul(ctx, r.matrix, [[x] for x in s.directing])
+    rb = linalg.near_identity_mul(ctx, r.matrix, [[x] for x in s.directing])
     diff = [x - y for (x,), y in zip(rb, s.directing)]
     c_rs = ctx.zero if all(x.is_zero() for x in diff) \
         else _coefficient_of(diff, r.directing, ctx)
-    sa = linalg.mat_mul(ctx, s.matrix, [[x] for x in r.directing])
+    sa = linalg.near_identity_mul(ctx, s.matrix, [[x] for x in r.directing])
     diff = [x - y for (x,), y in zip(sa, r.directing)]
     c_sr = ctx.zero if all(x.is_zero() for x in diff) \
         else _coefficient_of(diff, s.directing, ctx)
@@ -122,10 +115,10 @@ def _matrix_order_check(ctx: FieldContext, product: Matrix, n: int) -> bool:
     prime q | n, by square-and-multiply over the squares product^(2^i)."""
     squares = [product]
     for _ in range(n.bit_length() - 1):
-        squares.append(linalg.mat_mul(ctx, squares[-1], squares[-1]))
+        squares.append(linalg.near_identity_mul(ctx, squares[-1], squares[-1]))
 
     def power(k: int) -> Matrix:
-        return reduce(partial(linalg.mat_mul, ctx),
+        return reduce(partial(linalg.near_identity_mul, ctx),
                       [sq for i, sq in enumerate(squares) if k >> i & 1])
 
     return linalg.is_identity(ctx, power(n)) and not any(
@@ -135,8 +128,10 @@ def _matrix_order_check(ctx: FieldContext, product: Matrix, n: int) -> bool:
 def _is_unipotent(ctx: FieldContext, product: Matrix) -> bool:
     shifted = _minus_identity(product)
     acc = shifted
+    # the kernel is exact for any factor; rs - I is near zero, not near I,
+    # and its zero rows add only the -1 diagonal of (rs - I) - I
     for _ in range(len(product) - 1):
-        acc = linalg.mat_mul(ctx, acc, shifted)
+        acc = linalg.mul_near_identity(ctx, acc, shifted)
     return linalg.is_zero_matrix(acc) and not linalg.is_identity(ctx, product)
 
 
@@ -171,7 +166,7 @@ def product_analysis(r: ReflectionData, s: ReflectionData,
     ctx = r.ctx
     n = len(r.matrix)
     coeffs = pair_coefficients(r, s)
-    product = linalg.mat_mul(ctx, r.matrix, s.matrix)
+    product = linalg.near_identity_mul(ctx, r.matrix, s.matrix)
     if coeffs is None:
         order_class = OrderClass.unipotent()
         coefficient = ctx.from_rational(4)
@@ -254,7 +249,7 @@ def unipotent_equivalences(r: ReflectionData, s: ReflectionData) -> UnipotentRep
     ctx = r.ctx
     if linalg.mat_eq(r.matrix, s.matrix):
         raise ValueError("the two reflections must be distinct")
-    product = linalg.mat_mul(ctx, r.matrix, s.matrix)
+    product = linalg.near_identity_mul(ctx, r.matrix, s.matrix)
     cond1 = _is_unipotent(ctx, product)
     cond2 = cartan_coefficient(r, s) == 4
     independent = not _directing_dependent(r, s)
@@ -264,7 +259,7 @@ def unipotent_equivalences(r: ReflectionData, s: ReflectionData) -> UnipotentRep
     both = [[a, b] for a, b in zip(r.directing, s.directing)]
     rows = [[x - y for x, y in zip(image, row)]
             for mat in (r.matrix, s.matrix)
-            for image, row in zip(linalg.mat_mul(ctx, mat, both), both)]
+            for image, row in zip(linalg.near_identity_mul(ctx, mat, both), both)]
     cond3 = False
     for xa, xb in linalg.nullspace(ctx, rows):
         x = [xa * a + xb * b for a, b in zip(r.directing, s.directing)]
@@ -343,7 +338,7 @@ def verify_good_morphism(rep: ReflectionRep,
                 # a reflection has passed the square check in is_reflection
                 g = rep.generators[s]
                 ok = reflections[s] is not None or \
-                    linalg.is_identity(ctx, linalg.mat_mul(ctx, g, g))
+                    linalg.is_identity(ctx, linalg.near_identity_mul(ctx, g, g))
                 checks.append(PairCheck(s, t, 1, 1 if ok else None, ok))
                 all_ok &= ok
                 continue

@@ -181,12 +181,13 @@ class ReflectionRep:
         return self.tree.root
 
     def word_matrix(self, word: Sequence[int]) -> list[list[FieldElement]]:
-        """The product of the generators along the word; I for the empty word."""
+        """The product of the generators along the word, left to right, each
+        factor read only where it differs from I; I for the empty word."""
         if not word:
             return linalg.identity(self.ctx, self.rank)
         acc = [list(row) for row in self.generators[word[0]]]
         for s in word[1:]:
-            acc = linalg.mat_mul(self.ctx, acc, self.generators[s])
+            acc = linalg.mul_near_identity(self.ctx, acc, self.generators[s])
         return acc
 
     def word_trace(self, word: Sequence[int]) -> FieldElement:

@@ -171,8 +171,10 @@ def build_form(rep: ReflectionRep, theta: Automorphism) -> GramMatrix:
 
 def verify_invariance(rep: ReflectionRep, gram: GramMatrix) -> bool:
     """Exact check: M^T G theta(M) = G for every generator, plus
-    theta-hermitian symmetry theta(G)^T = G.  The zero matrix passes
-    vacuously; callers should treat it as degenerate, not as a form."""
+    theta-hermitian symmetry theta(G)^T = G.  M^T G and then (M^T G) theta(M)
+    read M^T and theta(M) only where they differ from I, with no assumption
+    on M (not even M^2 = I).  The zero matrix passes vacuously; callers
+    should treat it as degenerate, not as a form."""
     ctx = rep.ctx
     g = [list(row) for row in gram.entries]
     theta = gram.theta
@@ -182,7 +184,8 @@ def verify_invariance(rep: ReflectionRep, gram: GramMatrix) -> bool:
     for mat in rep.generators:
         mt = linalg.transpose(mat)
         tm = theta.apply_matrix(mat)
-        if not linalg.mat_eq(linalg.mat_mul(ctx, linalg.mat_mul(ctx, mt, g), tm), g):
+        left = linalg.near_identity_mul(ctx, mt, g)
+        if not linalg.mat_eq(linalg.mul_near_identity(ctx, left, tm), g):
             return False
     return True
 

@@ -216,11 +216,3 @@ def rep_to_json(rep: ReflectionRep) -> dict:
         "parameters": params_to_json(rep.diagram, rep.params, scalar=lambda l: l),
         "generators": dict(zip(labels, rep.generators)),
     }
-
-
-def rep_matrices_from_json(obj: Mapping) -> dict[str, list[list[FieldElement]]]:
-    """Parse the generator matrices of a serialized representation back into
-    exact elements (round-trip support)."""
-    ctx = field_context(int(obj["conductor"]))
-    return {name: matrix_from_json(ctx, mat)
-            for name, mat in obj["generators"].items()}

@@ -8,19 +8,31 @@ commands need only the determinant; charpoly and inverse are the references
 the tests check the rank-one closed forms against (analysis.pair_char_poly,
 forms.adapted_generators and the diagonal inverse of cli's equiv).
 
-Every matrix product is one integer kernel, mat_mul.  Each row of A and
-each column of B is brought to a common denominator, and each nonzero
-entry's integer coordinates, up to its effective degree, are packed once
-into one Python int (Kronecker substitution): signed slots wide enough
-that no output coordinate, a sum over the inner dimension of coordinate
-convolutions, can overflow.  A rational entry packs to one slot; a zero
-entry is skipped.  Each output cell is then one big-integer sum of
-products, unpacked and finished the way FieldElement.__mul__ finishes a
-product: FieldContext._reduce_product reduces it modulo the minimal
-polynomial, or pads it with zeros, and the FieldElement constructor
-normalizes it once.  A term-by-term product would make one reduction, two
-normalizations and two elements per term.  The cells come out in the
-canonical (num, den) form, so the result is exactly the term-by-term one.
+There are two product kernels.  near_identity_mul and mul_near_identity
+compute M A and A M as A + (M - I) A and A + A (M - I): they read only the
+nonzero entries of M - I, skip the zero entries of A, and make one field
+product and one sum per remaining term.  Every product with a generator,
+a product of generators or a pair power as one factor goes through them:
+a generator I - e_s (Cartan row s) differs from I in one row, a pair
+product in two, so the intertwining, invariance, square and pair-power
+checks and the word matrices cost a few terms per cell instead of n.
+Nothing is assumed of M: a dense M gives the same product, only slower.
+
+mat_mul is the dense kernel; in the commands only the Faddeev-LeVerrier
+sequence behind the determinant uses it, and the tests use it as the
+oracle of the near-identity kernel.  Each row of A and each column of B is
+brought to a common denominator, and each nonzero entry's integer
+coordinates, up to its effective degree, are packed once into one Python
+int (Kronecker substitution): signed slots wide enough that no output
+coordinate, a sum over the inner dimension of coordinate convolutions, can
+overflow.  A rational entry packs to one slot; a zero entry is skipped.
+Each output cell is then one big-integer sum of products, unpacked and
+finished the way FieldElement.__mul__ finishes a product:
+FieldContext._reduce_product reduces it modulo the minimal polynomial, or
+pads it with zeros, and the FieldElement constructor normalizes it once.
+A term-by-term product would make one reduction, two normalizations and
+two elements per term.  The cells come out in the canonical (num, den)
+form, so the result is exactly the term-by-term one.
 
 One row builder serves every system A_s X = X B_s (commutant, intertwiners,
 invariant forms).  Its bases are exact.  Its dimensions are certified: the
@@ -122,6 +134,33 @@ def mat_mul(ctx: FieldContext, a: Matrix, b: Matrix) -> list[list[FieldElement]]
             cells.append(FieldElement(ctx, ctx._reduce_product(conv), den_a * den_b))
         out.append(cells)
     return out
+
+
+def near_identity_mul(ctx: FieldContext, m: Matrix, a: Matrix) -> list[list[FieldElement]]:
+    """The product M A, as A + (M - I) A: row i of A gains e * (row k of A)
+    for each nonzero entry e of M - I at (i, k), and zero entries of that
+    row are skipped (see the module docstring)."""
+    one = ctx.one
+    out = [list(row) for row in a]
+    for i, row in enumerate(m):
+        acc = out[i]
+        for k, e in enumerate(row):
+            if k == i:
+                if e == one:
+                    continue
+                e = e - one
+            elif not e:
+                continue
+            for j, y in enumerate(a[k]):
+                if y:
+                    acc[j] = acc[j] + e * y
+    return out
+
+
+def mul_near_identity(ctx: FieldContext, a: Matrix, m: Matrix) -> list[list[FieldElement]]:
+    """The product A M, as (M^T A^T)^T by near_identity_mul: it reads only
+    the nonzero entries of M - I."""
+    return transpose(near_identity_mul(ctx, transpose(m), transpose(a)))
 
 
 def mat_scale(a: Matrix, s) -> list[list[FieldElement]]:
@@ -353,9 +392,13 @@ def intertwiner_space(ctx: FieldContext, gens_a: Sequence[Matrix],
 
 def is_intertwiner(ctx: FieldContext, gens_a: Sequence[Matrix],
                    gens_b: Sequence[Matrix], w: Matrix) -> bool:
-    """Exact check that w is nonzero and A_s w = w B_s for every s."""
+    """Exact check that w is nonzero and A_s w = w B_s for every s.  Both
+    sides go through the near-identity kernel, which reads A_s and B_s only
+    where they differ from I and decides the same equality for any A_s and
+    B_s."""
     return not is_zero_matrix(w) and all(
-        mat_eq(mat_mul(ctx, a, w), mat_mul(ctx, w, b)) for a, b in zip(gens_a, gens_b))
+        mat_eq(near_identity_mul(ctx, a, w), mul_near_identity(ctx, w, b))
+        for a, b in zip(gens_a, gens_b))
 
 
 def _images_mod(mats: Sequence[Matrix], p: int, powers: Sequence[int]):

@@ -6,8 +6,10 @@ scan that `circuit_trace` replaced, the equivalence decision by traces
 and the exact n^2-unknown solve that `characters_distinguish` replaced, the
 conjugation by a Faddeev-LeVerrier inverse and the closed form with one
 inversion per vertex that the adapted dual generators replaced, the
-`FieldElement` recurrence for cosines that `cos_element` replaced, and the
-division form of the dual chord check."""
+`FieldElement` recurrence for cosines that `cos_element` replaced, the
+division form of the dual chord check, and two helpers only tests call:
+a generator's checked ReflectionData and the parse of a representation
+document's generator matrices."""
 
 from __future__ import annotations
 
@@ -15,11 +17,17 @@ import itertools
 from fractions import Fraction
 
 from coxrep import linalg
-from coxrep.analysis import EquivalenceVerdict, character_word_family
+from coxrep.analysis import (
+    EquivalenceVerdict,
+    ReflectionData,
+    character_word_family,
+    is_reflection,
+)
 from coxrep.construction import ReflectionRep, cartan_matrix, conductor_for
 from coxrep.cyclotomic import DivisionByZero, FieldElement, IntPolynomial, field_context
 from coxrep.forms import tree_product
 from coxrep.graph import SpanningTree, chord_circuit
+from coxrep.io import matrix_from_json
 
 
 def poly_divmod(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
@@ -192,3 +200,18 @@ def chord_check_by_division(dual) -> bool:
                 dual.adapted_generators[s][s][t] != expected_st:
             return False
     return True
+
+
+def rep_reflection(rep: ReflectionRep, s: int) -> ReflectionData:
+    data = is_reflection(rep.ctx, rep.generators[s])
+    if data is None:
+        raise ArithmeticError(f"generator {s} is not a reflection")
+    return data
+
+
+def rep_matrices_from_json(obj) -> dict[str, list[list[FieldElement]]]:
+    """Parse the generator matrices of a serialized representation back into
+    exact elements (round-trip support)."""
+    ctx = field_context(int(obj["conductor"]))
+    return {name: matrix_from_json(ctx, mat)
+            for name, mat in obj["generators"].items()}

@@ -14,14 +14,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import get_suite
-from oracles import poly_divmod
+from oracles import poly_divmod, rep_reflection
 from coxrep import linalg
 from coxrep.analysis import (
     characters_distinguish,
     circuit_trace,
     commutant_dimension,
     product_analysis,
-    rep_reflection,
 )
 from coxrep.cartanpoly import (
     admissible_root_indices,

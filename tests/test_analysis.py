@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import rep_reflection
 
 from coxrep import linalg
 from coxrep.analysis import (
@@ -14,7 +15,6 @@ from coxrep.analysis import (
     is_reflection,
     pair_coefficients,
     product_analysis,
-    rep_reflection,
     unipotent_equivalences,
     verify_good_morphism,
 )

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import rep_matrices_from_json
 
 from coxrep.cli import main
 from coxrep.cyclotomic import field_context
 from coxrep.io import (
     InputError,
     params_from_json,
-    rep_matrices_from_json,
     scalar_from_json,
     scalar_to_json,
 )

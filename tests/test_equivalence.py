@@ -1,9 +1,12 @@
 """Equivalence decided by the tree rescaling, against the solve route, on
 the corpus and through the CLI; inner chords against the pairwise scan."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
+
+import pytest
 
 from conftest import _random_tree
 from oracles import equivalence_by_solve, has_inner_chord
@@ -107,3 +110,19 @@ def test_equiv_on_another_tree_prints_g_scaled_to_1_at_root2(capsys, tmp_path):
     assert linalg.mat_eq(expected, moved.matrix)
     assert doc["intertwiner"] == cio.matrix_to_json(expected)
     assert not moved.diagonal[2].is_rational()
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_intertwiner_verify_rejects_one_changed_scale(index):
+    # the tree change of the 4-5-3 triangle to s1-s2-s3 has the diagonal
+    # (1, 1, irrational); doubling any one scale breaks A_s g = g B_s
+    diagram = cio.diagram_from_json({"m": [[1, 4, 5], [4, 1, 3], [5, 3, 1]]})
+    tree = spanning_tree(diagram, 0)
+    rep = build(tree, geometric_parameters(tree))
+    moved = tree_change_intertwiner(
+        rep, spanning_tree_from_edges(diagram, 0, [(0, 1), (1, 2)]))
+    assert moved.verify()
+    diagonal = list(moved.diagonal)
+    diagonal[index] = 2 * diagonal[index]
+    assert not dataclasses.replace(moved, diagonal=tuple(diagonal)).verify()
+

@@ -179,6 +179,40 @@ def test_invariance_detects_perturbation():
     assert zero.is_zero()
 
 
+def twisted_form():
+    """A theta-twisted form, theta(G) != G: on the triangle with labels 3,
+    5 and 3 (conductor 30), the chord scalar l0 * c / theta(c), for the
+    geometric l0 and theta of index 11, still balances, since
+    (c / theta(c)) * theta(c / theta(c)) = 1."""
+    tree = spanning_tree(validate([[1, 3, 5], [3, 1, 3], [5, 3, 1]]), 0)
+    params = geometric_parameters(tree)
+    ctx = params.ctx
+    theta = Automorphism.from_index(ctx, 11)
+    chord = tree.chords[0]
+    twist = ctx.generator / theta(ctx.generator)
+    rep = build(tree, params.with_chord(chord, params.chord_l[chord] * twist))
+    gram = build_form(rep, theta)
+    assert not linalg.mat_eq(theta.apply_matrix(gram.entries), gram.entries)
+    return rep, gram
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (2, 2), (1, 2)])
+def test_invariance_detects_perturbation_of_a_twisted_form(entry):
+    from coxrep.forms import GramMatrix
+
+    rep, gram = twisted_form()
+    assert verify_invariance(rep, gram)
+    broken = [list(r) for r in gram.entries]
+    i, j = entry
+    broken[i][j] = broken[i][j] + 1
+    perturbed = GramMatrix(linalg.mat_freeze(broken), gram.theta)
+    # a rational change on the diagonal keeps the theta-hermitian symmetry,
+    # so only M^T G theta(M) = G can reject it
+    if i == j:
+        assert linalg.mat_eq(linalg.transpose(gram.theta.apply_matrix(broken)), broken)
+    assert not verify_invariance(rep, perturbed)
+
+
 def test_nontrivial_theta_on_h3():
     rep = geometric_representation(H3, "s2")
     ctx = rep.ctx

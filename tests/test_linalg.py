@@ -1,11 +1,14 @@
 """The certified dimension route of the Sylvester kernel: a rank over F_p
 bounds the dimension from above, an exactly checked witness from below,
-and exact elimination decides when the bounds stay apart."""
+and exact elimination decides when the bounds stay apart.  Also the product
+kernels: mat_mul against the term-by-term product, and the near-identity
+kernel against mat_mul."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxrep import cyclotomic, linalg
 from coxrep.analysis import commutant_dimension
@@ -318,3 +321,68 @@ def test_word_matrix_of_the_empty_word_and_one_letter():
     assert linalg.mat_eq(rep.word_matrix((2,)), rep.generators[2])
     assert linalg.mat_eq(rep.word_matrix((0, 1)),
                          term_by_term_product(rep.ctx, rep.generators[0], rep.generators[1]))
+
+
+def near_identity(ctx, rng, n, shape):
+    """An n x n matrix of the given shape: "generator" (one row differs from
+    I), "transposed" (one column), "pair" (a product of two generators),
+    "dense" or "identity"."""
+    if shape == "identity":
+        return linalg.identity(ctx, n)
+    if shape == "dense":
+        return [[random_entry(rng, ctx) for _ in range(n)] for _ in range(n)]
+    if shape == "pair":
+        return linalg.mat_mul(ctx, near_identity(ctx, rng, n, "generator"),
+                              near_identity(ctx, rng, n, "generator"))
+    m = linalg.identity(ctx, n)
+    m[rng.randrange(n)] = [random_entry(rng, ctx) for _ in range(n)]
+    return linalg.transpose(m) if shape == "transposed" else m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 5, 12, 60]), st.integers(1, 5),
+       st.sampled_from(["generator", "transposed", "pair", "dense", "identity"]),
+       st.sampled_from(["square", "column", "two columns", "zero"]),
+       st.integers(0, 2 ** 32))
+def test_near_identity_kernel_matches_mat_mul(conductor, n, shape, other, seed):
+    # N = 1 is the rational field; the others are irrational of degree 2 to 8
+    ctx = field_context(conductor)
+    rng = random.Random(seed)
+    m = near_identity(ctx, rng, n, shape)
+    width = {"square": n, "column": 1, "two columns": 2, "zero": n}[other]
+    a = [[ctx.zero if other == "zero" else random_entry(rng, ctx) for _ in range(width)]
+         for _ in range(n)]
+    assert exact(linalg.near_identity_mul(ctx, m, a)) == exact(linalg.mat_mul(ctx, m, a))
+    a_t = linalg.transpose(a)
+    assert exact(linalg.mul_near_identity(ctx, a_t, m)) == \
+        exact(linalg.mat_mul(ctx, a_t, m))
+
+
+def test_near_identity_kernel_on_the_corpus_generators(suite_instances):
+    # the shapes the commands pass: generators, duals, pair products and a
+    # dense factor on the other side
+    for inst in suite_instances[:40]:
+        ctx, gens = inst.rep.ctx, inst.rep.generators
+        coxeter = inst.rep.word_matrix(tuple(range(len(gens))))
+        for g in gens:
+            pair = linalg.mat_mul(ctx, g, gens[0])
+            for m in (g, linalg.transpose(g), pair):
+                assert exact(linalg.near_identity_mul(ctx, m, coxeter)) == \
+                    exact(linalg.mat_mul(ctx, m, coxeter))
+                assert exact(linalg.mul_near_identity(ctx, coxeter, m)) == \
+                    exact(linalg.mat_mul(ctx, coxeter, m))
+
+
+@pytest.mark.parametrize("broken", [0, 1, 2])
+def test_is_intertwiner_rejects_a_relation_that_fails_for_one_generator(broken):
+    rep = geometric_representation(B3, 1)
+    ctx, gens = rep.ctx, rep.generators
+    eye = linalg.identity(ctx, 3)
+    assert linalg.is_intertwiner(ctx, gens, gens, eye)
+    # an entry off row s of generator s: the product is no longer I + one row
+    other = [list(map(list, g)) for g in gens]
+    other[broken][(broken + 1) % 3][broken] = ctx.from_rational(Fraction(1, 3))
+    assert not linalg.is_intertwiner(ctx, gens, other, eye)
+    assert not linalg.is_intertwiner(ctx, other, gens, eye)
+    assert linalg.is_intertwiner(ctx, other, other, eye)
+

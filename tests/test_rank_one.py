@@ -15,6 +15,7 @@ from oracles import adapted_by_conjugation
 
 from coxrep import forms, linalg
 from coxrep.analysis import is_reflection, pair_char_poly, product_analysis
+from coxrep.io import params_to_json
 from coxrep.cli import _diagonal_inverse, _normalize_integral, main
 from coxrep.construction import (
     build,
@@ -122,6 +123,64 @@ def test_a_corrupted_adapted_generator_exits_4(capsys, monkeypatch):
     assert code == 4 and captured.out == ""
     assert captured.err.startswith("internal consistency error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", [(1, 1, 1), (0, 2, 1), (2, 0, 0)])
+def test_one_perturbed_adapted_entry_fails_the_exact_check(capsys, monkeypatch, entry):
+    # (generator, row, column): the diagonal entry of row s of generator s,
+    # and entries in rows where the generator is that of I; the test above
+    # perturbs an off-diagonal entry of row s
+    closed_form = forms.adapted_generators
+
+    def perturbed(rep, products):
+        gens = [list(map(list, m)) for m in closed_form(rep, products)]
+        s, i, j = entry
+        gens[s][i][j] = gens[s][i][j] + 1
+        return tuple(linalg.mat_freeze(m) for m in gens)
+
+    monkeypatch.setattr(forms, "adapted_generators", perturbed)
+    with pytest.raises(forms.AdaptedBasisMismatch):
+        dual_representation(_geometric(validate([[1, 3, 2], [3, 1, 5], [2, 5, 1]]), 1))
+    code = main(["dual", "--diagram", "h3", "--root", "s2"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == ("internal consistency error: adapted generators fail "
+                            "the exact check D_s B = B A'_s\n")
+
+
+def test_only_the_discriminant_uses_the_dense_product(suite_instances, tmp_path,
+                                                      monkeypatch, capsys):
+    # every generator, pair and word product goes through the near-identity
+    # kernel; mat_mul is left to the n - 1 Faddeev-LeVerrier products
+    inst = next(i for i in suite_instances if i.diagram.rank >= 4 and i.tree.chords
+                and not forms.dual_representation(i.rep).degenerate)
+    diagram, labels = inst.diagram, inst.diagram.labels
+    files = {"diagram": {"m": [list(row) for row in diagram.m], "labels": list(labels)},
+             "tree": {"edges": [[labels[s], labels[t]]
+                                for s, t in sorted(inst.tree.tree_edges)]},
+             "params": params_to_json(diagram, inst.params)}
+    job = []
+    for name, document in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        job += [f"--{name}", str(path)]
+    job += ["--root", labels[inst.tree.root], "--format", "json"]
+    calls = []
+    dense = linalg.mat_mul
+
+    def counted(ctx, a, b):
+        calls.append(len(a))
+        return dense(ctx, a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    counts = {}
+    for command in (["equiv", "--root2", labels[(inst.tree.root + 1) % diagram.rank]],
+                    ["dual"], ["verify"], ["form", "--theta", "1"]):
+        calls.clear()
+        assert main(command + job) in (0, 3)
+        counts[command[0]] = len(calls)
+    capsys.readouterr()
+    assert counts == {"equiv": 0, "dual": diagram.rank - 1, "verify": 0, "form": 0}
 
 
 @pytest.mark.parametrize("literal", ["1e100000", "-1e-100000", "1e99999999999999999999",
