@@ -1,12 +1,15 @@
 """Reflection-pair analytics and representation-level verification.
 
-Everything here is an exact cross-check: pair orders are decided both by
-polynomial classification of the Cartan coefficient and by literal matrix
-powers, the quadratic factor of each characteristic polynomial, read off
-the rank-two rs - I, is compared against the closed form in the Cartan
-coefficient, the commutant dimension is certified by two bounds that must
-meet, and circuit traces against the closed-form trace.  Disagreement
-between redundant routes raises, since it can only mean an arithmetic bug.
+A reflection is held as its exact rank-one factorization M = I + a (x) phi
+with phi(a) = -2, so the pair coefficients phi_r(a_s) and phi_s(a_r) are
+dot products.  Everything else is an exact cross-check: pair orders are
+decided both by polynomial classification of the Cartan coefficient and by
+literal matrix powers, the quadratic factor of each characteristic
+polynomial, read off the rank-two rs - I, is compared against the closed
+form in the Cartan coefficient, the commutant dimension is certified by
+two bounds that must meet, and circuit traces against the closed-form
+trace.  Disagreement between redundant routes raises, since it can only
+mean an arithmetic bug.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ class EquivalenceViolation(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class ReflectionData:
-    """A verified reflection: the matrix, a directing vector spanning the
-    image of (M - I), and a basis of the fixed hyperplane."""
+    """A verified reflection M = I + directing (x) form: the directing
+    vector spans the image of M - I and has first nonzero coordinate 1,
+    the form's kernel is the fixed hyperplane, and form . directing = -2."""
 
     ctx: FieldContext
     matrix: Matrix
     directing: tuple[FieldElement, ...]
-    hyperplane: tuple[tuple[FieldElement, ...], ...]
+    form: tuple[FieldElement, ...]
 
 
 def _minus_identity(matrix: Matrix) -> list[list[FieldElement]]:
@@ -49,22 +53,33 @@ def _minus_identity(matrix: Matrix) -> list[list[FieldElement]]:
             for i, row in enumerate(matrix)]
 
 
+def _dot(ctx: FieldContext, u: Sequence[FieldElement],
+         v: Sequence[FieldElement]) -> FieldElement:
+    return sum((x * y for x, y in zip(u, v) if x and y), ctx.zero)
+
+
 def is_reflection(ctx: FieldContext, matrix: Matrix) -> Optional[ReflectionData]:
-    """ReflectionData when the matrix squares to the identity and M - I has
-    rank one, that is, a nullspace of n - 1 basis vectors (one
-    elimination); None otherwise."""
-    if not linalg.is_identity(ctx, linalg.near_identity_mul(ctx, matrix, matrix)):
-        return None
+    """ReflectionData when M - I is nonzero and equals directing (x) form,
+    entry by entry, with form . directing = -2; None otherwise.  Then
+    M^2 = I + (2 + form . directing)(M - I) = I, and these are exactly the
+    involutions with M - I of rank one.  The directing vector is the first
+    nonzero column of M - I scaled to first nonzero coordinate 1 (so a
+    built generator reports its basis vector), at row i0, and the form is
+    row i0 of M - I."""
     shifted = _minus_identity(matrix)
-    hyperplane = linalg.nullspace(ctx, shifted)
-    if len(hyperplane) != len(matrix) - 1:
+    col = next((col for col in zip(*shifted) if any(col)), None)
+    if col is None:
         return None
-    # canonical scaling: first nonzero coordinate 1, so generators of a
-    # built representation report exactly their basis vector
-    col = next(col for col in zip(*shifted) if any(col))
-    inv = next(x for x in col if x).invert()
-    return ReflectionData(ctx, linalg.mat_freeze(matrix), tuple(x * inv for x in col),
-                          linalg.mat_freeze(hyperplane))
+    i0, pivot = next((i, x) for i, x in enumerate(col) if x)
+    inv = pivot.invert()
+    directing = tuple(x * inv for x in col)
+    form = tuple(shifted[i0])
+    if not all(all(x == d * f for x, f in zip(row, form)) if d else not any(row)
+               for d, row in zip(directing, shifted)):
+        return None
+    if _dot(ctx, form, directing) != -2:
+        return None
+    return ReflectionData(ctx, linalg.mat_freeze(matrix), directing, form)
 
 
 def _directing_dependent(r: ReflectionData, s: ReflectionData) -> bool:
@@ -72,33 +87,14 @@ def _directing_dependent(r: ReflectionData, s: ReflectionData) -> bool:
     return linalg.rank(r.ctx, rows) < 2
 
 
-def _coefficient_of(vec: Sequence[FieldElement], direction: Sequence[FieldElement],
-                    ctx: FieldContext) -> FieldElement:
-    """The scalar mu with vec = mu * direction; vec must be proportional."""
-    pivot = next(i for i, x in enumerate(direction) if not x.is_zero())
-    mu = vec[pivot] / direction[pivot]
-    for a, b in zip(vec, direction):
-        if a != mu * b:
-            raise ArithmeticError("vector is not proportional to the direction")
-    return mu
-
-
 def pair_coefficients(r: ReflectionData, s: ReflectionData
                       ) -> Optional[tuple[FieldElement, FieldElement]]:
     """The two cross-coefficients (c(r,a;s,b), c(s,b;r,a)) when the
-    directing vectors are independent, None when they are parallel."""
+    directing vectors are independent, None when they are parallel:
+    r(b) = b + (form_r . b) a, so they are form_r . b and form_s . a."""
     if _directing_dependent(r, s):
         return None
-    ctx = r.ctx
-    rb = linalg.near_identity_mul(ctx, r.matrix, [[x] for x in s.directing])
-    diff = [x - y for (x,), y in zip(rb, s.directing)]
-    c_rs = ctx.zero if all(x.is_zero() for x in diff) \
-        else _coefficient_of(diff, r.directing, ctx)
-    sa = linalg.near_identity_mul(ctx, s.matrix, [[x] for x in r.directing])
-    diff = [x - y for (x,), y in zip(sa, r.directing)]
-    c_sr = ctx.zero if all(x.is_zero() for x in diff) \
-        else _coefficient_of(diff, s.directing, ctx)
-    return c_rs, c_sr
+    return _dot(r.ctx, r.form, s.directing), _dot(r.ctx, s.form, r.directing)
 
 
 def cartan_coefficient(r: ReflectionData, s: ReflectionData) -> FieldElement:
@@ -212,16 +208,6 @@ def _pair_quadratic(ctx: FieldContext, product: Matrix) -> tuple[FieldElement, .
     return (e1 + e2 + 1, -(e1 + 2), ctx.one)
 
 
-def pair_char_poly(ctx: FieldContext, product: Matrix) -> tuple[FieldElement, ...]:
-    """det(XI - rs), coefficients lowest first, for a product of two
-    reflections: X - rs for n = 1, otherwise (X-1)^(n-2) times the
-    rank-two quadratic of _pair_quadratic."""
-    n = len(product)
-    if n == 1:
-        return (-product[0][0], ctx.one)
-    return _times_x_minus_one(_pair_quadratic(ctx, product), n - 2)
-
-
 @dataclass(frozen=True)
 class UnipotentReport:
     """Truth values of the four unipotency conditions for a reflection pair."""
@@ -253,22 +239,20 @@ def unipotent_equivalences(r: ReflectionData, s: ReflectionData) -> UnipotentRep
     cond1 = _is_unipotent(ctx, product)
     cond2 = cartan_coefficient(r, s) == 4
     independent = not _directing_dependent(r, s)
-    # condition 3: a nonzero x = xa*a + xb*b with r(x) = x and s(x) = x;
-    # nonzero coefficient pairs can still give x = 0 when the directing
-    # vectors are parallel, so the combination itself is checked
-    both = [[a, b] for a, b in zip(r.directing, s.directing)]
-    rows = [[x - y for x, y in zip(image, row)]
-            for mat in (r.matrix, s.matrix)
-            for image, row in zip(linalg.near_identity_mul(ctx, mat, both), both)]
+    # condition 3: a nonzero x = xa*a + xb*b with r(x) = x and s(x) = x,
+    # that is form_r . x = form_s . x = 0; nonzero coefficient pairs can
+    # still give x = 0 when the directing vectors are parallel, so the
+    # combination itself is checked
+    rows = [[_dot(ctx, data.form, r.directing), _dot(ctx, data.form, s.directing)]
+            for data in (r, s)]
     cond3 = False
     for xa, xb in linalg.nullspace(ctx, rows):
         x = [xa * a + xb * b for a, b in zip(r.directing, s.directing)]
         if any(not v.is_zero() for v in x):
             cond3 = True
             break
-    # condition 4: equal fixed hyperplanes; rank-one (M - I) has a single
-    # row direction cutting the hyperplane, so compare row spaces
-    cond4 = _hyperplanes_equal(ctx, r, s)
+    # condition 4: equal fixed hyperplanes, the kernels of the two forms
+    cond4 = linalg.rank(ctx, [list(r.form), list(s.form)]) == 1
     if cond1 != cond2:
         raise EquivalenceViolation("unipotency and coefficient-4 disagree")
     if independent and not (cond1 == cond3 == cond4):
@@ -280,17 +264,6 @@ def unipotent_equivalences(r: ReflectionData, s: ReflectionData) -> UnipotentRep
     return UnipotentReport(cond1, cond2, cond3, cond4, independent)
 
 
-def _hyperplanes_equal(ctx: FieldContext, r: ReflectionData,
-                       s: ReflectionData) -> bool:
-    def row_form(data: ReflectionData) -> list[FieldElement]:
-        row = next((row for row in _minus_identity(data.matrix) if any(row)), None)
-        if row is None:
-            raise ArithmeticError("identity passed as reflection")
-        return row
-
-    return linalg.rank(ctx, [row_form(r), row_form(s)]) == 1
-
-
 @dataclass(frozen=True)
 class PairCheck:
     s: int
@@ -298,9 +271,9 @@ class PairCheck:
     expected: int
     computed: Optional[int]     # None for infinite/indeterminate
     passed: bool
-    # the pair's ProductAnalysis, or the OrderMismatch it raised; None on
-    # the diagonal and when a generator is not a reflection
-    analysis: ProductAnalysis | OrderMismatch | None = None
+    # the pair's ProductAnalysis; None on the diagonal and when a
+    # generator is not a reflection
+    analysis: ProductAnalysis | None = None
 
     def as_dict(self) -> dict:
         return {"pair": [self.s, self.t], "expected": self.expected,
@@ -323,8 +296,9 @@ def verify_good_morphism(rep: ReflectionRep,
     """Per-pair table comparing expected orders m_st with computed orders.
 
     Failures are recorded, not raised: a report with failing rows is data
-    about the input, not an internal error.  Each pair's check keeps its
-    ProductAnalysis, or the OrderMismatch it raised, for the caller.
+    about the input.  Each pair's check keeps its ProductAnalysis for the
+    caller.  An OrderMismatch, two exact routes disagreeing, is an internal
+    error and propagates.
     """
     m = matrix if matrix is not None else rep.diagram.m
     ctx = rep.ctx
@@ -335,7 +309,7 @@ def verify_good_morphism(rep: ReflectionRep,
     for s in range(n):
         for t in range(s, n):
             if s == t:
-                # a reflection has passed the square check in is_reflection
+                # a reflection squares to I: form . directing = -2
                 g = rep.generators[s]
                 ok = reflections[s] is not None or \
                     linalg.is_identity(ctx, linalg.near_identity_mul(ctx, g, g))
@@ -347,11 +321,8 @@ def verify_good_morphism(rep: ReflectionRep,
                 checks.append(PairCheck(s, t, expected, None, False))
                 all_ok = False
                 continue
-            try:
-                analysis = product_analysis(reflections[s], reflections[t], max_order)
-                computed = analysis.order_class.finite_order
-            except OrderMismatch as exc:
-                analysis, computed = exc, None
+            analysis = product_analysis(reflections[s], reflections[t], max_order)
+            computed = analysis.order_class.finite_order
             ok = computed == expected
             checks.append(PairCheck(s, t, expected, computed, ok, analysis))
             all_ok &= ok

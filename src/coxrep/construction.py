@@ -191,7 +191,26 @@ class ReflectionRep:
         return acc
 
     def word_trace(self, word: Sequence[int]) -> FieldElement:
-        return linalg.trace(self.ctx, self.word_matrix(word))
+        """The trace of the word matrix, without its last product: with A
+        the product of all but the last generator M, tr(A M) is tr A plus
+        A_jk (M - I)_kj over the nonzero entries of M - I; the rank for
+        the empty word."""
+        ctx = self.ctx
+        if not word:
+            return ctx.from_rational(self.rank)
+        a = self.word_matrix(word[:-1])
+        one = ctx.one
+        acc = linalg.trace(ctx, a)
+        for k, row in enumerate(self.generators[word[-1]]):
+            for j, e in enumerate(row):
+                if j == k:
+                    if e == one:
+                        continue
+                    e = e - one
+                elif not e:
+                    continue
+                acc = acc + a[j][k] * e
+        return acc
 
     def __str__(self) -> str:
         return (f"ReflectionRep(rank={self.rank}, N={self.ctx.N}, "

@@ -102,20 +102,6 @@ class IntPolynomial:
                         out[i + j] += a * b
         return IntPolynomial(out)
 
-    def evaluate(self, x):
-        """Horner evaluation; works for Fraction, float and FieldElement."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if isinstance(x, FieldElement):
-            if acc is None:
-                return x.ctx.zero
-            if not isinstance(acc, FieldElement):
-                return x.ctx.from_rational(acc)
-        elif acc is None:
-            return type(x)(0)
-        return acc
-
     def shifted_argument(self, offset: int) -> "IntPolynomial":
         """Return p(X + offset) expanded exactly."""
         x_shift = IntPolynomial([offset, 1])
@@ -519,7 +505,7 @@ class FieldElement:
     lift in `invert`.
     """
 
-    __slots__ = ("ctx", "num", "den", "_float")
+    __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: FieldContext, num: Sequence[int], den: int = 1,
                  _normalized: bool = False):
@@ -528,7 +514,6 @@ class FieldElement:
         self.ctx = ctx
         self.num = num
         self.den = den
-        self._float = None
 
     # -- predicates ---------------------------------------------------------
 
@@ -715,15 +700,12 @@ class FieldElement:
             return +acc
 
     def __float__(self) -> float:
-        if self._float is None:
-            if self.is_rational():
-                try:
-                    self._float = self.num[0] / self.den
-                except OverflowError:  # beyond the float range: ±inf, as approximate()
-                    self._float = math.inf if self.num[0] > 0 else -math.inf
-            else:
-                self._float = float(self.approximate(64))
-        return self._float
+        if not self.is_rational():
+            return float(self.approximate(64))
+        try:
+            return self.num[0] / self.den
+        except OverflowError:  # beyond the float range: ±inf, as approximate()
+            return math.inf if self.num[0] > 0 else -math.inf
 
     # -- display ------------------------------------------------------------------
 

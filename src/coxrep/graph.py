@@ -217,10 +217,6 @@ class ChordCircuit:
     path: tuple[int, ...]      # [s, ..., t] consecutive pairs are tree edges
     entry_index: int           # 0-based position of the entry vertex in path
 
-    @property
-    def entry_vertex(self) -> int:
-        return self.path[self.entry_index]
-
 
 def chord_circuit(tree: SpanningTree, chord: tuple[int, int]) -> ChordCircuit:
     """Circuit created by a chord, and its entry (the ≼-minimal path vertex)."""

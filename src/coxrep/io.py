@@ -3,11 +3,11 @@
 Exact scalars serialize as rational coordinate vectors over a denominator,
 with the conductor carried in the enclosing document; an "approx" float is
 attached for human readability but never parsed back.  `scalar_to_json`
-makes that record.  The CLI's documents, `rep_to_json` among them, hold
-field elements as they are, and `cli._json_text` makes each distinct one
-into a record once per document.  `matrix_to_json` and `params_to_json`
-make the records themselves, for documents built outside the CLI, such as
-a parameter file.
+makes that record.  The CLI's documents, `rep_to_json` and
+`params_to_json` among them, hold field elements as they are, and
+`cli._json_text` makes each distinct one into a record once per document;
+a parameter file is written through it too.  `matrix_to_json` makes the
+records itself, for documents built outside the CLI.
 """
 
 from __future__ import annotations
@@ -190,13 +190,12 @@ def load_params(tree: SpanningTree, path: str | None) -> ParameterSystem:
         return params_from_json(tree, json.load(fh))
 
 
-def params_to_json(diagram: Diagram, params: ParameterSystem,
-                   scalar=scalar_to_json) -> dict:
-    """The parameter document, each chord scalar l written as `scalar(l)`."""
+def params_to_json(diagram: Diagram, params: ParameterSystem) -> dict:
+    """The parameter document, its chord scalars left as field elements."""
     labels = diagram.labels
     alpha = {f"{labels[s]}-{labels[t]}": k
              for (s, t), k in sorted(params.alpha_index.items())}
-    chords = {f"{labels[s]}-{labels[t]}": scalar(l)
+    chords = {f"{labels[s]}-{labels[t]}": l
               for (s, t), l in sorted(params.chord_l.items())}
     return {"alpha": alpha, "chords": chords}
 
@@ -213,6 +212,6 @@ def rep_to_json(rep: ReflectionRep) -> dict:
         "tree_edges": [[labels[s], labels[t]]
                        for s, t in sorted(rep.tree.tree_edges)],
         "chords": [[labels[s], labels[t]] for s, t in rep.tree.chords],
-        "parameters": params_to_json(rep.diagram, rep.params, scalar=lambda l: l),
+        "parameters": params_to_json(rep.diagram, rep.params),
         "generators": dict(zip(labels, rep.generators)),
     }

@@ -5,8 +5,9 @@ polynomials, determinants and inverses go through Faddeev-LeVerrier, which
 only ever divides by small integers and by the determinant; rank and
 nullspace use fraction-free elimination, with no field inversions.  The
 commands need only the determinant; charpoly and inverse are the references
-the tests check the rank-one closed forms against (analysis.pair_char_poly,
-forms.adapted_generators and the diagonal inverse of cli's equiv).
+the tests check the rank-one closed forms against (the rank-two pair
+quadratic of analysis.product_analysis, forms.adapted_generators and the
+diagonal inverse of cli's equiv).
 
 There are two product kernels.  near_identity_mul and mul_near_identity
 compute M A and A M as A + (M - I) A and A + A (M - I): they read only the
@@ -222,7 +223,8 @@ def charpoly(ctx: FieldContext, a: Matrix) -> list[FieldElement]:
     Returns coefficients lowest degree first, length n+1, monic.  Only
     divides by the integers 1..n, so everything stays exact.  Commands
     reach it only through determinant; the pair products of verify use the
-    rank-two closed form analysis.pair_char_poly, checked against this.
+    rank-two quadratic of analysis._pair_quadratic, which the tests check
+    against this.
     """
     return _faddeev_leverrier(ctx, a)[0]
 

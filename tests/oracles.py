@@ -7,9 +7,13 @@ and the exact n^2-unknown solve that `characters_distinguish` replaced, the
 conjugation by a Faddeev-LeVerrier inverse and the closed form with one
 inversion per vertex that the adapted dual generators replaced, the
 `FieldElement` recurrence for cosines that `cos_element` replaced, the
-division form of the dual chord check, and two helpers only tests call:
-a generator's checked ReflectionData and the parse of a representation
-document's generator matrices."""
+division form of the dual chord check, the matrix-vector route to the
+pair coefficients and the square-and-nullspace reflection test that the
+rank-one factorization replaced, and helpers only tests call: a
+generator's checked ReflectionData, the parse of a representation
+document's generator matrices, Horner evaluation of an IntPolynomial, a
+circuit's entry vertex and the full characteristic polynomial of a pair
+product."""
 
 from __future__ import annotations
 
@@ -20,13 +24,16 @@ from coxrep import linalg
 from coxrep.analysis import (
     EquivalenceVerdict,
     ReflectionData,
+    _minus_identity,
+    _pair_quadratic,
+    _times_x_minus_one,
     character_word_family,
     is_reflection,
 )
 from coxrep.construction import ReflectionRep, cartan_matrix, conductor_for
 from coxrep.cyclotomic import DivisionByZero, FieldElement, IntPolynomial, field_context
 from coxrep.forms import tree_product
-from coxrep.graph import SpanningTree, chord_circuit
+from coxrep.graph import ChordCircuit, SpanningTree, chord_circuit
 from coxrep.io import matrix_from_json
 
 
@@ -215,3 +222,75 @@ def rep_matrices_from_json(obj) -> dict[str, list[list[FieldElement]]]:
     ctx = field_context(int(obj["conductor"]))
     return {name: matrix_from_json(ctx, mat)
             for name, mat in obj["generators"].items()}
+
+
+def evaluate(poly: IntPolynomial, x):
+    """Horner evaluation; works for Fraction, float and FieldElement."""
+    acc = None
+    for c in reversed(poly.coeffs):
+        acc = c if acc is None else acc * x + c
+    if isinstance(x, FieldElement):
+        if acc is None:
+            return x.ctx.zero
+        if not isinstance(acc, FieldElement):
+            return x.ctx.from_rational(acc)
+    elif acc is None:
+        return type(x)(0)
+    return acc
+
+
+def entry_vertex(circuit: ChordCircuit) -> int:
+    return circuit.path[circuit.entry_index]
+
+
+def pair_char_poly(ctx, product) -> tuple[FieldElement, ...]:
+    """det(XI - rs), coefficients lowest first, for a product of two
+    reflections: X - rs for n = 1, otherwise (X-1)^(n-2) times the
+    rank-two quadratic of analysis._pair_quadratic."""
+    n = len(product)
+    if n == 1:
+        return (-product[0][0], ctx.one)
+    return _times_x_minus_one(_pair_quadratic(ctx, product), n - 2)
+
+
+def reflection_by_nullspace(ctx, matrix):
+    """(directing, hyperplane basis) when M^2 = I and M - I has rank one,
+    by the square product and a nullspace of n - 1 vectors; None
+    otherwise.  The directing vector is the first nonzero column of M - I
+    scaled to first nonzero coordinate 1."""
+    if not linalg.is_identity(ctx, linalg.mat_mul(ctx, matrix, matrix)):
+        return None
+    shifted = _minus_identity(matrix)
+    hyperplane = linalg.nullspace(ctx, shifted)
+    if len(hyperplane) != len(matrix) - 1:
+        return None
+    col = next(col for col in zip(*shifted) if any(col))
+    inv = next(x for x in col if x).invert()
+    return tuple(x * inv for x in col), hyperplane
+
+
+def _coefficient_of(vec, direction) -> FieldElement:
+    """The scalar mu with vec = mu * direction; vec must be proportional."""
+    pivot = next(i for i, x in enumerate(direction) if not x.is_zero())
+    mu = vec[pivot] / direction[pivot]
+    for a, b in zip(vec, direction):
+        if a != mu * b:
+            raise ArithmeticError("vector is not proportional to the direction")
+    return mu
+
+
+def pair_coefficients_by_images(r: ReflectionData, s: ReflectionData
+                                ) -> tuple[FieldElement, FieldElement]:
+    """(mu, nu) with r(b) - b = mu a and s(a) - a = nu b, from the
+    matrix-vector products r b and s a; the directing vectors a, b must
+    be independent."""
+    ctx = r.ctx
+
+    def coefficient(data, other):
+        image = linalg.mat_mul(ctx, data.matrix, [[x] for x in other.directing])
+        diff = [x - y for (x,), y in zip(image, other.directing)]
+        if all(x.is_zero() for x in diff):
+            return ctx.zero
+        return _coefficient_of(diff, data.directing)
+
+    return coefficient(r, s), coefficient(s, r)

@@ -8,6 +8,7 @@ DualRep.adapted_rank against linalg.rank, and the geometric chord scalars
 of a parameter document against the geometric parameters overwritten."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from oracles import adapted_by_inversions, chord_check_by_division, cosines_by_f
 
 from coxrep import analysis, construction, linalg
 from coxrep.analysis import OrderMismatch, is_reflection, product_analysis
+from coxrep.cli import _json_text
 from coxrep.construction import build, cartan_matrix, geometric_parameters
 from coxrep.cyclotomic import FieldContext
 from coxrep.forms import dual_chord_coefficients_match, dual_representation
@@ -135,7 +137,7 @@ def test_document_chord_scalars_skip_the_geometric_walk(suite_instances, monkeyp
     monkeypatch.setattr(construction, "_tree_rescaling", counted)
     for inst in suite_instances:
         tree = inst.tree
-        full = params_to_json(inst.diagram, inst.params)
+        full = json.loads(_json_text(params_to_json(inst.diagram, inst.params)))
         walked.clear()
         assert params_from_json(tree, full) == inst.params
         assert walked == []

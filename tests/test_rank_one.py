@@ -1,22 +1,40 @@
 """Closed forms from the rank-one generators I - e_s * (Cartan row s), each
 against the general route it replaced: the adapted dual generators against
 the conjugation by linalg.inverse, the pair characteristic polynomials
-against Faddeev-LeVerrier (linalg.charpoly), and the inverse of the
-diagonal equivalence intertwiner against linalg.inverse."""
+against Faddeev-LeVerrier (linalg.charpoly), the inverse of the diagonal
+equivalence intertwiner against linalg.inverse, the reflection test by an
+exact factorization against the square product and nullspace, the pair
+coefficients as dot products against the matrix-vector images, and word
+traces read off the last factor's nonzero entries against the full word
+matrix."""
 
+import itertools
 import json
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from conftest import _random_tree
-from oracles import adapted_by_conjugation
+from hypothesis import given, settings, strategies as st
+from oracles import (
+    adapted_by_conjugation,
+    pair_char_poly,
+    pair_coefficients_by_images,
+    reflection_by_nullspace,
+)
+from test_linalg import random_entry
 
 from coxrep import forms, linalg
-from coxrep.analysis import is_reflection, pair_char_poly, product_analysis
+from coxrep.analysis import (
+    character_word_family,
+    is_reflection,
+    pair_coefficients,
+    product_analysis,
+)
 from coxrep.io import params_to_json
-from coxrep.cli import _diagonal_inverse, _normalize_integral, main
+from coxrep.cli import _diagonal_inverse, _json_text, _normalize_integral, main
 from coxrep.construction import (
     build,
     equivalence_intertwiner,
@@ -148,10 +166,10 @@ def test_one_perturbed_adapted_entry_fails_the_exact_check(capsys, monkeypatch, 
                             "the exact check D_s B = B A'_s\n")
 
 
-def test_only_the_discriminant_uses_the_dense_product(suite_instances, tmp_path,
-                                                      monkeypatch, capsys):
-    # every generator, pair and word product goes through the near-identity
-    # kernel; mat_mul is left to the n - 1 Faddeev-LeVerrier products
+def _corpus_job(suite_instances, tmp_path):
+    """A rank >= 4 corpus instance with chords and a nondegenerate dual, its
+    diagram, tree and parameter files, and the command lines of the four
+    analysing commands on them."""
     inst = next(i for i in suite_instances if i.diagram.rank >= 4 and i.tree.chords
                 and not forms.dual_representation(i.rep).degenerate)
     diagram, labels = inst.diagram, inst.diagram.labels
@@ -162,9 +180,20 @@ def test_only_the_discriminant_uses_the_dense_product(suite_instances, tmp_path,
     job = []
     for name, document in files.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(document))
+        path.write_text(_json_text(document))
         job += [f"--{name}", str(path)]
     job += ["--root", labels[inst.tree.root], "--format", "json"]
+    commands = (["equiv", "--root2", labels[(inst.tree.root + 1) % diagram.rank]],
+                ["dual"], ["verify"], ["form", "--theta", "1"])
+    return inst, [command + job for command in commands]
+
+
+def test_only_the_discriminant_uses_the_dense_product(suite_instances, tmp_path,
+                                                      monkeypatch, capsys):
+    # every generator, pair and word product goes through the near-identity
+    # kernel; mat_mul is left to the n - 1 Faddeev-LeVerrier products
+    inst, command_lines = _corpus_job(suite_instances, tmp_path)
+    diagram = inst.diagram
     calls = []
     dense = linalg.mat_mul
 
@@ -174,13 +203,144 @@ def test_only_the_discriminant_uses_the_dense_product(suite_instances, tmp_path,
 
     monkeypatch.setattr(linalg, "mat_mul", counted)
     counts = {}
-    for command in (["equiv", "--root2", labels[(inst.tree.root + 1) % diagram.rank]],
-                    ["dual"], ["verify"], ["form", "--theta", "1"]):
+    for argv in command_lines:
         calls.clear()
-        assert main(command + job) in (0, 3)
-        counts[command[0]] = len(calls)
+        assert main(argv) in (0, 3)
+        counts[argv[0]] = len(calls)
     capsys.readouterr()
     assert counts == {"equiv": 0, "dual": diagram.rank - 1, "verify": 0, "form": 0}
+
+
+def test_no_command_solves_a_nullspace(suite_instances, tmp_path, monkeypatch, capsys):
+    # a reflection is accepted by its rank-one factorization, not by the
+    # fixed hyperplane; dimensions are ranks, and bases are only built by
+    # the library calls the commands do not make
+    _, command_lines = _corpus_job(suite_instances, tmp_path)
+    calls = []
+    solve = linalg.nullspace
+
+    def counted(ctx, a):
+        calls.append(len(a))
+        return solve(ctx, a)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    counts = {}
+    for argv in command_lines:
+        calls.clear()
+        assert main(argv) in (0, 3)
+        counts[argv[0]] = len(calls)
+    capsys.readouterr()
+    assert counts == {"equiv": 0, "dual": 0, "verify": 0, "form": 0}
+
+
+def _rank_one(ctx, rng, n, target):
+    """I + a (x) phi with a nonzero and phi . a = target."""
+    a = [random_entry(rng, ctx) for _ in range(n)]
+    i = rng.randrange(n)
+    if a[i].is_zero():
+        a[i] = ctx.from_rational(rng.choice([1, -3, 5]))
+    phi = [random_entry(rng, ctx) for _ in range(n)]
+    rest = sum((f * x for j, (f, x) in enumerate(zip(phi, a)) if j != i), ctx.zero)
+    phi[i] = (target - rest) / a[i]
+    return [[(1 if r == c else 0) + a[r] * phi[c] for c in range(n)] for r in range(n)]
+
+
+def _conjugated_involution(ctx, rng, n, minus_ones):
+    """P diag(-1, ..., -1, 1, ..., 1) P^-1 for a random invertible P."""
+    while True:
+        p = [[random_entry(rng, ctx) for _ in range(n)] for _ in range(n)]
+        if not linalg.determinant(ctx, p).is_zero():
+            break
+    d = [[ctx.from_rational(-1 if r < minus_ones else 1) if r == c else ctx.zero
+          for c in range(n)] for r in range(n)]
+    return linalg.mat_mul(ctx, linalg.mat_mul(ctx, p, d), linalg.inverse(ctx, p))
+
+
+def _matrix_of_kind(ctx, rng, n, kind):
+    if kind == "reflection":
+        return _rank_one(ctx, rng, n, -2)
+    if kind == "rank one, phi(a) = 0":
+        return _rank_one(ctx, rng, n, 0)
+    if kind == "rank one, phi(a) != -2":
+        return _rank_one(ctx, rng, n, rng.choice([-4, -1, 1, 2, Fraction(-5, 2)]))
+    if kind == "conjugated reflection":
+        return _conjugated_involution(ctx, rng, n, 1)
+    if kind == "conjugated rank-two involution":
+        return _conjugated_involution(ctx, rng, n, 2)
+    if kind == "dense":
+        return [[random_entry(rng, ctx) for _ in range(n)] for _ in range(n)]
+    return linalg.identity(ctx, n)
+
+
+def _check_against_the_oracle(ctx, m):
+    data = is_reflection(ctx, m)
+    expected = reflection_by_nullspace(ctx, m)
+    assert (data is None) == (expected is None)
+    if data is None:
+        return False
+    directing, hyperplane = expected
+    assert data.directing == directing
+    n = len(m)
+    assert all(m[i][j] - (1 if i == j else 0) == data.directing[i] * data.form[j]
+               for i in range(n) for j in range(n))
+    # the form's kernel is the oracle's fixed hyperplane
+    assert all(sum((f * x for f, x in zip(data.form, v)), ctx.zero).is_zero()
+               for v in hyperplane)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 5, 12]), st.integers(1, 4),
+       st.sampled_from(["reflection", "rank one, phi(a) = 0", "rank one, phi(a) != -2",
+                        "conjugated reflection", "conjugated rank-two involution",
+                        "dense", "identity"]),
+       st.integers(0, 2 ** 32))
+def test_is_reflection_matches_the_square_and_nullspace(conductor, n, kind, seed):
+    # N = 1 is the rational field; 5 and 12 are irrational of degree 2
+    ctx = field_context(conductor)
+    if kind == "conjugated rank-two involution" and n < 2:
+        n = 2
+    accepted = _check_against_the_oracle(ctx, _matrix_of_kind(ctx, random.Random(seed),
+                                                              n, kind))
+    if kind in ("reflection", "conjugated reflection"):
+        assert accepted
+    elif kind != "dense":
+        assert not accepted
+
+
+def test_is_reflection_matches_the_oracle_on_the_corpus_generators(suite_instances):
+    assert all(_check_against_the_oracle(inst.rep.ctx, g)
+               for inst in suite_instances for g in inst.rep.generators)
+
+
+def test_pair_coefficients_match_the_images_on_the_corpus(suite_instances):
+    # every ordered pair (s, t) of distinct generators, and s against the
+    # conjugate t s t, a reflection whose directing vector is not a basis
+    # vector
+    checked = 0
+    for inst in suite_instances:
+        rep = inst.rep
+        reflections = [is_reflection(rep.ctx, g) for g in rep.generators]
+        for s, t in itertools.permutations(range(rep.rank), 2):
+            r_s, r_t = reflections[s], reflections[t]
+            assert pair_coefficients(r_s, r_t) == pair_coefficients_by_images(r_s, r_t)
+            conjugate = is_reflection(rep.ctx, rep.word_matrix((t, s, t)))
+            if pair_coefficients(r_s, conjugate) is not None:
+                assert pair_coefficients(r_s, conjugate) == \
+                    pair_coefficients_by_images(r_s, conjugate)
+            checked += 1
+    assert checked > 1000
+
+
+def test_word_traces_match_the_word_matrices_on_the_corpus(suite_instances):
+    checked = 0
+    for inst in suite_instances:
+        rep = inst.rep
+        words = [(), *((s,) for s in range(rep.rank)), *character_word_family(rep)]
+        for word in words:
+            assert rep.word_trace(word) == linalg.trace(rep.ctx, rep.word_matrix(word))
+            checked += 1
+    assert checked > 1000
 
 
 @pytest.mark.parametrize("literal", ["1e100000", "-1e-100000", "1e99999999999999999999",
