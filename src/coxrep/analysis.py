@@ -4,19 +4,22 @@ A reflection is held as its exact rank-one factorization M = I + a (x) phi
 with phi(a) = -2, so the pair coefficients phi_r(a_s) and phi_s(a_r) are
 dot products.  Everything else is an exact cross-check: pair orders are
 decided both by polynomial classification of the Cartan coefficient and by
-literal matrix powers, the quadratic factor of each characteristic
+literal powers of the 2 x 2 matrix by which rs acts on the plane of the
+directing vectors, the quadratic factor of each characteristic
 polynomial, read off the rank-two rs - I, is compared against the closed
 form in the Cartan coefficient, the commutant dimension is certified by
 two bounds that must meet, and circuit traces against the closed-form
 trace.  Disagreement between redundant routes raises, since it can only
-mean an arithmetic bug.
+mean an arithmetic bug.  A matrix commuting with every I - e_s (x) c_s is
+diagonal, so the commutant system has n unknowns; the reduction holds
+mod every odd prime too, so its route is that of the n^2 unknowns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from typing import Optional, Sequence
 
 from . import linalg
@@ -83,8 +86,8 @@ def is_reflection(ctx: FieldContext, matrix: Matrix) -> Optional[ReflectionData]
 
 
 def _directing_dependent(r: ReflectionData, s: ReflectionData) -> bool:
-    rows = [list(r.directing), list(s.directing)]
-    return linalg.rank(r.ctx, rows) < 2
+    # both have first nonzero coordinate 1: parallel exactly when equal
+    return r.directing == s.directing
 
 
 def pair_coefficients(r: ReflectionData, s: ReflectionData
@@ -106,19 +109,20 @@ def cartan_coefficient(r: ReflectionData, s: ReflectionData) -> FieldElement:
     return coeffs[0] * coeffs[1]
 
 
-def _matrix_order_check(ctx: FieldContext, product: Matrix, n: int) -> bool:
-    """Exact power check: product^n = I and product^(n/q) != I for each
-    prime q | n, by square-and-multiply over the squares product^(2^i)."""
-    squares = [product]
+def _matrix_order_check(ctx: FieldContext, t: Matrix, n: int) -> bool:
+    """Exact power check on the 2 x 2 matrix T of a pair product (see
+    product_analysis): T^n = I and T^(n/q) != I for each prime q | n, by
+    square-and-multiply over the squares T^(2^i)."""
+    def mul(a: Matrix, b: Matrix) -> Matrix:
+        return tuple(tuple(x * b[0][j] + y * b[1][j] for j in range(2)) for x, y in a)
+
+    squares = [t]
     for _ in range(n.bit_length() - 1):
-        squares.append(linalg.near_identity_mul(ctx, squares[-1], squares[-1]))
-
-    def power(k: int) -> Matrix:
-        return reduce(partial(linalg.near_identity_mul, ctx),
-                      [sq for i, sq in enumerate(squares) if k >> i & 1])
-
-    return linalg.is_identity(ctx, power(n)) and not any(
-        linalg.is_identity(ctx, power(n // q)) for q in prime_factors(n))
+        squares.append(mul(squares[-1], squares[-1]))
+    eye = ((1, 0), (0, 1))
+    powers = [reduce(mul, [sq for i, sq in enumerate(squares) if k >> i & 1])
+              for k in [n] + [n // q for q in prime_factors(n)]]
+    return powers[0] == eye and eye not in powers[1:]
 
 
 def _is_unipotent(ctx: FieldContext, product: Matrix) -> bool:
@@ -158,7 +162,11 @@ def product_analysis(r: ReflectionData, s: ReflectionData,
     parallel directing vectors, where the product has passed the
     unipotency check).  K[X] has no zero divisors, so the two agree
     exactly when q = X^2 - (C-2) X + 1, and only the quadratics are
-    compared."""
+    compared.  The powers are 2 x 2: with p, q the pair coefficients,
+    rs = I + U W for U = [a_r, a_s], W = [phi_r + p phi_s; phi_s], and
+    (rs) U = U T, T = [[C - 1, -p], [q, -1]].  For C != 4, det(W U) = 4 - C
+    is nonzero, the space is im U + ker W, and rs fixes ker W, so
+    (rs)^k = I exactly when T^k = I; a finite class with C = 4 raises."""
     ctx = r.ctx
     n = len(r.matrix)
     coeffs = pair_coefficients(r, s)
@@ -172,7 +180,8 @@ def product_analysis(r: ReflectionData, s: ReflectionData,
     # independent route: exact matrix powers
     if order_class.kind in ("commuting", "finite"):
         expected = order_class.finite_order
-        if not _matrix_order_check(ctx, product, expected):
+        t = ((coefficient - 1, -coeffs[0]), (coeffs[1], -ctx.one))
+        if coefficient == 4 or not _matrix_order_check(ctx, t, expected):
             raise OrderMismatch(
                 f"classified order {expected} but matrix powers disagree")
     elif order_class.kind == "unipotent":
@@ -251,8 +260,10 @@ def unipotent_equivalences(r: ReflectionData, s: ReflectionData) -> UnipotentRep
         if any(not v.is_zero() for v in x):
             cond3 = True
             break
-    # condition 4: equal fixed hyperplanes, the kernels of the two forms
-    cond4 = linalg.rank(ctx, [list(r.form), list(s.form)]) == 1
+    # condition 4: equal fixed hyperplanes, the kernels of the two nonzero
+    # forms: the 2 x 2 minors through a nonzero coordinate of form_r vanish
+    i0 = next(i for i, x in enumerate(r.form) if x)
+    cond4 = all(r.form[i0] * y == s.form[i0] * x for x, y in zip(r.form, s.form))
     if cond1 != cond2:
         raise EquivalenceViolation("unipotency and coefficient-4 disagree")
     if independent and not (cond1 == cond3 == cond4):
@@ -331,11 +342,16 @@ def verify_good_morphism(rep: ReflectionRep,
 
 def commutant_dimension(rep: ReflectionRep) -> tuple[int, str]:
     """Dimension of {X : X zeta_s = zeta_s X for all s}, and the route that
-    decided it (see linalg.intertwiner_dimension): a rank over F_p bounds
-    it from above, and the identity, checked exactly, from below by 1."""
+    decided it (see linalg.reduced_dimension): a rank over F_p bounds it
+    from above, and the identity, checked exactly, from below by 1.  With
+    zeta_s = I - e_s (x) c_s, X e_s = lambda_s e_s and c_s X = lambda_s c_s:
+    n unknowns, one row c_st (lambda_t - lambda_s) per s != t.  As c_ss = 2
+    is a unit mod every odd prime, the nullity mod p, and so the route, is
+    that of the n^2-unknown system."""
     ctx = rep.ctx
-    return linalg.intertwiner_dimension(ctx, rep.generators, rep.generators,
-                                        linalg.identity(ctx, rep.rank))
+    rows = rep.generator_rows
+    lower = int(linalg.intertwines(ctx, rows, rows, linalg.identity(ctx, rep.rank)))
+    return linalg.reduced_dimension(ctx, rows, rows, lower)
 
 
 @dataclass(frozen=True, eq=False)

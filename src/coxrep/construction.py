@@ -22,7 +22,7 @@ tree changes, and the decision whether two representations are equivalent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -62,12 +62,14 @@ class ParameterSystem:
     index k (gcd(k, m_e) = 1, k <= m_e/2) selecting alpha_e =
     4*cos^2(k*pi/m_e).  chord_l maps each chord to the nonzero scalar l
     for the low-to-high direction; the reverse scalar alpha_e / l is
-    always derived, which enforces the defining product constraint.
+    always derived, which enforces the defining product constraint, and
+    each l is inverted once, when its pair is first read.
     """
 
     ctx: FieldContext
     alpha_index: Mapping[tuple[int, int], int]
     chord_l: Mapping[tuple[int, int], FieldElement]
+    _inverses: dict = field(default_factory=dict, init=False, repr=False)
 
     def alpha(self, diagram: Diagram, s: int, t: int) -> FieldElement:
         key = (s, t) if s < t else (t, s)
@@ -88,7 +90,10 @@ class ParameterSystem:
         """(l for direction s->t, l for direction t->s)."""
         key = (s, t) if s < t else (t, s)
         forward = self.chord_l[key]
-        backward = self.alpha(diagram, s, t) / forward
+        inverse = self._inverses.get(key)
+        if inverse is None:
+            inverse = self._inverses[key] = forward.invert()
+        backward = self.alpha(diagram, s, t) * inverse
         return (forward, backward) if s < t else (backward, forward)
 
     def with_alpha(self, edge: tuple[int, int], k: int) -> "ParameterSystem":
@@ -180,6 +185,14 @@ class ReflectionRep:
     def root(self) -> int:
         return self.tree.root
 
+    @cached_property
+    def generator_rows(self) -> Matrix:
+        """linalg.generator_rows, read once; ValueError for another shape."""
+        rows = linalg.generator_rows(self.ctx, self.generators)
+        if rows is None:
+            raise ValueError("a generator is not I - e_s (x) c_s with c_ss = 2")
+        return rows
+
     def word_matrix(self, word: Sequence[int]) -> list[list[FieldElement]]:
         """The product of the generators along the word, left to right, each
         factor read only where it differs from I; I for the empty word."""
@@ -263,13 +276,8 @@ def geometric_representation(diagram: Diagram, root: int | str = 0) -> Reflectio
 
 def cartan_matrix(rep: ReflectionRep) -> CartanMatrixData:
     """Cartan matrix read off the generator matrices: generator s is
-    I - e_s * (Cartan row s)."""
-    one = rep.ctx.one
-    rows = []
-    for s in range(rep.rank):
-        gen_row = rep.generators[s][s]
-        rows.append(tuple(one - x if t == s else -x for t, x in enumerate(gen_row)))
-    return CartanMatrixData(tuple(rows))
+    I - e_s * (Cartan row s) (ReflectionRep.generator_rows)."""
+    return CartanMatrixData(tuple(tuple(-x for x in row) for row in rep.generator_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +306,9 @@ class Intertwiner:
         return out
 
     def verify(self) -> bool:
-        return linalg.is_intertwiner(self.source.ctx, self.source.generators,
-                                     self.target.generators, self.matrix)
+        """Exact check of source_gen * g = g * target_gen (linalg.intertwines)."""
+        return linalg.intertwines(self.source.ctx, self.source.generator_rows,
+                                  self.target.generator_rows, self.matrix)
 
 
 def _tree_rescaling(tree: SpanningTree, c: Callable[[int, int], FieldElement],

@@ -8,7 +8,9 @@ chord around its circuit); the same dimension is recomputed independently
 from the invariance system, by a modular rank bound closed by the exactly
 checked Gram matrix or by exact elimination, and the CLI and the test
 suite compare the two.  When the form exists its Gram matrix is assembled
-in closed form from tree products.
+in closed form from tree products.  The invariance system has n unknowns,
+as an invariant G has column s equal to lambda_s c_s^T; the reduction
+holds mod every odd prime too, so its route is that of the n^2 unknowns.
 """
 
 from __future__ import annotations
@@ -171,23 +173,17 @@ def build_form(rep: ReflectionRep, theta: Automorphism) -> GramMatrix:
 
 def verify_invariance(rep: ReflectionRep, gram: GramMatrix) -> bool:
     """Exact check: M^T G theta(M) = G for every generator, plus
-    theta-hermitian symmetry theta(G)^T = G.  M^T G and then (M^T G) theta(M)
-    read M^T and theta(M) only where they differ from I, with no assumption
-    on M (not even M^2 = I).  The zero matrix passes vacuously; callers
-    should treat it as degenerate, not as a form."""
-    ctx = rep.ctx
-    g = [list(row) for row in gram.entries]
+    theta-hermitian symmetry theta(G)^T = G.  A generator
+    M = I - e_s (x) c_s with c_ss = 2 (ReflectionRep.generator_rows) is an
+    involution, and so is theta(M), so the first is M^T G = G theta(M),
+    checked by linalg.intertwines.  The zero matrix passes vacuously;
+    callers should treat it as degenerate, not as a form."""
+    g = gram.entries
     theta = gram.theta
-    hermitian = linalg.mat_eq(linalg.transpose(theta.apply_matrix(g)), g)
-    if not hermitian:
-        return False
-    for mat in rep.generators:
-        mt = linalg.transpose(mat)
-        tm = theta.apply_matrix(mat)
-        left = linalg.near_identity_mul(ctx, mt, g)
-        if not linalg.mat_eq(linalg.mul_near_identity(ctx, left, tm), g):
-            return False
-    return True
+    rows = rep.generator_rows
+    return linalg.mat_eq(linalg.transpose(theta.apply_matrix(g)), g) and (
+        gram.is_zero() or linalg.intertwines(rep.ctx, rows, theta.apply_matrix(rows),
+                                             g, transposed=True))
 
 
 def gram_cartan_relation(rep: ReflectionRep, gram: GramMatrix) -> bool:
@@ -207,7 +203,7 @@ def gram_cartan_relation(rep: ReflectionRep, gram: GramMatrix) -> bool:
 def form_space_dimension(rep: ReflectionRep, theta: Automorphism,
                          gram: Optional[GramMatrix] = None) -> tuple[int, str]:
     """Dimension of the space of invariant theta-sesquilinear forms, and
-    the route that decided it (see linalg.intertwiner_dimension).
+    the route that decided it (see linalg.reduced_dimension).
 
     G is invariant when M^T G theta(M) = G for every generator M.  The
     generators are involutions, so theta(M)^2 = theta(M^2) = I and the
@@ -219,15 +215,20 @@ def form_space_dimension(rep: ReflectionRep, theta: Automorphism,
     form" verdict leaves the bounds apart, so the dimension falls back to
     exact elimination and still disagrees with the criterion.  A caller
     that has built that Gram matrix already passes it as `gram`; without
-    one the criterion runs here.
+    one the criterion runs here.  With M^T = I - c_s^T (x) e_s and
+    theta(M) = I - e_s (x) theta(c_s), G e_s = lambda_s c_s^T: n unknowns,
+    one row c_ts lambda_t - theta(c_st) lambda_s per s != t.  As c_ss = 2 is
+    a unit mod every odd prime, the nullity mod p, and so the route, is
+    that of the n^2-unknown system.
     """
-    gens = rep.generators
+    ctx = rep.ctx
     if gram is None and form_exists(rep, theta):
         gram = build_form(rep, theta)
-    return linalg.intertwiner_dimension(
-        rep.ctx, [linalg.transpose(m) for m in gens],
-        [theta.apply_matrix(m) for m in gens],
-        gram.entries if gram is not None else None)
+    rows = rep.generator_rows
+    moved = theta.apply_matrix(rows)
+    lower = int(gram is not None and
+                linalg.intertwines(ctx, rows, moved, gram.entries, transposed=True))
+    return linalg.reduced_dimension(ctx, linalg.transpose(rows), moved, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,9 @@ def dual_representation(rep: ReflectionRep) -> DualRep:
     primal's tree entries, and a tree-product ratio only at chords) and
     are accepted only by the exact check D_s B = B A'_s for every s, which
     fixes them since B is invertible; a failure raises AdaptedBasisMismatch.
+    It reads each A'_s from its row s once the other rows are checked to be
+    the identity's (linalg.generator_rows), and compares the rank-one
+    differences D_s - I and A'_s - I (linalg.intertwines).
     """
     ctx = rep.ctx
     n = rep.rank
@@ -324,8 +328,10 @@ def dual_representation(rep: ReflectionRep) -> DualRep:
     adapted = None
     if not degenerate:
         adapted = adapted_generators(rep, products)
+        adapted_rows = linalg.generator_rows(ctx, adapted)
         basis_cols = [[products[j] * rows[j][i] for j in range(n)] for i in range(n)]
-        if not linalg.is_intertwiner(ctx, duals, adapted, basis_cols):
+        if adapted_rows is None or not linalg.intertwines(
+                ctx, rep.generator_rows, adapted_rows, basis_cols, transposed=True):
             raise AdaptedBasisMismatch(
                 "adapted generators fail the exact check D_s B = B A'_s")
     return DualRep(rep, duals, tuple(tuple(r) for r in rows), products,

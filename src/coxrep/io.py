@@ -89,12 +89,6 @@ def matrix_to_json(m) -> list:
     return [[scalar_to_json(x) for x in row] for row in m]
 
 
-def matrix_from_json(ctx: FieldContext, obj: Any) -> list[list[FieldElement]]:
-    if not isinstance(obj, Sequence):
-        raise InputError("matrix must be a list of rows")
-    return [[scalar_from_json(ctx, v) for v in row] for row in obj]
-
-
 def diagram_from_json(obj: Any) -> Diagram:
     if not isinstance(obj, Mapping) or "m" not in obj:
         raise InputError('diagram document needs an "m" matrix')

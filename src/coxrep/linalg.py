@@ -12,34 +12,29 @@ diagonal inverse of cli's equiv).
 There are two product kernels.  near_identity_mul and mul_near_identity
 compute M A and A M as A + (M - I) A and A + A (M - I): they read only the
 nonzero entries of M - I, skip the zero entries of A, and make one field
-product and one sum per remaining term.  Every product with a generator,
-a product of generators or a pair power as one factor goes through them:
-a generator I - e_s (Cartan row s) differs from I in one row, a pair
-product in two, so the intertwining, invariance, square and pair-power
-checks and the word matrices cost a few terms per cell instead of n.
-Nothing is assumed of M: a dense M gives the same product, only slower.
+product and one sum per remaining term; nothing is assumed of M.  The
+squares of generators, the pair products rs, the unipotency check and
+the word matrices go through them.
 
 mat_mul is the dense kernel; in the commands only the Faddeev-LeVerrier
-sequence behind the determinant uses it, and the tests use it as the
-oracle of the near-identity kernel.  Each row of A and each column of B is
-brought to a common denominator, and each nonzero entry's integer
+sequence behind the determinant uses it.  Each row of A and each column of
+B is brought to a common denominator, and each nonzero entry's integer
 coordinates, up to its effective degree, are packed once into one Python
-int (Kronecker substitution): signed slots wide enough that no output
-coordinate, a sum over the inner dimension of coordinate convolutions, can
-overflow.  A rational entry packs to one slot; a zero entry is skipped.
-Each output cell is then one big-integer sum of products, unpacked and
-finished the way FieldElement.__mul__ finishes a product:
-FieldContext._reduce_product reduces it modulo the minimal polynomial, or
-pads it with zeros, and the FieldElement constructor normalizes it once.
-A term-by-term product would make one reduction, two normalizations and
-two elements per term.  The cells come out in the canonical (num, den)
-form, so the result is exactly the term-by-term one.
+int (Kronecker substitution), in signed slots wide enough that no output
+coordinate can overflow.  Each output cell is then one big-integer sum of
+products, reduced by FieldContext._reduce_product and normalized once, in
+the canonical (num, den) form: exactly the term-by-term product.
 
-One row builder serves every system A_s X = X B_s (commutant, intertwiners,
-invariant forms).  Its bases are exact.  Its dimensions are certified: the
-rank modulo a split prime bounds the dimension from above, an exactly
-checked witness bounds it from below, and exact elimination decides only
-when the two bounds stay apart.
+The systems A_s X = X B_s of the commands (commutant, invariant forms)
+have generators that differ from I in one row or one column, read by
+generator_rows, which checks that shape.  A_s - I and B_s - I are rank
+one, so intertwines checks a witness by one row and one column per s,
+and reduced_dimension solves n unknowns, not n^2.  Its dimensions are
+certified: the rank modulo a split prime bounds the dimension from
+above, an exactly checked witness from below, and exact elimination
+decides only when the two bounds stay apart.  The n^2-unknown rows
+(_sylvester_rows) give the exact bases of intertwiner_space, which the
+tests use as the reference.
 """
 
 from __future__ import annotations
@@ -392,17 +387,6 @@ def intertwiner_space(ctx: FieldContext, gens_a: Sequence[Matrix],
     return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in basis]
 
 
-def is_intertwiner(ctx: FieldContext, gens_a: Sequence[Matrix],
-                   gens_b: Sequence[Matrix], w: Matrix) -> bool:
-    """Exact check that w is nonzero and A_s w = w B_s for every s.  Both
-    sides go through the near-identity kernel, which reads A_s and B_s only
-    where they differ from I and decides the same equality for any A_s and
-    B_s."""
-    return not is_zero_matrix(w) and all(
-        mat_eq(near_identity_mul(ctx, a, w), mul_near_identity(ctx, w, b))
-        for a, b in zip(gens_a, gens_b))
-
-
 def _images_mod(mats: Sequence[Matrix], p: int, powers: Sequence[int]):
     """The matrices with each entry mapped to F_p by c -> c_p, or None when
     p divides a denominator."""
@@ -450,33 +434,79 @@ def _rank_mod(rows: Iterable[Sequence[int]], p: int, cap: int) -> int:
     return len(pivots)
 
 
-def intertwiner_dimension(ctx: FieldContext, gens_a: Sequence[Matrix],
-                          gens_b: Sequence[Matrix],
-                          witness: Optional[Matrix] = None) -> tuple[int, str]:
-    """Dimension of {g : A_s g = g B_s for all s}, and the route that
-    decided it: "mod <p>" or "exact".
+def generator_rows(ctx: FieldContext, mats: Sequence[Matrix]
+                   ) -> Optional[tuple[tuple[FieldElement, ...], ...]]:
+    """The rows y_s = -c_s of M_s = I + e_s (x) y_s, or None unless there are
+    n matrices, each I outside row s, with M_s[s][s] = -1 (y_ss = -2)."""
+    n, minus_two = len(mats), ctx.from_rational(-2)
+    eye = mat_freeze(identity(ctx, n))
+    if any(len(m) != n or m[s][s] != -1 or
+           any(tuple(row) != eye[i] for i, row in enumerate(m) if i != s)
+           for s, m in enumerate(mats)):
+        return None
+    return tuple(tuple(m[s][:s]) + (minus_two,) + tuple(m[s][s + 1:])
+                 for s, m in enumerate(mats))
 
-    The rank over F_p of the system intertwiner_space solves, for a split
-    prime p (FieldContext.modular_image), is at most its rank over the
-    field, so n^2 minus it bounds the dimension from above.  The witness,
-    accepted only after the exact check of is_intertwiner, bounds it from
-    below by 1; without one the lower bound is 0.  When the bounds meet
-    they give the dimension.  Otherwise one more prime is tried (primes
-    that divide a denominator are skipped), and then exact elimination
-    decides.
-    """
-    n = len(gens_a[0])
-    lower = int(witness is not None and is_intertwiner(ctx, gens_a, gens_b, witness))
+
+def intertwines(ctx: FieldContext, rows_a: Matrix, rows_b: Matrix, w: Matrix,
+                transposed: bool = False) -> bool:
+    """Exact check that w is nonzero and A_s w = w B_s for every s, for
+    B_s = I + e_s (x) b_s and A_s = I + e_s (x) a_s, or I + a_s (x) e_s when
+    `transposed`, with rows from generator_rows (entry s is -2).  Both sides
+    differ from w by rank one: u (x) r = k (x) b_s with k = w e_s, and
+    u = e_s, r = a_s w, or u = a_s, r = row s of w.  As u_s b_ss != 0, row
+    and column s decide it: u_s r = k_s b_s and r_s u = b_ss k give
+    u_s b_ss (u_i r_j - k_i b_sj) = 0 for all i, j."""
+    if is_zero_matrix(w):
+        return False
+    for s, (a, b) in enumerate(zip(rows_a, rows_b)):
+        k = [row[s] for row in w]
+        if transposed:
+            u, r = a, w[s]
+        else:
+            u = [ctx.one if i == s else ctx.zero for i in range(len(w))]
+            r = [sum((x * row[j] for x, row in zip(a, w) if x and row[j]), ctx.zero)
+                 for j in range(len(w))]
+        if any(u[s] * x != k[s] * y for x, y in zip(r, b)) or \
+                any(r[s] * x != b[s] * y for x, y in zip(u, k)):
+            return False
+    return True
+
+
+def reduced_dimension(ctx: FieldContext, pairing: Matrix, rows: Matrix,
+                      lower: int) -> tuple[int, str]:
+    """Dimension of {X : A_s X = X B_s for all s} and the route that
+    decided it, "mod <p>" or "exact", for A_s = I + u_s (x) v_s and
+    B_s = I + e_s (x) y_s, given pairing_st = v_s . u_t and rows_s = y_s.
+    With u_s and y_s nonzero, X e_s = lambda_s u_s and v_s X = lambda_s y_s:
+    n unknowns, one row pairing_st lambda_t - rows_st lambda_s per s != t
+    that is not zero (the callers' row s = t vanishes, as
+    pairing_ss = rows_ss = -2).  n minus the rank mod a split prime bounds
+    the dimension from above, `lower` (1 for a witness that passed
+    intertwines) from below; when they differ a second prime is tried (a
+    prime dividing a denominator is skipped), then exact elimination."""
+    n = len(rows)
+
+    def system(zero, pairing: Matrix, rows: Matrix) -> list[list]:
+        """The rows that are not zero, over the ring of `zero`; one zero row
+        when none is left, so the solvers still see the n unknowns."""
+        out = []
+        for s in range(n):
+            for t in range(n):
+                if s != t and (pairing[s][t] or rows[s][t]):
+                    out.append([zero] * n)
+                    out[-1][t], out[-1][s] = pairing[s][t], -rows[s][t]
+        return out or [[zero] * n]
+
     k = tried = 0
     while tried < 2:
         p, powers = ctx.modular_image(k)
         k += 1
-        images_a = _images_mod(gens_a, p, powers)
-        images_b = images_a if gens_b is gens_a else _images_mod(gens_b, p, powers)
-        if images_a is None or images_b is None:
+        images = _images_mod([rows] if pairing is rows else [pairing, rows], p, powers)
+        if images is None:
             continue
         tried += 1
-        rank_p = _rank_mod(_sylvester_rows(0, images_a, images_b), p, n * n - lower)
-        if n * n - rank_p == lower:
+        rank_p = _rank_mod(system(0, images[0], images[-1]), p, n - lower)
+        if n - rank_p == lower:
             return lower, f"mod {p}"
-    return nullity(ctx, _sylvester_rows(ctx.zero, gens_a, gens_b)), "exact"
+    return nullity(ctx, system(ctx.zero, pairing, rows)), "exact"

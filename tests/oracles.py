@@ -9,14 +9,18 @@ inversion per vertex that the adapted dual generators replaced, the
 `FieldElement` recurrence for cosines that `cos_element` replaced, the
 division form of the dual chord check, the matrix-vector route to the
 pair coefficients and the square-and-nullspace reflection test that the
-rank-one factorization replaced, and helpers only tests call: a
-generator's checked ReflectionData, the parse of a representation
-document's generator matrices, Horner evaluation of an IntPolynomial, a
-circuit's entry vertex and the full characteristic polynomial of a pair
-product."""
+rank-one factorization replaced, the routes the rank-one reductions
+replaced (is_intertwiner, the intertwining check by near-identity
+products; intertwiner_dimension, the certified dimension of the
+n^2-unknown system; matrix_order_check, the pair-order check by n x n
+matrix powers), and helpers only tests call: a generator's checked
+ReflectionData, the parse of a representation document's generator
+matrices, Horner evaluation of an IntPolynomial, a circuit's entry vertex
+and the full characteristic polynomial of a pair product."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -31,10 +35,16 @@ from coxrep.analysis import (
     is_reflection,
 )
 from coxrep.construction import ReflectionRep, cartan_matrix, conductor_for
-from coxrep.cyclotomic import DivisionByZero, FieldElement, IntPolynomial, field_context
+from coxrep.cyclotomic import (
+    DivisionByZero,
+    FieldElement,
+    IntPolynomial,
+    field_context,
+    prime_factors,
+)
 from coxrep.forms import tree_product
 from coxrep.graph import ChordCircuit, SpanningTree, chord_circuit
-from coxrep.io import matrix_from_json
+from coxrep.io import InputError, scalar_from_json
 
 
 def poly_divmod(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
@@ -224,6 +234,12 @@ def rep_matrices_from_json(obj) -> dict[str, list[list[FieldElement]]]:
             for name, mat in obj["generators"].items()}
 
 
+def matrix_from_json(ctx, obj) -> list[list[FieldElement]]:
+    if not isinstance(obj, (list, tuple)):
+        raise InputError("matrix must be a list of rows")
+    return [[scalar_from_json(ctx, v) for v in row] for row in obj]
+
+
 def evaluate(poly: IntPolynomial, x):
     """Horner evaluation; works for Fraction, float and FieldElement."""
     acc = None
@@ -294,3 +310,52 @@ def pair_coefficients_by_images(r: ReflectionData, s: ReflectionData
         return _coefficient_of(diff, data.directing)
 
     return coefficient(r, s), coefficient(s, r)
+
+
+def is_intertwiner(ctx, gens_a, gens_b, w) -> bool:
+    """Exact check that w is nonzero and A_s w = w B_s for every s, by the
+    two near-identity products of each s; nothing is assumed of A_s and
+    B_s."""
+    return not linalg.is_zero_matrix(w) and all(
+        linalg.mat_eq(linalg.near_identity_mul(ctx, a, w),
+                      linalg.mul_near_identity(ctx, w, b))
+        for a, b in zip(gens_a, gens_b))
+
+
+def intertwiner_dimension(ctx, gens_a, gens_b, witness=None) -> tuple[int, str]:
+    """Dimension of {g : A_s g = g B_s for all s} and the route that
+    decided it, from the n^2-unknown system: n^2 minus its rank modulo a
+    split prime bounds it from above, a witness passing is_intertwiner
+    from below by 1; a prime that divides a denominator is skipped, a
+    second prime is tried when the bounds stay apart, and then exact
+    elimination decides."""
+    n = len(gens_a[0])
+    lower = int(witness is not None and is_intertwiner(ctx, gens_a, gens_b, witness))
+    k = tried = 0
+    while tried < 2:
+        p, powers = ctx.modular_image(k)
+        k += 1
+        images_a = linalg._images_mod(gens_a, p, powers)
+        images_b = images_a if gens_b is gens_a else linalg._images_mod(gens_b, p, powers)
+        if images_a is None or images_b is None:
+            continue
+        tried += 1
+        rows = linalg._sylvester_rows(0, images_a, images_b)
+        if n * n - linalg._rank_mod(rows, p, n * n - lower) == lower:
+            return lower, f"mod {p}"
+    return linalg.nullity(ctx, linalg._sylvester_rows(ctx.zero, gens_a, gens_b)), "exact"
+
+
+def matrix_order_check(ctx, product, n: int) -> bool:
+    """product^n = I and product^(n/q) != I for each prime q | n, by
+    square-and-multiply over n x n near-identity products."""
+    squares = [product]
+    for _ in range(n.bit_length() - 1):
+        squares.append(linalg.near_identity_mul(ctx, squares[-1], squares[-1]))
+
+    def power(k: int):
+        return functools.reduce(functools.partial(linalg.near_identity_mul, ctx),
+                                [sq for i, sq in enumerate(squares) if k >> i & 1])
+
+    return linalg.is_identity(ctx, power(n)) and not any(
+        linalg.is_identity(ctx, power(n // q)) for q in prime_factors(n))

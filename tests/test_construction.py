@@ -21,7 +21,8 @@ from coxrep.construction import (
     root_change_intertwiner,
     tree_change_intertwiner,
 )
-from coxrep.cyclotomic import field_context
+from coxrep.cyclotomic import FieldElement, field_context
+from coxrep.forms import Automorphism, form_exists
 from coxrep.graph import spanning_tree, spanning_tree_from_edges, validate
 from coxrep import linalg
 
@@ -307,3 +308,34 @@ def test_generators_are_the_identity_but_row_s_on_the_corpus(suite_instances):
                     assert exact(gen[i][t]) == exact(ctx.from_coeffs(coords))
         assert [[exact(x) for x in row] for row in cartan_matrix(inst.rep).entries] == \
             [[exact(x) for x in row] for row in rows]
+
+
+def test_a_chord_scalar_is_inverted_once_per_parameter_system(monkeypatch):
+    # an irrational chord scalar on the 3-4-5 triangle: building, the form
+    # criterion and the Gram matrix all read its pair, and only the first
+    # read inverts it
+    diagram = validate([[1, 3, 4], [3, 1, 5], [4, 5, 1]])
+    tree = spanning_tree(diagram, 0)
+    base = geometric_parameters(tree)
+    ctx = base.ctx
+    chord = tree.chords[0]
+    l = 1 + base.alpha(diagram, *chord)
+    params = base.with_chord(chord, l)
+    expected = base.alpha(diagram, *chord) / l
+    calls = []
+    invert = FieldElement.invert
+
+    def counted(x):
+        calls.append(x)
+        return invert(x)
+
+    monkeypatch.setattr(FieldElement, "invert", counted)
+    assert params.chord_pair(diagram, *chord) == (l, expected)
+    assert params.chord_pair(diagram, *chord[::-1]) == (expected, l)
+    rep = build(tree, params)
+    theta = Automorphism.identity(ctx)
+    form_exists(rep, theta)
+    assert calls == [l]
+    other = params.with_chord(chord, 2 * l)
+    assert other.chord_pair(diagram, *chord) == (2 * l, expected * Fraction(1, 2))
+    assert calls == [l, 2 * l]

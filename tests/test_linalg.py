@@ -1,21 +1,38 @@
-"""The certified dimension route of the Sylvester kernel: a rank over F_p
-bounds the dimension from above, an exactly checked witness from below,
-and exact elimination decides when the bounds stay apart.  Also the product
-kernels: mat_mul against the term-by-term product, and the near-identity
-kernel against mat_mul."""
+"""The certified dimension route: a rank over F_p bounds the dimension from
+above, an exactly checked witness from below, and exact elimination decides
+when the bounds stay apart, by the n^2-unknown route of tests/oracles.py
+and by the n-unknown reduced_dimension, which must agree on dimension and
+route; the rank-one intertwining check against the near-identity products.
+Also the product kernels: mat_mul against the term-by-term product, and the
+near-identity kernel against mat_mul."""
 
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import evaluate
+from oracles import evaluate, intertwiner_dimension, is_intertwiner
 
+from conftest import _random_tree
 from coxrep import cyclotomic, linalg
 from coxrep.analysis import commutant_dimension
-from coxrep.construction import build, geometric_parameters, geometric_representation
+from coxrep.construction import (
+    build,
+    cartan_matrix,
+    geometric_parameters,
+    geometric_representation,
+    tree_change_intertwiner,
+)
 from coxrep.cyclotomic import field_context, is_prime
-from coxrep.forms import Automorphism, FormExistence, form_space_dimension
+from coxrep.forms import (
+    Automorphism,
+    FormExistence,
+    build_form,
+    dual_representation,
+    form_exists,
+    form_space_dimension,
+    involutive_automorphisms,
+)
 from coxrep.graph import spanning_tree, validate
 
 B3 = validate([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
@@ -95,9 +112,9 @@ def test_a_witness_that_fails_the_exact_check_is_rejected(witness):
     ctx = rep.ctx
     w = [[ctx.zero] * 3 for _ in range(3)] if witness == "zero" else \
         [[ctx.one if (i, j) == (0, 0) else ctx.zero for j in range(3)] for i in range(3)]
-    assert not linalg.is_intertwiner(ctx, rep.generators, rep.generators, w)
+    assert not is_intertwiner(ctx, rep.generators, rep.generators, w)
     # the lower bound stays 0 and the upper bound 1: exact elimination decides
-    assert linalg.intertwiner_dimension(ctx, rep.generators, rep.generators, w) == \
+    assert intertwiner_dimension(ctx, rep.generators, rep.generators, w) == \
         (1, "exact")
 
 
@@ -116,7 +133,7 @@ def test_an_unlucky_prime_moves_on_to_the_next(monkeypatch):
     ctx = field_context(1)
     use_split_primes_above(monkeypatch, ctx, 6)
     gens = diagonal_and_swap(ctx, 1, 8)
-    assert linalg.intertwiner_dimension(ctx, gens, gens, linalg.identity(ctx, 2)) == \
+    assert intertwiner_dimension(ctx, gens, gens, linalg.identity(ctx, 2)) == \
         (1, "mod 11")
 
 
@@ -124,7 +141,7 @@ def test_two_unlucky_primes_fall_back_to_exact_elimination(monkeypatch):
     ctx = field_context(1)
     use_split_primes_above(monkeypatch, ctx, 6)
     gens = diagonal_and_swap(ctx, 1, 1 + 7 * 11)
-    assert linalg.intertwiner_dimension(ctx, gens, gens, linalg.identity(ctx, 2)) == \
+    assert intertwiner_dimension(ctx, gens, gens, linalg.identity(ctx, 2)) == \
         (1, "exact")
 
 
@@ -149,10 +166,10 @@ def test_a_denominator_divisible_by_p_moves_on_to_the_next_prime():
     p1, p2, p3 = (ctx.modular_image(k)[0] for k in range(3))
     eye = linalg.identity(ctx, 2)
     gens = diagonal_and_swap(ctx, Fraction(1, p1), 1)
-    assert linalg.intertwiner_dimension(ctx, gens, gens, eye) == (1, f"mod {p2}")
+    assert intertwiner_dimension(ctx, gens, gens, eye) == (1, f"mod {p2}")
     # a skipped prime is not a try: past two skips the third prime decides
     gens = diagonal_and_swap(ctx, Fraction(1, p1 * p2), 1)
-    assert linalg.intertwiner_dimension(ctx, gens, gens, eye) == (1, f"mod {p3}")
+    assert intertwiner_dimension(ctx, gens, gens, eye) == (1, f"mod {p3}")
 
 
 def test_a_wrong_form_verdict_cannot_close_the_bounds(monkeypatch):
@@ -379,11 +396,199 @@ def test_is_intertwiner_rejects_a_relation_that_fails_for_one_generator(broken):
     rep = geometric_representation(B3, 1)
     ctx, gens = rep.ctx, rep.generators
     eye = linalg.identity(ctx, 3)
-    assert linalg.is_intertwiner(ctx, gens, gens, eye)
+    assert is_intertwiner(ctx, gens, gens, eye)
     # an entry off row s of generator s: the product is no longer I + one row
     other = [list(map(list, g)) for g in gens]
     other[broken][(broken + 1) % 3][broken] = ctx.from_rational(Fraction(1, 3))
-    assert not linalg.is_intertwiner(ctx, gens, other, eye)
-    assert not linalg.is_intertwiner(ctx, other, gens, eye)
-    assert linalg.is_intertwiner(ctx, other, other, eye)
+    assert not is_intertwiner(ctx, gens, other, eye)
+    assert not is_intertwiner(ctx, other, gens, eye)
+    assert is_intertwiner(ctx, other, other, eye)
 
+
+
+# -- the rank-one kernels against the n^2-unknown routes of tests/oracles.py --
+
+def _n2_dimensions(rep, theta, gram):
+    """The commutant and theta-form dimensions by the n^2-unknown route,
+    with the identity and the Gram matrix (or None) as witnesses."""
+    ctx, gens = rep.ctx, rep.generators
+    return (intertwiner_dimension(ctx, gens, gens, linalg.identity(ctx, rep.rank)),
+            intertwiner_dimension(ctx, [linalg.transpose(m) for m in gens],
+                                  [theta.apply_matrix(m) for m in gens],
+                                  gram.entries if gram is not None else None))
+
+
+def _assert_reduced_matches_n2(rep, theta):
+    gram = build_form(rep, theta) if form_exists(rep, theta) else None
+    reduced = (commutant_dimension(rep), form_space_dimension(rep, theta, gram))
+    assert reduced == _n2_dimensions(rep, theta, gram), (rep, theta)
+    return reduced
+
+
+def test_reduced_dimensions_match_the_n2_route_on_the_corpus(suite_instances):
+    # identity and the first nontrivial involution, where there is one
+    for inst in suite_instances:
+        for theta in involutive_automorphisms(inst.rep.ctx)[:2]:
+            _assert_reduced_matches_n2(inst.rep, theta)
+
+
+# chord scalars that are unlucky at, or have a denominator divisible by, the
+# small split primes forced below: 7, 13 and 19 for N = 6, 13, 37 and 61
+# for N = 12
+_UNLUCKY = [8, 1 + 7 * 13, 1 + 13, Fraction(1, 7), Fraction(1, 7 * 13), Fraction(1, 13),
+            1 + 13 * 37, Fraction(1, 13 * 37), 2, -1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([None, 6]), st.sampled_from(_UNLUCKY), st.integers(0, 2 ** 32))
+def test_reduced_dimensions_match_the_n2_route_at_forced_primes(floor, scalar, seed):
+    # a triangle or a 4-cycle of labels 3, 4 and 6; with floor 6 the split
+    # primes are the small ones the scalars are built around
+    rng = random.Random(seed)
+    rows = rng.choice([[[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+                       [[1, 3, 6], [3, 1, 4], [6, 4, 1]],
+                       [[1, 3, 2, 4], [3, 1, 3, 2], [2, 3, 1, 3], [4, 2, 3, 1]]])
+    tree = _random_tree(rng, validate(rows))
+    params = geometric_parameters(tree)
+    for chord in tree.chords:
+        l = params.ctx.from_rational(scalar) * params.chord_l[chord] \
+            if rng.random() < 0.5 else params.ctx.from_rational(scalar)
+        params = params.with_chord(chord, l)
+    rep = build(tree, params)
+    with pytest.MonkeyPatch.context() as mp:
+        if floor is not None:
+            use_split_primes_above(mp, rep.ctx, floor)
+        for theta in involutive_automorphisms(rep.ctx)[:2]:
+            _assert_reduced_matches_n2(rep, theta)
+
+
+@pytest.mark.parametrize("scalar, routes", [
+    (1 + 7 * 13, ("mod 7", "exact")),        # unlucky at 7 and 13
+    (8, ("mod 7", "mod 13")),                # unlucky at 7 only
+    (Fraction(1, 7), ("mod 13", "mod 13")),  # 7 divides a denominator
+    (Fraction(1, 7 * 13), ("mod 19", "mod 19")),
+])
+def test_unlucky_and_skipped_primes_give_the_n2_routes(monkeypatch, scalar, routes):
+    tree = spanning_tree(TRIANGLE, 0)
+    params = geometric_parameters(tree)
+    rep = build(tree, params.with_chord((1, 2), params.ctx.from_rational(scalar)))
+    use_split_primes_above(monkeypatch, rep.ctx, 6)
+    (commutant, form) = _assert_reduced_matches_n2(rep, Automorphism.identity(rep.ctx))
+    assert (commutant[1], form[1]) == routes
+    assert commutant[0] == 1 and form[0] == 0
+
+
+def _shaped(ctx, rows, transposed=False):
+    """I + e_s (x) rows[s] for each s, or I + rows[s]^T (x) e_s."""
+    out = []
+    for s, row in enumerate(rows):
+        m = linalg.identity(ctx, len(rows))
+        for j, x in enumerate(row):
+            i, k = (j, s) if transposed else (s, j)
+            m[i][k] = m[i][k] + x
+        out.append(m)
+    return out
+
+
+def _nonzero_entry(rng, ctx):
+    x = random_entry(rng, ctx)
+    return x if x else ctx.one
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 5, 12, 60]), st.integers(1, 4), st.booleans(),
+       st.sampled_from(["none", "none", "w", "diagonal", "row", "zero"]),
+       st.integers(0, 2 ** 32))
+def test_intertwines_matches_the_near_identity_products(conductor, n, transposed,
+                                                        change, seed):
+    # a solution by construction: w = diag(lambda) with b_st = a_st l_t / l_s,
+    # or (transposed) w = A^T diag(lambda) with b_st = l_t a_ts / l_s; then
+    # one entry of w, or of a row b_s off its diagonal, moves, or w is 0
+    ctx = field_context(conductor)
+    rng = random.Random(seed)
+    minus_two = ctx.from_rational(-2)
+    a = [[minus_two if j == s else random_entry(rng, ctx) for j in range(n)]
+         for s in range(n)]
+    lam = [_nonzero_entry(rng, ctx) for _ in range(n)]
+    inv = [x.invert() for x in lam]
+    if transposed:
+        w = [[lam[j] * a[j][i] for j in range(n)] for i in range(n)]
+        b = [[lam[t] * a[t][s] * inv[s] for t in range(n)] for s in range(n)]
+    else:
+        w = [[lam[i] if i == j else ctx.zero for j in range(n)] for i in range(n)]
+        b = [[a[s][t] * lam[t] * inv[s] for t in range(n)] for s in range(n)]
+    s, t = rng.randrange(n), rng.randrange(n)
+    if change in ("w", "diagonal"):
+        t = s if change == "diagonal" else t
+        w[s][t] = w[s][t] + _nonzero_entry(rng, ctx)
+    elif change == "row" and n > 1:
+        t = (s + 1 + rng.randrange(n - 1)) % n
+        b[s][t] = b[s][t] + _nonzero_entry(rng, ctx)
+    elif change == "zero":
+        w = [[ctx.zero] * n for _ in range(n)]
+    mats_a, mats_b = _shaped(ctx, a, transposed), _shaped(ctx, b)
+    expected = is_intertwiner(ctx, mats_a, mats_b, w)
+    assert linalg.generator_rows(ctx, mats_b) == tuple(map(tuple, b))
+    assert linalg.intertwines(ctx, a, b, w, transposed) == expected
+    if change == "none":
+        assert expected
+
+
+@pytest.mark.parametrize("entry", [(0, 0, 0), (0, 1, 0), (1, 0, 2), (2, 2, 1), (2, 1, 1)])
+def test_generator_rows_reject_any_entry_off_row_s_and_a_moved_diagonal(entry):
+    # the adapted dual generators of H3: a change on row s, off its
+    # diagonal, keeps the shape and fails the check; any other change
+    # loses the shape
+    rep = geometric_representation(H3, 1)
+    ctx = rep.ctx
+    dual = dual_representation(rep)
+    gens = [list(map(list, m)) for m in dual.adapted_generators]
+    basis = [[dual.scalings[j] * dual.adapted_rows[j][i] for j in range(3)]
+             for i in range(3)]
+    assert linalg.intertwines(ctx, rep.generator_rows,
+                              linalg.generator_rows(ctx, gens), basis, True)
+    s, i, j = entry
+    gens[s][i][j] = gens[s][i][j] + 1
+    assert not is_intertwiner(ctx, dual.dual_generators, gens, basis)
+    rows = linalg.generator_rows(ctx, gens)
+    if i == s and j != s:
+        assert not linalg.intertwines(ctx, rep.generator_rows, rows, basis, True)
+    else:
+        assert rows is None
+
+
+def test_a_transposed_generator_has_no_generator_rows():
+    rep = geometric_representation(B3, 1)
+    transposes = [linalg.transpose(m) for m in rep.generators]
+    assert linalg.generator_rows(rep.ctx, transposes) is None
+    assert linalg.generator_rows(rep.ctx, rep.generators[:2]) is None
+    assert linalg.generator_rows(rep.ctx, rep.generators) == \
+        tuple(tuple(-x for x in row) for row in cartan_matrix(rep).entries)
+
+
+def test_the_witness_checks_match_the_near_identity_products_on_the_corpus(suite_instances):
+    rng = random.Random(9)
+    for inst in suite_instances:
+        rep = inst.rep
+        ctx, gens, rows = rep.ctx, rep.generators, rep.generator_rows
+        eye = linalg.identity(ctx, rep.rank)
+        zero = [[ctx.zero] * rep.rank for _ in range(rep.rank)]
+        for w in (eye, zero, _shaped(ctx, rows)[0]):
+            assert linalg.intertwines(ctx, rows, rows, w) == is_intertwiner(ctx, gens, gens, w)
+        moved = tree_change_intertwiner(rep, _random_tree(rng, inst.diagram))
+        diagonal = moved.matrix
+        assert moved.verify() and is_intertwiner(ctx, gens, moved.target.generators, diagonal)
+        s = rng.randrange(rep.rank)
+        diagonal[s][s] = 2 * diagonal[s][s]
+        assert linalg.intertwines(ctx, rows, moved.target.generator_rows, diagonal) == \
+            is_intertwiner(ctx, gens, moved.target.generators, diagonal)
+        theta = involutive_automorphisms(ctx)[-1]
+        if form_exists(rep, theta):
+            gram = [list(row) for row in build_form(rep, theta).entries]
+            transposes = [linalg.transpose(m) for m in gens]
+            moved_gens = [theta.apply_matrix(m) for m in gens]
+            for change in (None, (s, s), (s, (s + 1) % rep.rank)):
+                if change:
+                    gram[change[0]][change[1]] = gram[change[0]][change[1]] + 1
+                assert linalg.intertwines(ctx, rows, theta.apply_matrix(rows), gram, True) \
+                    == is_intertwiner(ctx, transposes, moved_gens, gram)

@@ -4,10 +4,11 @@ the conjugation by linalg.inverse, the pair characteristic polynomials
 against Faddeev-LeVerrier (linalg.charpoly), the inverse of the diagonal
 equivalence intertwiner against linalg.inverse, the reflection test by an
 exact factorization against the square product and nullspace, the pair
-coefficients as dot products against the matrix-vector images, and word
+coefficients as dot products against the matrix-vector images, word
 traces read off the last factor's nonzero entries against the full word
-matrix."""
+matrix, and pair orders by 2 x 2 powers against n x n matrix powers."""
 
+import collections
 import itertools
 import json
 import random
@@ -20,13 +21,15 @@ from conftest import _random_tree
 from hypothesis import given, settings, strategies as st
 from oracles import (
     adapted_by_conjugation,
+    matrix_order_check,
     pair_char_poly,
     pair_coefficients_by_images,
     reflection_by_nullspace,
 )
 from test_linalg import random_entry
 
-from coxrep import forms, linalg
+from coxrep import analysis, forms, linalg
+from coxrep.cartanpoly import OrderClass
 from coxrep.analysis import (
     character_word_family,
     is_reflection,
@@ -359,3 +362,95 @@ def test_a_literal_beyond_the_digit_limit_exits_2_at_once(capsys, tmp_path, lite
     assert captured.err == (f"error: bad job input: rational literal {literal!r} "
                             f"has more than {sys.get_int_max_str_digits()} digits\n")
     assert elapsed < 1.0
+
+
+def test_pair_powers_match_the_matrix_powers_on_every_ordered_corpus_pair(suite_instances):
+    # the 2 x 2 powers of T = [[C - 1, -p], [q, -1]] against the n x n powers
+    # of rs, at the pair's label, at a non-multiple and at twice the label
+    agreed = set()
+    for inst in suite_instances:
+        ctx = inst.rep.ctx
+        reflections = [is_reflection(ctx, g) for g in inst.rep.generators]
+        for s, t in itertools.permutations(range(inst.diagram.rank), 2):
+            r_data, s_data = reflections[s], reflections[t]
+            p, q = pair_coefficients(r_data, s_data)
+            c = p * q
+            if c == 4:
+                continue
+            pair_matrix = ((c - 1, -p), (q, -ctx.one))
+            product = linalg.near_identity_mul(ctx, r_data.matrix, s_data.matrix)
+            m = inst.diagram.m[s][t]
+            for k in {m, m + 1, 2 * m}:
+                verdict = analysis._matrix_order_check(ctx, pair_matrix, k)
+                assert verdict == matrix_order_check(ctx, product, k), (inst.index, s, t, k)
+                agreed.add(verdict)
+    assert agreed == {True, False}
+
+
+def test_a_finite_class_with_coefficient_4_is_an_order_mismatch(monkeypatch):
+    # independent directing vectors with C = 4 (the affine A1 pair): W U is
+    # singular and T = [[3, -2], [2, -1]] is unipotent, so no power check on
+    # T may run; a classification claiming a finite order raises
+    ctx = field_context(1)
+    r = is_reflection(ctx, [[ctx.from_rational(x) for x in row] for row in [[-1, 2], [0, 1]]])
+    s = is_reflection(ctx, [[ctx.from_rational(x) for x in row] for row in [[1, 0], [2, -1]]])
+    assert pair_coefficients(r, s) == (2, 2)
+    assert product_analysis(r, s).order_class.kind == "unipotent"
+    product = linalg.near_identity_mul(ctx, r.matrix, s.matrix)
+    two_by_two = tuple(tuple(ctx.from_rational(x) for x in row) for row in [[3, -2], [2, -1]])
+    for k in range(1, 7):
+        assert analysis._matrix_order_check(ctx, two_by_two, k) is \
+            matrix_order_check(ctx, product, k) is False
+    monkeypatch.setattr(analysis, "classify_pair", lambda *args: OrderClass.finite(3))
+    with pytest.raises(analysis.OrderMismatch):
+        product_analysis(r, s)
+
+
+def test_no_command_returns_to_the_n2_routes(suite_instances, tmp_path, monkeypatch, capsys):
+    # verify and form build no n^2-unknown system, the order check multiplies
+    # no n x n matrices, and the intertwining checks of dual and equiv
+    # compare no matrices: they all go through linalg.intertwines
+    _, command_lines = _corpus_job(suite_instances, tmp_path)
+    # geometric K4 (three chords): an equivalent root change and a form
+    bundled = ["--diagram", "k4", "--root", "s1", "--format", "json"]
+    command_lines = [argv for argv in command_lines if argv[0] in ("dual", "verify")]
+    command_lines += [["equiv", "--root2", "s3"] + bundled, ["form", "--theta", "1"] + bundled]
+    counts = collections.Counter()
+    in_order_check = []
+
+    def counted(module, name, while_checking=False):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            if in_order_check:
+                counts["order check " + name] += 1
+            if while_checking:
+                in_order_check.append(True)
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    in_order_check.pop()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_sylvester_rows", "near_identity_mul", "mat_eq", "intertwines"):
+        counted(linalg, name)
+    counted(analysis, "_matrix_order_check", while_checking=True)
+    seen = {}
+    for argv in command_lines:
+        counts.clear()
+        capsys.readouterr()
+        assert main(argv) == 0
+        seen[argv[0]] = dict(counts)
+        if argv[0] in ("equiv", "form"):
+            document = json.loads(capsys.readouterr().out)
+            assert document.get("verdict", "equivalent") == "equivalent"
+            assert document.get("exists", True)
+    capsys.readouterr()
+    assert all(seen[c].get("intertwines", 0) >= 1 for c in seen)
+    assert seen["verify"]["_matrix_order_check"] >= 1
+    assert all(seen[c].get("_sylvester_rows", 0) == 0 for c in ("verify", "form"))
+    assert seen["verify"].get("order check near_identity_mul", 0) == 0
+    assert all(seen[c].get("mat_eq", 0) == 0 for c in ("dual", "equiv"))
