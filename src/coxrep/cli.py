@@ -42,6 +42,7 @@ from .forms import (
     form_exists,
     form_space_dimension,
     gram_cartan_relation,
+    gram_intertwines,
     verify_invariance,
 )
 from .graph import spanning_tree
@@ -207,7 +208,9 @@ def cmd_form(args) -> int:
         raise CliError(str(exc)) from exc
     existence = form_exists(rep, theta)
     gram = build_form(rep, theta) if existence else None
-    dimension, route = form_space_dimension(rep, theta, gram)
+    # the dimension's witness and invariance_verified share one exact check
+    intertwined = gram is not None and gram_intertwines(rep, gram)
+    dimension, route = form_space_dimension(rep, theta, gram, intertwined)
     document = {
         "theta": theta.index,
         "exists": bool(existence),
@@ -220,7 +223,7 @@ def cmd_form(args) -> int:
              f"invariant form exists: {bool(existence)} (dimension {dimension})",
              f"dimension route: {route}"]
     if existence:
-        invariant = verify_invariance(rep, gram)
+        invariant = verify_invariance(rep, gram, intertwined)
         document["gram"] = gram.entries
         document["invariance_verified"] = invariant
         lines.append("Gram matrix (root diagonal normalized to 2):")

@@ -1,23 +1,44 @@
 """Exact arithmetic in the real cyclotomic field Q(2*cos(2*pi/N)).
 
-Elements are rational coordinate vectors in the power basis of
-c = 2*cos(2*pi/N), reduced modulo the minimal polynomial psi of c.  Every
-operation is exact; floating point only enters through ``approximate``,
-which exists for display and cross-checking, never for decisions.  Every
-element is brought to canonical form in one place, the ``FieldElement``
-constructor, and every product of coordinate vectors is finished by one
-reduction, ``FieldContext._reduce_product``, a synthetic division by psi.
-psi is the field's only reduction data: ``FieldContext.modular_image``
-maps c to a root of psi mod p in F_p for split primes p, the ground of the
-modular rank bounds in ``linalg`` and of ``invert``, which inverts modulo
-(psi, p); the inverse, lifted p-adically and rationally reconstructed, is
-accepted only by the exact product.
+Elements are integer coordinate vectors over one positive denominator in
+the cosine basis {1, b_1, ..., b_(d-1)}, b_k = 2*cos(2*pi*k/N) and d the
+degree.  It is a Z-basis of the ring of integers Z[c], c = b_1, and
+unitriangular to the power basis of c: b_k = D_k(c) with D_k monic of
+degree k (D_0 = 2, D_1 = X, D_(k+1) = X D_k - D_(k-1)).  So the content,
+the denominator, rationality, the effective degree and the sign of the top
+coordinate are those of the power-basis coordinates, while small values
+keep small coordinates.  Every operation is exact; floating point only
+enters through ``approximate``, which exists for display and
+cross-checking, never for decisions.  Every element is brought to
+canonical form in one place, the ``FieldElement`` constructor.
+
+Read as a symmetric Laurent polynomial x = a_0 + sum a_k (z^k + z^-k) in a
+primitive N-th root of unity z, a product is one Kronecker-packed
+big-integer product (``_pack_symmetric``, ``_unpack``): its coefficient of
+z^m is the coordinate of b_m.  Each b_m with m >= d is folded back by
+``FieldContext._fold`` through a sparse integer table whose first row comes
+from the palindromic z^-d Phi_N(z) and whose later rows follow from
+b_(m+1) = b_1 b_m - b_(m-1), built only as far as it is read.
+``linalg.mat_mul`` reduces its cells through the same fold.  The Galois
+action sends b_k to b_(tk mod N), and 2*cos(2*pi*k/m) is a basis vector or
+a table row.
+
+The power basis is kept at the boundary only: ``from_coeffs`` (and so
+``io.scalar_from_json``) takes power-basis coordinates and ``power_num``
+(``io.scalar_to_json``, ``__str__``) gives them back, each conversion
+O(d) packed big-integer steps.  ``FieldContext.modular_image`` maps the
+basis to F_p for split primes p, the ground of the modular rank bounds in
+``linalg`` and of ``invert``, which inverts the power-basis image modulo
+(psi, p), lifts p-adically in the cosine basis and accepts the inverse
+only by the exact product.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -201,11 +222,11 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
 def minimal_poly_real_cyclotomic(n: int) -> IntPolynomial:
     """Monic integer polynomial whose roots are 2*cos(2*pi*k/n), gcd(k, n) = 1.
 
-    For n >= 3 the n-th cyclotomic polynomial is palindromic of even degree
-    2d, so z^-d * Phi_n(z) rewrites exactly as a degree-d polynomial in
-    y = z + 1/z; that polynomial is returned.  It is summed in integers
-    from the D_j with D_j(z + 1/z) = z^j + z^-j, by the three-term
-    recurrence D_0 = 2, D_1 = y, D_(j+1) = y*D_j - D_(j-1).
+    For n >= 3 the n-th cyclotomic polynomial a is palindromic of even
+    degree 2d, so z^-d * Phi_n(z) = a_d + sum a_(d+i) (z^i + z^-i) is the
+    element with cosine coordinates a_d, ..., a_2d, written in y = z + 1/z
+    by the power-basis conversion.  Field operations need only psi mod p
+    (FieldContext._psi_mod).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -217,17 +238,118 @@ def minimal_poly_real_cyclotomic(n: int) -> IntPolynomial:
     d = len(a) // 2
     assert len(a) == 2 * d + 1 and a == a[::-1], \
         "cyclotomic polynomial must be palindromic"
-    result = [a[d]] + [0] * d
-    prev, cur = [2], [0, 1]
-    for i in range(1, d + 1):
-        for k, v in enumerate(cur):
-            result[k] += a[d + i] * v
-        nxt = [0] + cur
-        for k, v in enumerate(prev):
-            nxt[k] -= v
-        prev, cur = cur, nxt
-    assert result[d] == 1
-    return IntPolynomial(result)
+    return IntPolynomial(_cosine_to_power(a[d:]))
+
+
+# ---------------------------------------------------------------------------
+# packed coordinates and the change of basis
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def _bias(step: int, count: int) -> int:
+    """2^(8 step - 1) in each of `count` slots of `step` bytes."""
+    return int.from_bytes((bytes(step - 1) + b"\x80") * count, "little")
+
+
+def _slot_bytes(bits: int) -> int:
+    """The bytes of a slot that holds any integer below 2^bits in size:
+    whole 64-bit words, so that one-word slots pass through `array`."""
+    return bits // 64 * 8 + 8
+
+
+def _little_endian(words: array) -> array:
+    """Machine words in little-endian byte order (swapped in place on a
+    big-endian host)."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _pack(slots: Sequence[int], step: int) -> int:
+    """Kronecker substitution: slot i of `step` bytes holds slots[i], each
+    below 2^(8 step - 1) in size."""
+    raw = _little_endian(array("q", slots)).tobytes() if step == 8 else \
+        b"".join([v.to_bytes(step, "little", signed=True) for v in slots])
+    bias = _bias(step, len(slots))
+    # a two's complement slot xor 2^(8 step - 1) is the slot plus that bias
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _pack_symmetric(coords: Sequence[int], step: int, length: int = 0) -> int:
+    """The packing of a_0 + sum a_k (z^k + z^-k): slot L - 1 + k holds
+    a_|k| for |k| < L = max(length, len(coords)), the coordinates past the
+    given ones zero."""
+    coords = [*coords, *(0,) * (length - len(coords))]
+    return _pack(coords[:0:-1] + coords, step)
+
+
+def _unpack(value: int, step: int, count: int, skip: int = 0) -> list[int]:
+    """Slots skip, ..., skip + count - 1 of `step` bytes of a packed value
+    that has no slots beyond them, each below 2^(8 step - 1) in size."""
+    value = (value + _bias(step, skip + count)) >> (8 * step * skip)
+    raw = (value ^ _bias(step, count)).to_bytes(step * count, "little")
+    if step == 8:
+        return _little_endian(array("q", raw)).tolist()
+    return [int.from_bytes(raw[o:o + step], "little", signed=True)
+            for o in range(0, step * count, step)]
+
+
+def _trimmed(coords: Sequence[int]) -> int:
+    """The number of coordinates up to the last nonzero one, at least 1."""
+    n = len(coords)
+    while n > 1 and not coords[n - 1]:
+        n -= 1
+    return n
+
+
+def _cosine_to_power(coords: Sequence[int], p: int = 0) -> list[int]:
+    """The power-basis coordinates of a_0 + sum a_k D_k(X), up to the last
+    nonzero one, or their residues mod a prime p, by Clenshaw's recurrence
+    on packed integers: y_k = a_k + X y_(k+1) - y_(k+2), the sum
+    a_0 + X y_1 - 2 y_2.  A slot of y_k is at most the sum of the sizes of
+    a_k and the slots of y_(k+1) and y_(k+2): below max |a_k| 2^(n+2) in
+    all, or, mod p, brought back below p once it could pass 2^(8 step - 4)."""
+    n = _trimmed(coords)
+    if p:
+        coords = [v % p for v in coords[:n]]
+    size = max(map(abs, coords[:n]))
+    step = _slot_bytes(2 * p.bit_length() if p else size.bit_length() + n + 2)
+    width = 8 * step
+    y1 = y2 = bound1 = bound2 = 0
+    for v in reversed(coords[1:n]):
+        y1, y2 = v + (y1 << width) - y2, y1
+        bound1, bound2 = size + bound1 + bound2, bound1
+        if p and bound1 >> (width - 4):
+            y1, y2 = (_pack([x % p for x in _unpack(y, step, n)], step) for y in (y1, y2))
+            bound1 = bound2 = p
+    out = _unpack(coords[0] + (y1 << width) - 2 * y2, step, n)
+    return [x % p for x in out] if p else out
+
+
+def _power_to_cosine(coeffs: Sequence[int], p: int = 0) -> list[int]:
+    """The cosine coordinates of sum p_k c^k, up to the last nonzero one,
+    or their residues mod a prime p, by Horner's rule on the symmetric
+    packing: multiplying by c = z + 1/z adds the packing shifted up one
+    slot to it shifted down (exactly: slot 0 stays empty until the last
+    step).  A slot at most doubles and gains max |p_k| per step: below
+    max |p_k| 2^n in all, or, mod p, brought back below p once it could
+    pass 2^(8 step - 3)."""
+    n = _trimmed(coeffs)
+    if p:
+        coeffs = [v % p for v in coeffs[:n]]
+    size = max(map(abs, coeffs[:n]))
+    step = _slot_bytes(2 * p.bit_length() if p else size.bit_length() + n)
+    width = 8 * step
+    unit = 1 << (width * (n - 1))           # z^0 sits in slot n - 1
+    v = bound = 0
+    for c in reversed(coeffs[:n]):
+        v = (v << width) + (v >> width) + c * unit
+        bound = 2 * bound + size
+        if p and bound >> (width - 3):
+            v = _pack_symmetric([x % p for x in _unpack(v, step, n, n - 1)], step, n)
+            bound = p
+    out = _unpack(v, step, n, n - 1)
+    return [x % p for x in out] if p else out
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +433,26 @@ class FieldContext:
         if n < 1:
             raise ValueError("conductor must be a positive integer")
         self.N = n
-        self.min_poly = minimal_poly_real_cyclotomic(n)
-        self.degree = self.min_poly.degree
-        assert self.degree == (euler_phi(n) // 2 if n > 2 else 1)
-        self._psi = self.min_poly.coeffs
-        # psi's nonzero terms below its leading 1; when 4 | N, -c is a
-        # conjugate of c, psi is even or odd, and half its terms are zero
-        self._psi_terms = tuple((i, v) for i, v in enumerate(self._psi[:-1]) if v)
-        # The caches keep integer coordinates, never a FieldElement: an
-        # element refers to its context, so one held here would make a
-        # reference cycle, and a context dropped from field_context's cache
-        # would then wait, caches and all, for the cycle collector.
+        self.degree = euler_phi(n) // 2 if n > 2 else 1
+        # The caches keep integers, never a FieldElement: an element refers
+        # to its context, so one held here would make a reference cycle,
+        # and a context dropped from field_context's cache would then wait,
+        # caches and all, for the cycle collector.
         self._zero_num = (0,) * self.degree            # coordinates of 0, 1
         self._one_num = (1,) + self._zero_num[1:]
-        self._cos_cache: list[tuple[int, ...]] = []     # 2cos(2 pi j/N), j < len
-        self._galois_pow_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._approx_cache: dict[int, object] = {}
+        # entry m - degree: the coordinates of b_m as (index, value) pairs
+        self._fold_rows: list[tuple[tuple[int, int], ...]] = []
+        self._psi_residues: dict[int, list[int]] = {}
+        self._approx_cache: dict[int, list[int]] = {}
         self._modular: list[tuple[int, tuple[int, ...]]] = []
 
     def __repr__(self) -> str:
         return f"FieldContext(N={self.N}, degree={self.degree})"
+
+    @property
+    def min_poly(self) -> IntPolynomial:
+        """The minimal polynomial psi of c, computed on demand."""
+        return minimal_poly_real_cyclotomic(self.N)
 
     # -- constructors -----------------------------------------------------
 
@@ -355,14 +477,14 @@ class FieldContext:
         if len(coeffs) > self.degree:
             raise ValueError("coordinate vector longer than field degree")
         den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        num = _power_to_cosine([c.numerator * (den // c.denominator) for c in coeffs] or [0])
         return FieldElement(self, num + [0] * (self.degree - len(num)), den)
 
     @property
     def generator(self) -> "FieldElement":
-        """The element c = 2*cos(2*pi/N): the coordinates of x reduced by
-        psi, which for degree 1 (N in {1, 2, 3, 4, 6}) is x - c."""
-        return FieldElement(self, tuple(self._reduce_product([0, 1])), 1, _normalized=True)
+        """The element c = 2*cos(2*pi/N), the basis vector b_1 (for degree
+        1, N in {1, 2, 3, 4, 6}, the rational c)."""
+        return self.cos_element(1, self.N)
 
     # -- special values ----------------------------------------------------
 
@@ -371,47 +493,95 @@ class FieldContext:
         if m < 1 or self.N % m != 0:
             raise NonDivisorOrder(f"order {m} does not divide conductor {self.N}")
         j = (k % m) * (self.N // m)
-        j = min(j, self.N - j) if j else 0  # cosine parity: 2cos(2pi j/N) = 2cos(2pi (N-j)/N)
-        cache = self._cos_cache
-        if j >= len(cache):
-            # three-term recurrence b_(i+1) = c b_i - b_(i-1) on the integer
-            # coordinates, resumed where the cache ends: multiplying by c
-            # shifts b_i up one place, and the one coordinate that leaves
-            # the basis is reduced by psi (for degree 1, psi = x - c); every
-            # value lies in Z[c], so its denominator is 1
-            if not cache:
-                cache += [(2,) + (0,) * (self.degree - 1), self.generator.num]
-            prev, cur = cache[-2:]
-            while len(cache) <= j:
-                shifted = [-prev[0], *(a - b for a, b in zip(cur, prev[1:])), cur[-1]]
-                prev, cur = cur, tuple(self._reduce_product(shifted))
-                cache.append(cur)
-        return FieldElement(self, cache[j], 1, _normalized=True)
-
-    def _reduce_product(self, conv: list[int]) -> list[int]:
-        """The `degree` coordinates of a coordinate convolution: a longer one
-        is reduced modulo the monic minimal polynomial psi (in place) by
-        synthetic division, a shorter one padded with zeros."""
+        j = min(j, self.N - j)  # cosine parity: 2cos(2pi j/N) = 2cos(2pi (N-j)/N)
         d = self.degree
-        terms = self._psi_terms
-        for top in range(len(conv) - 1, d - 1, -1):
-            co = conv[top]
-            if co:
-                low = top - d
-                for i, v in terms:
-                    conv[low + i] -= co * v
-        return conv[:d] + [0] * (d - len(conv))
+        num = [0] * d
+        if j >= d:
+            for i, v in self._rows(j)[j - d]:
+                num[i] = v
+        elif j:
+            num[j] = 1
+        else:
+            num[0] = 2
+        return FieldElement(self, tuple(num), 1, _normalized=True)
+
+    # -- the fold of b_m, m >= degree ------------------------------------------
+
+    def _rows(self, top: int) -> list[tuple[tuple[int, int], ...]]:
+        """The fold table, built as far as b_top: entry m - degree holds the
+        coordinates of b_m.  The first row is read off z^-d Phi_N(z) = 0,
+        b_d = -a_d - sum a_(d+i) b_i; each later row up to N/2 is
+        b_1 b_(m-1) - b_(m-2), with b_1 b_i = b_(i+1) + b_(i-1) and b_0 = 2;
+        beyond N/2, b_m = b_(N-m)."""
+        rows = self._fold_rows
+        d, n = self.degree, self.N
+
+        def basis(j):
+            return ((j, 1),) if j else ((0, 2),)
+
+        while len(rows) <= top - d:
+            m = d + len(rows)
+            if 2 * m > n:
+                rows.append(rows[n - m - d] if n - m >= d else basis(n - m))
+                continue
+            if not rows:
+                if n <= 2:
+                    rows.append(((0, -2),))          # N = 2: c = -2
+                else:
+                    a = cyclotomic_polynomial(n).coeffs
+                    rows.append(tuple((i, -a[d + i]) for i in range(d) if a[d + i]))
+                continue
+            terms = [(i - 1, v) if i > 1 else (0, 2 * v) for i, v in rows[-1] if i]
+            terms += [(i + 1, v) for i, v in rows[-1]]
+            terms += [(i, -v) for i, v in (rows[-2] if len(rows) > 1 else basis(d - 1))]
+            acc: dict[int, int] = {}
+            for i, v in terms:
+                if i < d:
+                    acc[i] = acc.get(i, 0) + v
+                else:                               # b_d
+                    for k, f in rows[0]:
+                        acc[k] = acc.get(k, 0) + v * f
+            rows.append(tuple((i, v) for i, v in sorted(acc.items()) if v))
+        return rows
+
+    def _fold(self, coeffs: list[int]) -> list[int]:
+        """The `degree` coordinates of sum coeffs[m] b_m, with coeffs[0] the
+        coordinate of 1: each b_m with m >= degree through its table row."""
+        d = self.degree
+        if len(coeffs) <= d:
+            return coeffs + [0] * (d - len(coeffs))
+        out = coeffs[:d]
+        rows = self._fold_rows
+        if len(rows) < len(coeffs) - d:
+            rows = self._rows(len(coeffs) - 1)
+        for v, row in zip(coeffs[d:], rows):
+            if v:
+                for i, f in row:
+                    out[i] += v * f
+        return out
+
+    def _product(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        """The coordinates of the product of two integral elements: one
+        packed product of their symmetric Laurent polynomials, whose
+        coefficients of z^0, z^1, ... are the coordinates of 1, b_1, ...,
+        then the fold."""
+        a, b = a[:_trimmed(a)], b[:_trimmed(b)]
+        top = len(a) + len(b) - 2
+        # a coefficient is at most (2 sum |a_k|)(2 sum |b_k|) in size
+        step = _slot_bytes(sum(map(abs, a)).bit_length() + sum(map(abs, b)).bit_length() + 2)
+        value = _pack_symmetric(a, step) * _pack_symmetric(b, step)
+        return self._fold(_unpack(value, step, top + 1, top))
 
     # -- reduction modulo split primes ---------------------------------------
 
     def modular_image(self, k: int) -> tuple[int, tuple[int, ...]]:
-        """The k-th split prime p (k = 0, 1, ...) and the powers c_p^i mod p,
-        i < degree, of the image c_p of c.
+        """The k-th split prime p (k = 0, 1, ...) and the images mod p of the
+        basis 1, b_1, ..., b_(degree-1).
 
         The primes are those above 2^31 with p = 1 (mod N), ascending.  F_p
-        then holds a primitive N-th root of unity z, and c_p = z + 1/z is a
-        root of the minimal polynomial mod p, so c -> c_p extends to a ring
-        map from the elements whose denominator p does not divide onto F_p.
+        then holds a primitive N-th root of unity z, and b_j -> z^j + z^-j
+        extends to a ring map from the elements whose denominator p does not
+        divide onto F_p: it sends c to c_p = z + 1/z, a root of psi mod p.
         """
         qs = prime_factors(self.N)
         while len(self._modular) <= k:
@@ -419,16 +589,22 @@ class FieldContext:
                                    else 2 ** 31)
             z = next(z for z in (pow(a, (p - 1) // self.N, p) for a in range(2, p))
                      if all(pow(z, self.N // q, p) != 1 for q in qs))
-            c = (z + pow(z, -1, p)) % p
-            value = 0
-            for coeff in reversed(self._psi):
-                value = (value * c + coeff) % p
-            assert value == 0, f"c_p is not a root of the minimal polynomial mod {p}"
-            powers = [1]
+            z_inv = pow(z, -1, p)
+            images, up, down = [1], 1, 1
             for _ in range(self.degree - 1):
-                powers.append(powers[-1] * c % p)
-            self._modular.append((p, tuple(powers)))
+                up, down = up * z % p, down * z_inv % p
+                images.append((up + down) % p)
+            self._modular.append((p, tuple(images)))
         return self._modular[k]
+
+    def _psi_mod(self, p: int) -> list[int]:
+        """The coefficients of psi mod p: the power-basis coordinates of
+        z^-d Phi_N(z), an element with cosine coordinates a_d, ..., a_2d."""
+        cached = self._psi_residues.get(p)
+        if cached is None:
+            a = cyclotomic_polynomial(self.N).coeffs
+            cached = self._psi_residues[p] = _cosine_to_power(a[self.degree:], p)
+        return cached
 
     # -- Galois action -----------------------------------------------------
 
@@ -447,42 +623,44 @@ class FieldContext:
             return 1
         return min(j, self.N - j)
 
-    def _galois_powers(self, j: int) -> tuple[tuple[int, ...], ...]:
-        """Integer coordinates of the powers 1, g, ..., g^(degree-1) of the
-        image g = 2*cos(2*pi*j/N) of c (g lies in Z[c])."""
-        j = self.galois_index(j)
-        cached = self._galois_pow_cache.get(j)
-        if cached is not None:
-            return cached
-        image = self.cos_element(j, self.N)
-        powers = [self.one]
-        for _ in range(self.degree - 1):
-            powers.append(powers[-1] * image)
-        self._galois_pow_cache[j] = tuple(g.num for g in powers)
-        return self._galois_pow_cache[j]
-
     def galois(self, j: int, x: "FieldElement") -> "FieldElement":
+        """The automorphism b_k -> b_(jk mod N), each image folded."""
         if x.ctx is not self:
             raise ContextMismatch("element belongs to a different context")
         j = self.galois_index(j)
         if j == 1 or x.is_rational():
             return x
-        num = [0] * self.degree
-        for v, power in zip(x.num, self._galois_powers(j)):
-            if v:
-                for i, w in enumerate(power):
-                    num[i] += v * w
+        n = self.N
+        images = [(v, min(j * k % n, n - j * k % n)) for k, v in enumerate(x.num) if v and k]
+        num = [x.num[0]] + [0] * (self.degree - 1)
+        rows = self._rows(max(m for _, m in images))
+        for v, m in images:
+            for i, f in rows[m - self.degree] if m >= self.degree else ((m, 1),):
+                num[i] += v * f
         return FieldElement(self, num, x.den)
 
     # -- numerics ----------------------------------------------------------
 
-    def _generator_approx(self, precision_bits: int):
+    def _cosines(self, precision_bits: int) -> list[int]:
+        """2^precision_bits times 1, b_1, ..., b_(degree-1), each within 2
+        of the exact value.  The recurrence b_(k+1) = c b_k - b_(k-1) runs
+        in integers with 2 log2(N) + 8 guard bits: an error made at one of
+        its fewer than N/2 steps reaches a later b_k at most
+        1/sin(2 pi/N) <= N/2 times over."""
         cached = self._approx_cache.get(precision_bits)
         if cached is None:
             import mpmath
 
-            with mpmath.workprec(precision_bits):
-                cached = 2 * mpmath.cos(2 * mpmath.pi / self.N)
+            guard = 2 * self.N.bit_length() + 8
+            scale = precision_bits + guard
+            with mpmath.workprec(scale + 16):
+                c = int(mpmath.floor(mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi / self.N),
+                                                  scale)))
+            prev, cur = 2 << scale, c
+            cached = [1 << precision_bits]
+            for _ in range(self.degree - 1):
+                cached.append(cur >> guard)
+                prev, cur = cur, ((c * cur) >> scale) - prev
             self._approx_cache[precision_bits] = cached
         return cached
 
@@ -501,8 +679,9 @@ class FieldElement:
     the one place that normalizes: it takes integer coordinates over any
     nonzero denominator.  `_normalized`, private to this module, skips that
     for values already in canonical form: integers, zero, one, the
-    generator, negations, cached cosines and the den-1 values of the p-adic
-    lift in `invert`.
+    generator, negations, cosines and the den-1 values of the p-adic lift in
+    `invert`.  `num` holds cosine-basis coordinates; `power_num` converts
+    them to the power basis.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -532,8 +711,16 @@ class FieldElement:
         return Fraction(self.num[0], self.den)
 
     def is_integral(self) -> bool:
-        """True when the element lies in Z[c] (integer power-basis coordinates)."""
+        """True when the element lies in Z[c] (integer coordinates)."""
         return self.den == 1
+
+    @property
+    def power_num(self) -> tuple[int, ...]:
+        """The integer power-basis coordinates of num (over den)."""
+        if self.is_rational():
+            return self.num
+        coeffs = _cosine_to_power(self.num)
+        return tuple(coeffs) + self.ctx._zero_num[len(coeffs):]
 
     @property
     def effective_degree(self) -> int:
@@ -593,17 +780,7 @@ class FieldElement:
                 return self.ctx.zero
             num = [q * v for v in b.num]
             return FieldElement(self.ctx, num, a.den * b.den)
-        da, db = a.effective_degree, b.effective_degree
-        conv = [0] * (da + db + 1)
-        bn = b.num
-        for i in range(da + 1):
-            av = a.num[i]
-            if av:
-                for j in range(db + 1):
-                    bv = bn[j]
-                    if bv:
-                        conv[i + j] += av * bv
-        return FieldElement(self.ctx, self.ctx._reduce_product(conv), a.den * b.den)
+        return FieldElement(self.ctx, self.ctx._product(a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -634,14 +811,15 @@ class FieldElement:
     def invert(self) -> "FieldElement":
         """Multiplicative inverse, found modulo a split prime and lifted.
 
-        With the element num/den, num in Z[c], num is inverted modulo
-        (psi, p) by an integer extended Euclid, for the first split prime p
-        of FieldContext.modular_image at which it is a unit.  Newton's
-        iteration y <- y(2 - num*y), each product reduced mod q, squares the
-        modulus q = p^(2^k) (von zur Gathen and Gerhard, Modern Computer
-        Algebra, ch. 9).  At each q, _reconstruct proposes num^-1 = u/D; it
-        is taken only when the exact product num*u equals D.  Z[c] is the
-        ring of integers, so D divides the norm of num, and a large enough q
+        With the element num/den, num in Z[c], the power-basis image of num
+        is inverted modulo (psi, p) by an integer extended Euclid, for the
+        first split prime p of FieldContext.modular_image at which it is a
+        unit, and brought back to the cosine basis.  Newton's iteration
+        y <- y(2 - num*y), each product reduced mod q, squares the modulus
+        q = p^(2^k) (von zur Gathen and Gerhard, Modern Computer Algebra,
+        ch. 9).  At each q, _reconstruct proposes num^-1 = u/D; it is taken
+        only when the exact product num*u equals D.  Z[c] is the ring of
+        integers, so D divides the norm of num, and a large enough q
         proposes the inverse: the loop ends, with no fallback.
         """
         if self.is_zero():
@@ -649,23 +827,23 @@ class FieldElement:
         if self.is_rational():
             return self.ctx.from_rational(1 / self.as_fraction())
         ctx = self.ctx
-
-        def integral(coords):
-            return FieldElement(ctx, tuple(coords), 1, _normalized=True)
-
-        num = integral(self.num)
+        num = self.num
         for k in itertools.count():
             q = ctx.modular_image(k)[0]
-            y = _inverse_mod(self.num, ctx._psi, q)
+            y = _inverse_mod(_cosine_to_power(num, q), ctx._psi_mod(q), q)
             if y is not None:
                 break
-        y = integral(y)
+        y = _power_to_cosine(y, q)
+        y += [0] * (ctx.degree - len(y))
         while True:
-            found = _reconstruct(y.num, q)
-            if found is not None and num * integral(found[0]) == found[1]:
+            found = _reconstruct(y, q)
+            if found is not None and \
+                    ctx._product(num, found[0]) == [found[1]] + [0] * (ctx.degree - 1):
                 return FieldElement(ctx, [v * self.den for v in found[0]], found[1])
             q *= q
-            y = integral(v % q for v in (y * integral(v % q for v in (2 - num * y).num)).num)
+            error = [-v % q for v in ctx._product(num, y)]
+            error[0] = (error[0] + 2) % q
+            y = [v % q for v in ctx._product(y, error)]
 
     # -- comparison / hashing -------------------------------------------------
 
@@ -684,20 +862,27 @@ class FieldElement:
     # -- numerics -------------------------------------------------------------
 
     def approximate(self, precision_bits: int = 53):
-        """Real approximation with |error| < 2^-precision_bits (mpmath float)."""
+        """Real approximation with |error| < 2^-precision_bits (mpmath float).
+
+        The sum of num times the context's fixed-point cosines is exact up
+        to 2 sum |num| units of its last place; the working precision grows
+        until that error is 2^-(precision_bits + 20) of the sum.
+        """
         import mpmath
 
-        # terms v_i * c^i reach 2^(bits(v) + degree) and may cancel
-        work = (precision_bits + 16 + self.ctx.degree.bit_length() * 4
-                + max(abs(v).bit_length() for v in self.num) + self.ctx.degree)
-        with mpmath.workprec(work):
-            cval = self.ctx._generator_approx(work)
-            acc = mpmath.mpf(0)
-            for v in reversed(self.num):
-                acc = acc * cval + v
-            acc = acc / self.den
+        num = self.num
+        error = 2 * sum(map(abs, num))
+        work = precision_bits + error.bit_length() + 20
+        while True:
+            work = -(-work // 64) * 64
+            acc = sum(v * b for v, b in zip(num, self.ctx._cosines(work)) if v)
+            if not acc and not error or abs(acc) >= error << (precision_bits + 20):
+                break
+            work += max(64, error.bit_length() + precision_bits + 20 - abs(acc).bit_length())
+        with mpmath.workprec(work + 64):
+            value = mpmath.ldexp(mpmath.mpf(acc), -work) / self.den
         with mpmath.workprec(precision_bits):
-            return +acc
+            return +value
 
     def __float__(self) -> float:
         if not self.is_rational():
@@ -714,8 +899,9 @@ class FieldElement:
 
     def __str__(self) -> str:
         terms = []
-        for i in range(len(self.num) - 1, -1, -1):
-            v = self.num[i]
+        num = self.power_num
+        for i in range(len(num) - 1, -1, -1):
+            v = num[i]
             if not v:
                 continue
             var = "" if i == 0 else ("c" if i == 1 else f"c^{i}")
@@ -729,6 +915,6 @@ class FieldElement:
         poly = "".join(terms)
         if self.den == 1:
             return poly
-        if len([v for v in self.num if v]) > 1:
+        if len([v for v in num if v]) > 1:
             return f"({poly})/{self.den}"
         return f"{poly}/{self.den}"

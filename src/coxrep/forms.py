@@ -171,19 +171,29 @@ def build_form(rep: ReflectionRep, theta: Automorphism) -> GramMatrix:
     return GramMatrix(linalg.mat_freeze(gram), theta)
 
 
-def verify_invariance(rep: ReflectionRep, gram: GramMatrix) -> bool:
+def gram_intertwines(rep: ReflectionRep, gram: GramMatrix) -> bool:
+    """Exact check that G is nonzero and M^T G = G theta(M) for every
+    generator M, by linalg.intertwines."""
+    rows = rep.generator_rows
+    return linalg.intertwines(rep.ctx, rows, gram.theta.apply_matrix(rows), gram.entries,
+                              transposed=True)
+
+
+def verify_invariance(rep: ReflectionRep, gram: GramMatrix,
+                      intertwined: Optional[bool] = None) -> bool:
     """Exact check: M^T G theta(M) = G for every generator, plus
     theta-hermitian symmetry theta(G)^T = G.  A generator
     M = I - e_s (x) c_s with c_ss = 2 (ReflectionRep.generator_rows) is an
     involution, and so is theta(M), so the first is M^T G = G theta(M),
-    checked by linalg.intertwines.  The zero matrix passes vacuously;
-    callers should treat it as degenerate, not as a form."""
+    the check of gram_intertwines; `intertwined` is its verdict when the
+    caller has it already.  The zero matrix passes vacuously; callers
+    should treat it as degenerate, not as a form."""
     g = gram.entries
-    theta = gram.theta
-    rows = rep.generator_rows
-    return linalg.mat_eq(linalg.transpose(theta.apply_matrix(g)), g) and (
-        gram.is_zero() or linalg.intertwines(rep.ctx, rows, theta.apply_matrix(rows),
-                                             g, transposed=True))
+    if not linalg.mat_eq(linalg.transpose(gram.theta.apply_matrix(g)), g):
+        return False
+    if gram.is_zero():
+        return True
+    return gram_intertwines(rep, gram) if intertwined is None else intertwined
 
 
 def gram_cartan_relation(rep: ReflectionRep, gram: GramMatrix) -> bool:
@@ -201,7 +211,8 @@ def gram_cartan_relation(rep: ReflectionRep, gram: GramMatrix) -> bool:
 
 
 def form_space_dimension(rep: ReflectionRep, theta: Automorphism,
-                         gram: Optional[GramMatrix] = None) -> tuple[int, str]:
+                         gram: Optional[GramMatrix] = None,
+                         intertwined: Optional[bool] = None) -> tuple[int, str]:
     """Dimension of the space of invariant theta-sesquilinear forms, and
     the route that decided it (see linalg.reduced_dimension).
 
@@ -214,21 +225,22 @@ def form_space_dimension(rep: ReflectionRep, theta: Automorphism,
     "form" verdict therefore cannot raise the lower bound, and a wrong "no
     form" verdict leaves the bounds apart, so the dimension falls back to
     exact elimination and still disagrees with the criterion.  A caller
-    that has built that Gram matrix already passes it as `gram`; without
-    one the criterion runs here.  With M^T = I - c_s^T (x) e_s and
-    theta(M) = I - e_s (x) theta(c_s), G e_s = lambda_s c_s^T: n unknowns,
-    one row c_ts lambda_t - theta(c_st) lambda_s per s != t.  As c_ss = 2 is
-    a unit mod every odd prime, the nullity mod p, and so the route, is
-    that of the n^2-unknown system.
+    that has built that Gram matrix already passes it as `gram`, and the
+    verdict of gram_intertwines on it as `intertwined` when it has that;
+    without a Gram matrix the criterion runs here.  With
+    M^T = I - c_s^T (x) e_s and theta(M) = I - e_s (x) theta(c_s),
+    G e_s = lambda_s c_s^T: n unknowns, one row
+    c_ts lambda_t - theta(c_st) lambda_s per s != t.  As c_ss = 2 is a unit
+    mod every odd prime, the nullity mod p, and so the route, is that of the
+    n^2-unknown system.
     """
-    ctx = rep.ctx
     if gram is None and form_exists(rep, theta):
         gram = build_form(rep, theta)
+    if intertwined is None:
+        intertwined = gram is not None and gram_intertwines(rep, gram)
     rows = rep.generator_rows
-    moved = theta.apply_matrix(rows)
-    lower = int(gram is not None and
-                linalg.intertwines(ctx, rows, moved, gram.entries, transposed=True))
-    return linalg.reduced_dimension(ctx, linalg.transpose(rows), moved, lower)
+    return linalg.reduced_dimension(rep.ctx, linalg.transpose(rows),
+                                    theta.apply_matrix(rows), int(intertwined))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """JSON schemas for diagrams, parameters, scalars and matrices.
 
-Exact scalars serialize as rational coordinate vectors over a denominator,
-with the conductor carried in the enclosing document; an "approx" float is
-attached for human readability but never parsed back.  `scalar_to_json`
+Exact scalars serialize as rational coordinate vectors over a denominator
+in the power basis of c = 2cos(2pi/N), with the conductor carried in the
+enclosing document.  Records keep the power basis; field elements compute
+in the cosine basis and are converted at this boundary only
+(`FieldElement.power_num` out, `FieldContext.from_coeffs` in).  An
+"approx" float is attached for human readability but never parsed back.  `scalar_to_json`
 makes that record.  The CLI's documents, `rep_to_json` and
 `params_to_json` among them, hold field elements as they are, and
 `cli._json_text` makes each distinct one into a record once per document;
@@ -34,7 +37,7 @@ class InputError(ValueError):
 def scalar_to_json(x: FieldElement) -> dict:
     top = x.effective_degree
     return {
-        "num": list(x.num[:top + 1]),
+        "num": list(x.power_num[:top + 1]),
         "den": x.den,
         "approx": float(x),
     }

@@ -19,11 +19,13 @@ the word matrices go through them.
 mat_mul is the dense kernel; in the commands only the Faddeev-LeVerrier
 sequence behind the determinant uses it.  Each row of A and each column of
 B is brought to a common denominator, and each nonzero entry's integer
-coordinates, up to its effective degree, are packed once into one Python
-int (Kronecker substitution), in signed slots wide enough that no output
-coordinate can overflow.  Each output cell is then one big-integer sum of
-products, reduced by FieldContext._reduce_product and normalized once, in
-the canonical (num, den) form: exactly the term-by-term product.
+cosine coordinates are packed once into one Python int as a symmetric
+Laurent polynomial (cyclotomic._pack_symmetric, Kronecker substitution),
+in signed slots wide enough that no output coefficient can overflow.  Each
+output cell is then one big-integer sum of products, whose coefficients of
+z^0, z^1, ... are the coordinates of 1, b_1, ..., folded by
+FieldContext._fold and normalized once, in the canonical (num, den) form:
+exactly the term-by-term product.
 
 The systems A_s X = X B_s of the commands (commutant, invariant forms)
 have generators that differ from I in one row or one column, read by
@@ -44,7 +46,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import FieldContext, FieldElement
+from .cyclotomic import FieldContext, FieldElement, _pack_symmetric, _slot_bytes, _unpack
 
 Matrix = Sequence[Sequence[FieldElement]]
 
@@ -76,17 +78,9 @@ def _over_common_denominator(entries: Iterable[FieldElement]
     return den, scaled
 
 
-def _pack(coords: Sequence[int], width: int) -> int:
-    """Kronecker substitution: the coordinates as signed slots of `width` bits."""
-    acc = 0
-    for v in reversed(coords):
-        acc = (acc << width) + v
-    return acc
-
-
 def mat_mul(ctx: FieldContext, a: Matrix, b: Matrix) -> list[list[FieldElement]]:
     """The product A B: each cell one integer sum of packed products,
-    reduced and normalized once (see the module docstring)."""
+    folded and normalized once (see the module docstring)."""
     rows = [_over_common_denominator(row) for row in a]
     cols = [_over_common_denominator(col) for col in zip(*b)]
     coords_a = [c for _, row in rows for _, c in row]
@@ -95,40 +89,25 @@ def mat_mul(ctx: FieldContext, a: Matrix, b: Matrix) -> list[list[FieldElement]]
     len_b = max(map(len, coords_b), default=1)
     bits_a = max(map(abs, chain.from_iterable(coords_a)), default=0).bit_length()
     bits_b = max(map(abs, chain.from_iterable(coords_b)), default=0).bit_length()
-    # a cell coordinate sums at most len(b) * min(len_a, len_b) products,
-    # each below 2^(bits_a + bits_b) in size: it fits a signed slot of
-    # `width` bits, which is rounded up to whole bytes for unpacking
-    width = bits_a + bits_b + (len(b) * min(len_a, len_b)).bit_length() + 1
-    step = -(-width // 8)
-    width = 8 * step
+    # a cell coefficient sums at most len(b) * (2 min(len_a, len_b) - 1)
+    # products, each below 2^(bits_a + bits_b) in size
+    step = _slot_bytes(bits_a + bits_b + (len(b) * (2 * min(len_a, len_b) - 1)).bit_length())
     packed_b: list[list[tuple[int, int]]] = [[] for _ in b]
     for j, (_, col) in enumerate(cols):
         for t, c in col:
-            packed_b[t].append((j, _pack(c, width)))
-    slots = len_a + len_b - 1
-    size = slots * step
-    half = 1 << (width - 1)
-    # adding half to every slot makes them all nonnegative, so the bytes of
-    # the sum give the slots directly
-    bias = half * ((1 << (width * slots)) - 1) // ((1 << width) - 1)
+            packed_b[t].append((j, _pack_symmetric(c, step, len_b)))
+    center = len_a + len_b - 2             # the slot of z^0 in a product
     zero = ctx.zero
     out = []
     for den_a, row in rows:
         acc = [0] * len(cols)
         for t, c in row:
-            pa = _pack(c, width)
+            pa = _pack_symmetric(c, step, len_a)
             for j, pb in packed_b[t]:
                 acc[j] += pa * pb
-        cells = []
-        for (den_b, _), v in zip(cols, acc):
-            if not v:
-                cells.append(zero)
-                continue
-            raw = (v + bias).to_bytes(size, "little")
-            conv = [int.from_bytes(raw[o:o + step], "little") - half
-                    for o in range(0, size, step)]
-            cells.append(FieldElement(ctx, ctx._reduce_product(conv), den_a * den_b))
-        out.append(cells)
+        out.append([FieldElement(ctx, ctx._fold(_unpack(v, step, center + 1, center)),
+                                 den_a * den_b) if v else zero
+                    for (den_b, _), v in zip(cols, acc)])
     return out
 
 
@@ -387,9 +366,10 @@ def intertwiner_space(ctx: FieldContext, gens_a: Sequence[Matrix],
     return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in basis]
 
 
-def _images_mod(mats: Sequence[Matrix], p: int, powers: Sequence[int]):
-    """The matrices with each entry mapped to F_p by c -> c_p, or None when
-    p divides a denominator."""
+def _images_mod(mats: Sequence[Matrix], p: int, images: Sequence[int]):
+    """The matrices with each entry mapped to F_p by the ring map that sends
+    the basis to `images` (FieldContext.modular_image), or None when p
+    divides a denominator."""
     out = []
     for m in mats:
         image = []
@@ -398,7 +378,7 @@ def _images_mod(mats: Sequence[Matrix], p: int, powers: Sequence[int]):
             for x in row:
                 if x.den % p == 0:
                     return None
-                v = sum(a * b for a, b in zip(x.num, powers) if a)
+                v = sum(a * b for a, b in zip(x.num, images) if a)
                 cells.append(v * pow(x.den, -1, p) % p if x.den != 1 else v % p)
             image.append(cells)
         out.append(image)
@@ -500,9 +480,9 @@ def reduced_dimension(ctx: FieldContext, pairing: Matrix, rows: Matrix,
 
     k = tried = 0
     while tried < 2:
-        p, powers = ctx.modular_image(k)
+        p, basis = ctx.modular_image(k)
         k += 1
-        images = _images_mod([rows] if pairing is rows else [pairing, rows], p, powers)
+        images = _images_mod([rows] if pairing is rows else [pairing, rows], p, basis)
         if images is None:
             continue
         tried += 1

@@ -1,5 +1,9 @@
-"""Reference routes kept as test oracles: the extended Euclid over Fraction
-lists that `FieldElement.invert` replaced, polynomial division with
+"""Reference routes kept as test oracles: the power-basis arithmetic that
+the cosine basis of `coxrep.cyclotomic` replaced (the schoolbook product
+reduced by psi through synthetic division, the Galois action by powers of
+an image, the p-adic inverse on power-basis coordinates, the cosine walk,
+and the image of c modulo a split prime), the extended Euclid over
+Fraction lists that `FieldElement.invert` replaced, polynomial division with
 remainder by a monic polynomial, the circuit formula for the geometric
 chord scalars that `geometric_parameters` replaced, the pairwise inner-chord
 scan that `circuit_trace` replaced, the equivalence decision by traces
@@ -24,7 +28,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from coxrep import linalg
+from coxrep import cyclotomic, linalg
 from coxrep.analysis import (
     EquivalenceVerdict,
     ReflectionData,
@@ -75,7 +79,7 @@ def euclid_inverse(x: FieldElement) -> FieldElement:
     if x.is_rational():
         return x.ctx.from_rational(1 / x.as_fraction())
     r0 = [Fraction(c) for c in x.ctx.min_poly.coeffs]
-    r1 = [Fraction(v) for v in x.num]
+    r1 = [Fraction(v) for v in x.power_num]
     while r1 and r1[-1] == 0:
         r1.pop()
     t0: list[Fraction] = []
@@ -176,17 +180,128 @@ def adapted_by_conjugation(rep: ReflectionRep) -> tuple:
 
 
 def cosines_by_field_recurrence(ctx, j: int) -> list[tuple[int, ...]]:
-    """The integer coordinates of 2cos(2 pi i/N) for i <= j, by the
-    three-term recurrence b_(i+1) = c b_i - b_(i-1) in full field
+    """The integer power-basis coordinates of 2cos(2 pi i/N) for i <= j, by
+    the three-term recurrence b_(i+1) = c b_i - b_(i-1) in full field
     arithmetic."""
     c = ctx.from_rational(-ctx.min_poly.coeffs[0]) if ctx.degree == 1 \
         else ctx.from_coeffs([0, 1])
     prev, cur = ctx.from_rational(2), c
-    out = [prev.num, cur.num]
+    out = [prev.power_num, cur.power_num]
     while len(out) <= j:
         prev, cur = cur, c * cur - prev
-        out.append(cur.num)
+        out.append(cur.power_num)
     return out[:j + 1]
+
+
+# -- the power-basis arithmetic that the cosine basis replaced ---------------
+
+def convolve(a, b) -> list[int]:
+    """The schoolbook product of two coordinate vectors."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
+def reduce_product(ctx, conv: list[int]) -> list[int]:
+    """The `degree` power-basis coordinates of a coordinate convolution: a
+    longer one is reduced modulo the monic minimal polynomial psi (in
+    place) by synthetic division, a shorter one padded with zeros."""
+    d = ctx.degree
+    terms = [(i, v) for i, v in enumerate(ctx.min_poly.coeffs[:-1]) if v]
+    for top in range(len(conv) - 1, d - 1, -1):
+        co = conv[top]
+        if co:
+            low = top - d
+            for i, v in terms:
+                conv[low + i] -= co * v
+    return conv[:d] + [0] * (d - len(conv))
+
+
+def _from_power(ctx, num, den: int = 1) -> FieldElement:
+    return ctx.from_coeffs([Fraction(v, den) for v in num])
+
+
+def power_product(x: FieldElement, y: FieldElement) -> FieldElement:
+    """x * y as the schoolbook product of power-basis coordinates reduced
+    by psi."""
+    conv = convolve(x.power_num, y.power_num)
+    return _from_power(x.ctx, reduce_product(x.ctx, conv), x.den * y.den)
+
+
+def power_cosines(ctx, j: int) -> list[tuple[int, ...]]:
+    """The power-basis coordinates of 2cos(2 pi i/N) for i <= j, by the
+    walk b_(i+1) = c b_i - b_(i-1) on integer coordinates: multiplying by
+    c shifts b_i up one place, and the one coordinate that leaves the
+    basis is reduced by psi."""
+    d = ctx.degree
+    out = [(2,) + (0,) * (d - 1), tuple(reduce_product(ctx, [0, 1]))]
+    while len(out) <= j:
+        prev, cur = out[-2:]
+        shifted = [-prev[0], *(a - b for a, b in zip(cur, prev[1:])), cur[-1]]
+        out.append(tuple(reduce_product(ctx, shifted)))
+    return out[:j + 1]
+
+
+def power_cos_element(ctx, k: int, m: int) -> FieldElement:
+    """2cos(2 pi k/m), m | N, read off the power-basis walk."""
+    j = (k % m) * (ctx.N // m)
+    j = min(j, ctx.N - j)
+    return _from_power(ctx, power_cosines(ctx, j)[j])
+
+
+def power_galois(ctx, j: int, x: FieldElement) -> FieldElement:
+    """sigma_j(x) = sum p_i g^i for the power-basis coordinates p_i of x and
+    g = 2cos(2 pi j/N), the powers of g by power-basis products."""
+    j = ctx.galois_index(j)
+    g = power_cosines(ctx, j)[j]
+    powers = [(1,) + (0,) * (ctx.degree - 1)]
+    for _ in range(ctx.degree - 1):
+        powers.append(tuple(reduce_product(ctx, convolve(powers[-1], g))))
+    num = [sum(v * power[i] for v, power in zip(x.power_num, powers))
+           for i in range(ctx.degree)]
+    return _from_power(ctx, num, x.den)
+
+
+def power_invert(x: FieldElement) -> FieldElement:
+    """The inverse found on power-basis coordinates: inverted modulo
+    (psi, p) at the first split prime where it is a unit, Newton-lifted
+    with products reduced by psi, and accepted by the exact product."""
+    if x.is_zero():
+        raise DivisionByZero("cannot invert zero")
+    if x.is_rational():
+        return x.ctx.from_rational(1 / x.as_fraction())
+    ctx = x.ctx
+    d = ctx.degree
+    num = list(x.power_num)
+
+    def mul(a, b):
+        return reduce_product(ctx, convolve(a, b))
+
+    for k in itertools.count():
+        q = ctx.modular_image(k)[0]
+        y = cyclotomic._inverse_mod(num, ctx.min_poly.coeffs, q)
+        if y is not None:
+            break
+    y = list(y)
+    while True:
+        found = cyclotomic._reconstruct(y, q)
+        if found is not None and mul(num, list(found[0])) == [found[1]] + [0] * (d - 1):
+            return _from_power(ctx, [v * x.den for v in found[0]], found[1])
+        q *= q
+        error = [-v % q for v in mul(num, y)]
+        error[0] = (error[0] + 2) % q
+        y = [v % q for v in mul(y, error)]
+
+
+def power_image(ctx, k: int, x: FieldElement) -> int:
+    """x mod the k-th split prime p through c -> c_p, on power-basis
+    coordinates: sum p_i c_p^i / den."""
+    p, images = ctx.modular_image(k)
+    c = images[1] if ctx.degree > 1 else -ctx.min_poly.coeffs[0]
+    return sum(v * pow(c, i, p) for i, v in enumerate(x.power_num)) * pow(x.den, -1, p) % p
 
 
 def adapted_by_inversions(rep: ReflectionRep) -> tuple:

@@ -114,6 +114,25 @@ def test_form_b3_root_s3(capsys):
     assert doc["diag_cartan_factorization"] is True
 
 
+def test_form_checks_the_gram_matrix_once(capsys, monkeypatch):
+    # the dimension's witness and invariance_verified share one exact
+    # intertwining check of the Gram matrix
+    from coxrep import linalg
+
+    calls = []
+    real = linalg.intertwines
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "intertwines", spy)
+    code, doc, _ = run_json(capsys, "form", "--diagram", "k4", "--root", "s1")
+    assert code == 0 and doc["exists"] and doc["dimension"] == 1
+    assert doc["invariance_verified"] is True
+    assert len(calls) == 1
+
+
 def test_form_unbalanced_chord_obstruction(capsys, tmp_path):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"chords": {"s2-s3": 7}}))

@@ -304,7 +304,7 @@ def test_generators_are_the_identity_but_row_s_on_the_corpus(suite_instances):
                     coords = [Fraction(int(i == t))] + [Fraction(0)] * (ctx.degree - 1)
                     if i == s:
                         c = rows[s][t]
-                        coords = [a - Fraction(v, c.den) for a, v in zip(coords, c.num)]
+                        coords = [a - Fraction(v, c.den) for a, v in zip(coords, c.power_num)]
                     assert exact(gen[i][t]) == exact(ctx.from_coeffs(coords))
         assert [[exact(x) for x in row] for row in cartan_matrix(inst.rep).entries] == \
             [[exact(x) for x in row] for row in rows]

@@ -21,7 +21,7 @@ from coxrep.cyclotomic import (
     minimal_poly_real_cyclotomic,
 )
 
-from oracles import euclid_inverse, evaluate, poly_divmod
+from oracles import euclid_inverse, evaluate, poly_divmod, reduce_product
 from test_linalg import use_split_primes_above
 
 
@@ -369,17 +369,18 @@ def test_invert_moves_on_from_a_prime_where_the_element_is_no_unit(monkeypatch):
 
 
 def test_invert_rejects_a_reconstruction_that_fails_the_exact_product(monkeypatch):
-    # modulo 29 the residues of the inverse of c^2 - 3c - 3 at N = 7 pass as
-    # (4 - 4c + 3c^2)/1, which the exact product refutes; the lift goes on
+    # modulo 29 the cosine coordinates of the inverse of -c^2 - 3c - 4 at
+    # N = 7 pass as (8 - 4 b_1)/1, which the exact product refutes; the lift
+    # goes on
     ctx = field_context(7)
     use_split_primes_above(monkeypatch, ctx, 10)
     proposals = _record(monkeypatch, "_reconstruct")
-    x = ctx.from_coeffs([-3, -3, 1])
+    x = ctx.from_coeffs([-4, -3, -1])
     inverse = x.invert()
     assert _exact(inverse) == _exact(euclid_inverse(x))
     (_, q), proposal = proposals[0]
-    assert q == 29 and proposal == ((4, -4, 3), 1)
-    assert x * ctx.from_coeffs([4, -4, 3]) != 1
+    assert q == 29 and proposal == ((8, -4, 0), 1)
+    assert x * (8 - 4 * ctx.generator) != 1
     assert proposals[-1][1] == (inverse.num, inverse.den)
 
 
@@ -417,7 +418,7 @@ def test_reduce_product_is_the_remainder_by_psi(n):
         conv = [rng.choice([top, -top, 0, rng.randint(-top, top)]) for _ in range(length)]
         _, remainder = poly_divmod(IntPolynomial(conv), ctx.min_poly)
         expected = list(remainder.coeffs) + [0] * (d - len(remainder.coeffs))
-        assert ctx._reduce_product(list(conv)) == expected, (n, length)
+        assert reduce_product(ctx, list(conv)) == expected, (n, length)
 
 
 def test_field_set_up_keeps_psi_and_nothing_of_size_d_squared():
@@ -457,7 +458,7 @@ def test_subtraction_and_rational_coercion_match_fraction_coordinates(data, n):
     q = data.draw(_fractions)
 
     def coords(z):
-        return [Fraction(v, z.den) for v in z.num]
+        return [Fraction(v, z.den) for v in z.power_num]
 
     def exact(z):
         return z.num, z.den

@@ -1,0 +1,97 @@
+"""Runs at conductors in the thousands, end to end through the CLI: the
+rank-2 diagram with m = 2003 (N = 4006, degree 1001), the triangle
+m = (11, 8, 9) and a rank-8 diagram at N = 1584 (degree 240), with their
+verdicts and exit codes; and that no command calls
+minimal_poly_real_cyclotomic."""
+
+import contextlib
+import functools
+import io
+import json
+
+import pytest
+
+from coxrep import construction, cyclotomic
+from coxrep import io as io_module
+from coxrep.cli import main
+
+TRIANGLE_1260 = [[1, 7, 10], [7, 1, 9], [10, 9, 1]]
+TRIANGLE_1584 = [[1, 11, 9], [11, 1, 8], [9, 8, 1]]
+RANK_2_2003 = [[1, 2003], [2003, 1]]
+
+
+def _rank_8_1584():
+    """An 8-cycle labelled 8, 9, 11, 3, 3, 3, 3, 3, plus the edge s1-s5
+    labelled 3."""
+    m = [[1 if i == j else 2 for j in range(8)] for i in range(8)]
+    labels = {(0, 1): 8, (1, 2): 9, (2, 3): 11, (3, 4): 3, (4, 5): 3, (5, 6): 3,
+              (6, 7): 3, (7, 0): 3, (0, 4): 3}
+    for (i, j), label in labels.items():
+        m[i][j] = m[j][i] = label
+    return m
+
+
+def run_json(tmp_path, command, m, *extra):
+    """Exit code and JSON document of one command on the diagram m, rooted
+    at s1."""
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps({"m": m}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--diagram", str(path), "--root", "s1", "--format", "json",
+                     *extra])
+    return code, json.loads(out.getvalue())
+
+
+def test_no_command_computes_psi_at_conductor_1260(tmp_path, monkeypatch):
+    calls = []
+    real = cyclotomic.minimal_poly_real_cyclotomic
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cyclotomic, "minimal_poly_real_cyclotomic", spy)
+    # the commands build their context afresh, and the shared cache keeps
+    # the contexts other tests hold
+    fresh = functools.lru_cache(maxsize=None)(cyclotomic.FieldContext)
+    monkeypatch.setattr(construction, "field_context", fresh)
+    monkeypatch.setattr(io_module, "field_context", fresh)
+    for command, extra in (("verify", ()), ("form", ()), ("dual", ()),
+                           ("equiv", ("--root2", "s2"))):
+        code, _ = run_json(tmp_path, command, TRIANGLE_1260, *extra)
+        assert code == 0, command
+    assert fresh.cache_info().currsize == 1 and fresh(1260).degree == 144
+    assert calls == []
+
+
+def _assert_verify(code, doc):
+    assert code == 0 and doc["passed"] is True and doc["commutant_dimension"] == 1
+
+
+def _assert_form(code, doc):
+    assert code == 0 and doc["exists"] is True and doc["dimension"] == 1
+    assert doc["invariance_verified"] is True and doc["diag_cartan_factorization"] is True
+
+
+def _assert_dual(code, doc):
+    assert code == 0 and doc["degenerate"] is False
+    assert doc["chord_coefficients_match"] is True
+
+
+@pytest.mark.slow
+def test_rank_2_m_2003_verify(tmp_path):
+    _assert_verify(*run_json(tmp_path, "verify", RANK_2_2003, "--max-order", "2003"))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command,check", [("verify", _assert_verify), ("form", _assert_form),
+                                           ("dual", _assert_dual)])
+def test_triangle_at_conductor_1584(tmp_path, command, check):
+    check(*run_json(tmp_path, command, TRIANGLE_1584))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command,check", [("form", _assert_form), ("dual", _assert_dual)])
+def test_rank_8_at_conductor_1584(tmp_path, command, check):
+    check(*run_json(tmp_path, command, _rank_8_1584()))

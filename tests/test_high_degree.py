@@ -1,6 +1,6 @@
 """The routes that build only the field elements a result keeps, each
-against the route it replaced: the cosine walk on integer coordinates
-against the FieldElement recurrence, the adapted dual generators (a
+against the route it replaced: cos_element against the power-basis walk
+and the FieldElement recurrence, the adapted dual generators (a
 tree-product inversion only at chord endpoints) against the closed form
 that inverts every tree product, the cross-multiplied dual chord check
 against its division form, the quadratic comparison of product_analysis,
@@ -12,7 +12,12 @@ import json
 import random
 
 import pytest
-from oracles import adapted_by_inversions, chord_check_by_division, cosines_by_field_recurrence
+from oracles import (
+    adapted_by_inversions,
+    chord_check_by_division,
+    cosines_by_field_recurrence,
+    power_cosines,
+)
 
 from coxrep import analysis, construction, linalg
 from coxrep.analysis import OrderMismatch, is_reflection, product_analysis
@@ -32,18 +37,21 @@ TRIANGLE_1260 = validate([[1, 7, 10], [7, 1, 9], [10, 9, 1]])
 
 @pytest.mark.parametrize("n", CONDUCTORS)
 def test_the_cosine_walk_matches_the_field_recurrence(n):
+    """cos_element, a basis vector or a fold-table row, against the
+    power-basis walk and the FieldElement recurrence, with the table built
+    at once and resumed."""
     half = n // 2
     expected = cosines_by_field_recurrence(FieldContext(n), half)
+    assert power_cosines(FieldContext(n), half) == expected
     at_once = FieldContext(n)
-    assert at_once.cos_element(half, n).num == expected[half]
+    assert at_once.cos_element(half, n).power_num == expected[half]
     resumed = FieldContext(n)
     for j in sorted(j for j in {0, 1, half // 3, half // 2, half} if j <= half):
         value = resumed.cos_element(j, n)
-        assert value.num == expected[j] and value.den == 1
+        assert value.power_num == expected[j] and value.den == 1
     for ctx in (at_once, resumed):
-        assert ctx._cos_cache[:half + 1] == expected
-        assert all(type(v) is tuple and len(v) == ctx.degree for v in ctx._cos_cache)
-    assert at_once.generator.num == expected[min(1, half)]
+        assert [ctx.cos_element(j, n).power_num for j in range(half + 1)] == expected
+    assert at_once.generator.power_num == expected[min(1, half)]
 
 
 def _geometric(diagram, tree=None):
