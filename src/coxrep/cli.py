@@ -43,7 +43,6 @@ from .forms import (
     form_space_dimension,
     gram_cartan_relation,
     gram_intertwines,
-    verify_invariance,
 )
 from .graph import spanning_tree
 
@@ -210,7 +209,7 @@ def cmd_form(args) -> int:
     gram = build_form(rep, theta) if existence else None
     # the dimension's witness and invariance_verified share one exact check
     intertwined = gram is not None and gram_intertwines(rep, gram)
-    dimension, route = form_space_dimension(rep, theta, gram, intertwined)
+    dimension, route = form_space_dimension(rep, theta, intertwined)
     document = {
         "theta": theta.index,
         "exists": bool(existence),
@@ -223,7 +222,7 @@ def cmd_form(args) -> int:
              f"invariant form exists: {bool(existence)} (dimension {dimension})",
              f"dimension route: {route}"]
     if existence:
-        invariant = verify_invariance(rep, gram, intertwined)
+        invariant = gram.is_theta_hermitian() and intertwined
         document["gram"] = gram.entries
         document["invariance_verified"] = invariant
         lines.append("Gram matrix (root diagonal normalized to 2):")

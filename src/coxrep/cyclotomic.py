@@ -23,22 +23,21 @@ b_(m+1) = b_1 b_m - b_(m-1), built only as far as it is read.
 action sends b_k to b_(tk mod N), and 2*cos(2*pi*k/m) is a basis vector or
 a table row.
 
-The power basis is kept at the boundary only: ``from_coeffs`` (and so
-``io.scalar_from_json``) takes power-basis coordinates and ``power_num``
-(``io.scalar_to_json``, ``__str__``) gives them back, each conversion
-O(d) packed big-integer steps.  ``FieldContext.modular_image`` maps the
-basis to F_p for split primes p, the ground of the modular rank bounds in
-``linalg`` and of ``invert``, which inverts the power-basis image modulo
-(psi, p), lifts p-adically in the cosine basis and accepts the inverse
-only by the exact product.
+The power basis is kept at the boundary and in ``invert`` only:
+``from_coeffs`` (and so ``io.scalar_from_json``) takes power-basis
+coordinates and ``power_num`` (``io.scalar_to_json``, ``__str__``) gives
+them back, each conversion O(d) packed big-integer steps.
+``FieldContext.modular_image`` maps the basis to F_p for split primes p,
+the ground of the modular rank bounds in ``linalg`` and of ``invert``,
+which inverts the power-basis image modulo (psi, p), converts the inverse
+back, lifts it p-adically in the cosine basis and accepts it only by the
+exact product.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
-from array import array
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -225,8 +224,8 @@ def minimal_poly_real_cyclotomic(n: int) -> IntPolynomial:
     For n >= 3 the n-th cyclotomic polynomial a is palindromic of even
     degree 2d, so z^-d * Phi_n(z) = a_d + sum a_(d+i) (z^i + z^-i) is the
     element with cosine coordinates a_d, ..., a_2d, written in y = z + 1/z
-    by the power-basis conversion.  Field operations need only psi mod p
-    (FieldContext._psi_mod).
+    by the power-basis conversion.  FieldContext._psi, which invert reads,
+    computes the same coefficients without this cache.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -252,24 +251,17 @@ def _bias(step: int, count: int) -> int:
 
 
 def _slot_bytes(bits: int) -> int:
-    """The bytes of a slot that holds any integer below 2^bits in size:
-    whole 64-bit words, so that one-word slots pass through `array`."""
-    return bits // 64 * 8 + 8
-
-
-def _little_endian(words: array) -> array:
-    """Machine words in little-endian byte order (swapped in place on a
-    big-endian host)."""
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
+    """The bytes of a signed slot that holds any integer below 2^bits in
+    size."""
+    return bits // 8 + 1
 
 
 def _pack(slots: Sequence[int], step: int) -> int:
     """Kronecker substitution: slot i of `step` bytes holds slots[i], each
     below 2^(8 step - 1) in size."""
-    raw = _little_endian(array("q", slots)).tobytes() if step == 8 else \
-        b"".join([v.to_bytes(step, "little", signed=True) for v in slots])
+    if len(slots) == 1:
+        return slots[0]
+    raw = b"".join([v.to_bytes(step, "little", signed=True) for v in slots])
     bias = _bias(step, len(slots))
     # a two's complement slot xor 2^(8 step - 1) is the slot plus that bias
     return (int.from_bytes(raw, "little") ^ bias) - bias
@@ -278,9 +270,9 @@ def _pack(slots: Sequence[int], step: int) -> int:
 def _pack_symmetric(coords: Sequence[int], step: int, length: int = 0) -> int:
     """The packing of a_0 + sum a_k (z^k + z^-k): slot L - 1 + k holds
     a_|k| for |k| < L = max(length, len(coords)), the coordinates past the
-    given ones zero."""
-    coords = [*coords, *(0,) * (length - len(coords))]
-    return _pack(coords[:0:-1] + coords, step)
+    given ones zero (the slots below them are made by the shift)."""
+    shift = 8 * step * max(length - len(coords), 0)
+    return _pack([*coords[:0:-1], *coords], step) << shift
 
 
 def _unpack(value: int, step: int, count: int, skip: int = 0) -> list[int]:
@@ -288,8 +280,6 @@ def _unpack(value: int, step: int, count: int, skip: int = 0) -> list[int]:
     that has no slots beyond them, each below 2^(8 step - 1) in size."""
     value = (value + _bias(step, skip + count)) >> (8 * step * skip)
     raw = (value ^ _bias(step, count)).to_bytes(step * count, "little")
-    if step == 8:
-        return _little_endian(array("q", raw)).tolist()
     return [int.from_bytes(raw[o:o + step], "little", signed=True)
             for o in range(0, step * count, step)]
 
@@ -302,54 +292,35 @@ def _trimmed(coords: Sequence[int]) -> int:
     return n
 
 
-def _cosine_to_power(coords: Sequence[int], p: int = 0) -> list[int]:
+def _cosine_to_power(coords: Sequence[int]) -> list[int]:
     """The power-basis coordinates of a_0 + sum a_k D_k(X), up to the last
-    nonzero one, or their residues mod a prime p, by Clenshaw's recurrence
-    on packed integers: y_k = a_k + X y_(k+1) - y_(k+2), the sum
-    a_0 + X y_1 - 2 y_2.  A slot of y_k is at most the sum of the sizes of
-    a_k and the slots of y_(k+1) and y_(k+2): below max |a_k| 2^(n+2) in
-    all, or, mod p, brought back below p once it could pass 2^(8 step - 4)."""
+    nonzero one, by Clenshaw's recurrence on packed integers:
+    y_k = a_k + X y_(k+1) - y_(k+2), the sum a_0 + X y_1 - 2 y_2.  A slot of
+    y_k is at most the sum of the sizes of a_k and the slots of y_(k+1) and
+    y_(k+2): below max |a_k| 2^(n+2) in all."""
     n = _trimmed(coords)
-    if p:
-        coords = [v % p for v in coords[:n]]
-    size = max(map(abs, coords[:n]))
-    step = _slot_bytes(2 * p.bit_length() if p else size.bit_length() + n + 2)
+    step = _slot_bytes(max(map(abs, coords[:n])).bit_length() + n + 2)
     width = 8 * step
-    y1 = y2 = bound1 = bound2 = 0
+    y1 = y2 = 0
     for v in reversed(coords[1:n]):
         y1, y2 = v + (y1 << width) - y2, y1
-        bound1, bound2 = size + bound1 + bound2, bound1
-        if p and bound1 >> (width - 4):
-            y1, y2 = (_pack([x % p for x in _unpack(y, step, n)], step) for y in (y1, y2))
-            bound1 = bound2 = p
-    out = _unpack(coords[0] + (y1 << width) - 2 * y2, step, n)
-    return [x % p for x in out] if p else out
+    return _unpack(coords[0] + (y1 << width) - 2 * y2, step, n)
 
 
-def _power_to_cosine(coeffs: Sequence[int], p: int = 0) -> list[int]:
-    """The cosine coordinates of sum p_k c^k, up to the last nonzero one,
-    or their residues mod a prime p, by Horner's rule on the symmetric
-    packing: multiplying by c = z + 1/z adds the packing shifted up one
-    slot to it shifted down (exactly: slot 0 stays empty until the last
-    step).  A slot at most doubles and gains max |p_k| per step: below
-    max |p_k| 2^n in all, or, mod p, brought back below p once it could
-    pass 2^(8 step - 3)."""
+def _power_to_cosine(coeffs: Sequence[int]) -> list[int]:
+    """The cosine coordinates of sum p_k c^k, up to the last nonzero one, by
+    Horner's rule on the symmetric packing: multiplying by c = z + 1/z adds
+    the packing shifted up one slot to it shifted down (exactly: slot 0
+    stays empty until the last step).  A slot at most doubles and gains
+    max |p_k| per step: below max |p_k| 2^n in all."""
     n = _trimmed(coeffs)
-    if p:
-        coeffs = [v % p for v in coeffs[:n]]
-    size = max(map(abs, coeffs[:n]))
-    step = _slot_bytes(2 * p.bit_length() if p else size.bit_length() + n)
+    step = _slot_bytes(max(map(abs, coeffs[:n])).bit_length() + n)
     width = 8 * step
     unit = 1 << (width * (n - 1))           # z^0 sits in slot n - 1
-    v = bound = 0
+    v = 0
     for c in reversed(coeffs[:n]):
         v = (v << width) + (v >> width) + c * unit
-        bound = 2 * bound + size
-        if p and bound >> (width - 3):
-            v = _pack_symmetric([x % p for x in _unpack(v, step, n, n - 1)], step, n)
-            bound = p
-    out = _unpack(v, step, n, n - 1)
-    return [x % p for x in out] if p else out
+    return _unpack(v, step, n, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +413,7 @@ class FieldContext:
         self._one_num = (1,) + self._zero_num[1:]
         # entry m - degree: the coordinates of b_m as (index, value) pairs
         self._fold_rows: list[tuple[tuple[int, int], ...]] = []
-        self._psi_residues: dict[int, list[int]] = {}
+        self._psi_coeffs: list[int] | None = None
         self._approx_cache: dict[int, list[int]] = {}
         self._modular: list[tuple[int, tuple[int, ...]]] = []
 
@@ -597,14 +568,13 @@ class FieldContext:
             self._modular.append((p, tuple(images)))
         return self._modular[k]
 
-    def _psi_mod(self, p: int) -> list[int]:
-        """The coefficients of psi mod p: the power-basis coordinates of
-        z^-d Phi_N(z), an element with cosine coordinates a_d, ..., a_2d."""
-        cached = self._psi_residues.get(p)
-        if cached is None:
-            a = cyclotomic_polynomial(self.N).coeffs
-            cached = self._psi_residues[p] = _cosine_to_power(a[self.degree:], p)
-        return cached
+    def _psi(self) -> list[int]:
+        """The coefficients of psi, computed on first use: the power-basis
+        coordinates of z^-d Phi_N(z), the element with cosine coordinates
+        a_d, ..., a_2d (N >= 3)."""
+        if self._psi_coeffs is None:
+            self._psi_coeffs = _cosine_to_power(cyclotomic_polynomial(self.N).coeffs[self.degree:])
+        return self._psi_coeffs
 
     # -- Galois action -----------------------------------------------------
 
@@ -814,7 +784,8 @@ class FieldElement:
         With the element num/den, num in Z[c], the power-basis image of num
         is inverted modulo (psi, p) by an integer extended Euclid, for the
         first split prime p of FieldContext.modular_image at which it is a
-        unit, and brought back to the cosine basis.  Newton's iteration
+        unit, and brought back to the cosine basis (both conversions exact,
+        the result then reduced mod p).  Newton's iteration
         y <- y(2 - num*y), each product reduced mod q, squares the modulus
         q = p^(2^k) (von zur Gathen and Gerhard, Modern Computer Algebra,
         ch. 9).  At each q, _reconstruct proposes num^-1 = u/D; it is taken
@@ -830,10 +801,10 @@ class FieldElement:
         num = self.num
         for k in itertools.count():
             q = ctx.modular_image(k)[0]
-            y = _inverse_mod(_cosine_to_power(num, q), ctx._psi_mod(q), q)
+            y = _inverse_mod(_cosine_to_power(num), ctx._psi(), q)
             if y is not None:
                 break
-        y = _power_to_cosine(y, q)
+        y = [v % q for v in _power_to_cosine(y)]
         y += [0] * (ctx.degree - len(y))
         while True:
             found = _reconstruct(y, q)

@@ -144,6 +144,11 @@ class GramMatrix:
     def is_zero(self) -> bool:
         return linalg.is_zero_matrix(self.entries)
 
+    def is_theta_hermitian(self) -> bool:
+        """theta(G)^T = G, exactly."""
+        return linalg.mat_eq(linalg.transpose(self.theta.apply_matrix(self.entries)),
+                             self.entries)
+
 
 def build_form(rep: ReflectionRep, theta: Automorphism) -> GramMatrix:
     """Assemble the Gram matrix: diagonal twice the tree product, tree edges
@@ -179,21 +184,14 @@ def gram_intertwines(rep: ReflectionRep, gram: GramMatrix) -> bool:
                               transposed=True)
 
 
-def verify_invariance(rep: ReflectionRep, gram: GramMatrix,
-                      intertwined: Optional[bool] = None) -> bool:
+def verify_invariance(rep: ReflectionRep, gram: GramMatrix) -> bool:
     """Exact check: M^T G theta(M) = G for every generator, plus
     theta-hermitian symmetry theta(G)^T = G.  A generator
     M = I - e_s (x) c_s with c_ss = 2 (ReflectionRep.generator_rows) is an
     involution, and so is theta(M), so the first is M^T G = G theta(M),
-    the check of gram_intertwines; `intertwined` is its verdict when the
-    caller has it already.  The zero matrix passes vacuously; callers
-    should treat it as degenerate, not as a form."""
-    g = gram.entries
-    if not linalg.mat_eq(linalg.transpose(gram.theta.apply_matrix(g)), g):
-        return False
-    if gram.is_zero():
-        return True
-    return gram_intertwines(rep, gram) if intertwined is None else intertwined
+    the check of gram_intertwines.  The zero matrix passes vacuously;
+    callers should treat it as degenerate, not as a form."""
+    return gram.is_theta_hermitian() and (gram.is_zero() or gram_intertwines(rep, gram))
 
 
 def gram_cartan_relation(rep: ReflectionRep, gram: GramMatrix) -> bool:
@@ -211,8 +209,7 @@ def gram_cartan_relation(rep: ReflectionRep, gram: GramMatrix) -> bool:
 
 
 def form_space_dimension(rep: ReflectionRep, theta: Automorphism,
-                         gram: Optional[GramMatrix] = None,
-                         intertwined: Optional[bool] = None) -> tuple[int, str]:
+                         witness: Optional[bool] = None) -> tuple[int, str]:
     """Dimension of the space of invariant theta-sesquilinear forms, and
     the route that decided it (see linalg.reduced_dimension).
 
@@ -225,22 +222,21 @@ def form_space_dimension(rep: ReflectionRep, theta: Automorphism,
     "form" verdict therefore cannot raise the lower bound, and a wrong "no
     form" verdict leaves the bounds apart, so the dimension falls back to
     exact elimination and still disagrees with the criterion.  A caller
-    that has built that Gram matrix already passes it as `gram`, and the
-    verdict of gram_intertwines on it as `intertwined` when it has that;
-    without a Gram matrix the criterion runs here.  With
+    that has checked the criterion's Gram matrix already passes the verdict
+    of gram_intertwines on it as `witness` (False when the criterion finds
+    no form); without it the criterion and the check run here.  With
     M^T = I - c_s^T (x) e_s and theta(M) = I - e_s (x) theta(c_s),
     G e_s = lambda_s c_s^T: n unknowns, one row
     c_ts lambda_t - theta(c_st) lambda_s per s != t.  As c_ss = 2 is a unit
     mod every odd prime, the nullity mod p, and so the route, is that of the
     n^2-unknown system.
     """
-    if gram is None and form_exists(rep, theta):
-        gram = build_form(rep, theta)
-    if intertwined is None:
-        intertwined = gram is not None and gram_intertwines(rep, gram)
+    if witness is None:
+        witness = bool(form_exists(rep, theta)) and \
+            gram_intertwines(rep, build_form(rep, theta))
     rows = rep.generator_rows
     return linalg.reduced_dimension(rep.ctx, linalg.transpose(rows),
-                                    theta.apply_matrix(rows), int(intertwined))
+                                    theta.apply_matrix(rows), int(witness))
 
 
 # ---------------------------------------------------------------------------

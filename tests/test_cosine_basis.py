@@ -1,12 +1,10 @@
 """The cosine-basis arithmetic of coxrep.cyclotomic against the power-basis
-oracles of tests/oracles.py: products (also across the one-word slot
-boundary), sums and negation, the change of basis both ways (exactly and
-mod p), the Galois action, inverses, cosines, and the images modulo split
-primes as a ring map.  The conductors include N = 2 (mod 4) (138) and
-degree 240 (1584)."""
+oracles of tests/oracles.py: products (also across slot widths), sums and
+negation, the change of basis both ways, the Galois action, inverses,
+cosines, and the images modulo split primes as a ring map.  The conductors
+include N = 2 (mod 4) (138) and degree 240 (1584)."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -24,8 +22,6 @@ from coxrep import linalg
 from coxrep.cyclotomic import (
     DivisionByZero,
     FieldElement,
-    _cosine_to_power,
-    _power_to_cosine,
     field_context,
 )
 
@@ -103,9 +99,9 @@ def test_products_sums_and_negation_match_the_power_basis(n, data):
 
 
 @pytest.mark.parametrize("n", (15, 1260))
-def test_products_across_the_one_word_slot_boundary(n):
+def test_products_across_slot_widths(n):
     """Dense coordinates of equal size, both signs, whose product bound
-    passes from one 64-bit word per slot to two."""
+    crosses several byte boundaries of the slot width."""
     ctx = field_context(n)
     d = ctx.degree
     for bits in range(18, 35):
@@ -152,19 +148,6 @@ def test_invert_matches_the_power_basis(n, data):
             x.invert()
     else:
         assert _exact(x.invert()) == _exact(power_invert(x))
-
-
-@pytest.mark.parametrize("n", (24, 1260, 4006))
-def test_the_conversions_mod_p_are_the_exact_ones_reduced(n):
-    """The residues that invert reads, with the slots brought back below p
-    along the way at high degree."""
-    ctx = field_context(n)
-    p = ctx.modular_image(0)[0]
-    rng = random.Random(n)
-    for size in (3, p, p ** 3):
-        coords = [rng.randrange(-size, size) for _ in range(ctx.degree)]
-        assert _power_to_cosine(coords, p) == [v % p for v in _power_to_cosine(coords)]
-        assert _cosine_to_power(coords, p) == [v % p for v in _cosine_to_power(coords)]
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)

@@ -222,6 +222,35 @@ def test_approximate_survives_cancellation_at_conductor_504():
         assert abs(float(x) - float(exact)) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [1260, 1584])
+def test_approximate_raises_its_precision_on_small_values_with_large_coordinates(n):
+    """(c - 2)^k and a - b c, a/b the best approximation of c with b below
+    2^40, have cosine coordinates of up to 2^40 and values far below 1, so
+    the first working precision leaves the error bound above 2^-84 of the
+    sum and approximate retries: more fixed-point precisions enter the
+    context's cache.  c and c - 2 are decided on the first pass.  The
+    values are checked against the power-basis coordinates evaluated at
+    2000 bits."""
+    ctx = cyclotomic.FieldContext(n)
+    c = ctx.generator
+
+    def exact(x):
+        with mpmath.workprec(2000):
+            value = evaluate(IntPolynomial(x.power_num), 2 * mpmath.cos(2 * mpmath.pi / n))
+            return value / x.den
+
+    with mpmath.workprec(300):
+        best = Fraction(int(mpmath.ldexp(exact(c), 250)), 2 ** 250).limit_denominator(2 ** 40)
+    small = [(c - 2) ** 5, (c - 2) ** 20, best.numerator - best.denominator * c,
+             (best.numerator - best.denominator * c) * (c - 2) ** 3]
+    for x in [c, c - 2] + small:
+        ctx._approx_cache.clear()
+        value = exact(x)
+        assert abs(x.approximate(64) - value) <= abs(value) * mpmath.mpf(2) ** -63
+        assert math.isclose(float(x), float(value), rel_tol=2 ** -51)
+        assert (len(ctx._approx_cache) > 1) == (x in small), (n, x)
+
+
 def _random_element(ctx, rng):
     return ctx.from_coeffs([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                             for _ in range(ctx.degree)])

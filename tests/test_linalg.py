@@ -420,7 +420,7 @@ def _n2_dimensions(rep, theta, gram):
 
 def _assert_reduced_matches_n2(rep, theta):
     gram = build_form(rep, theta) if form_exists(rep, theta) else None
-    reduced = (commutant_dimension(rep), form_space_dimension(rep, theta, gram))
+    reduced = (commutant_dimension(rep), form_space_dimension(rep, theta))
     assert reduced == _n2_dimensions(rep, theta, gram), (rep, theta)
     return reduced
 
