@@ -156,15 +156,23 @@ def geometric_parameters(tree: SpanningTree,
 
 @dataclass(frozen=True)
 class CartanMatrixData:
-    """Cartan matrix entries (c[s][t] with s(a_t) = a_t - c_st a_s) and
-    its determinant, the discriminant of the representation, computed
-    when first read."""
+    """Cartan matrix entries (c[s][t] with s(a_t) = a_t - c_st a_s), with
+    its determinant, the discriminant of the representation, and its rank,
+    both from one elimination made when either is first read."""
 
     entries: Matrix
 
     @cached_property
+    def _eliminated(self) -> tuple[FieldElement, int]:
+        return linalg.determinant_and_rank(self.entries[0][0].ctx, self.entries)
+
+    @property
     def discriminant(self) -> FieldElement:
-        return linalg.determinant(self.entries[0][0].ctx, self.entries)
+        return self._eliminated[0]
+
+    @property
+    def rank(self) -> int:
+        return self._eliminated[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,8 +18,7 @@ big-integer product (``_pack_symmetric``, ``_unpack``): its coefficient of
 z^m is the coordinate of b_m.  Each b_m with m >= d is folded back by
 ``FieldContext._fold`` through a sparse integer table whose first row comes
 from the palindromic z^-d Phi_N(z) and whose later rows follow from
-b_(m+1) = b_1 b_m - b_(m-1), built only as far as it is read.
-``linalg.mat_mul`` reduces its cells through the same fold.  The Galois
+b_(m+1) = b_1 b_m - b_(m-1), built only as far as it is read.  The Galois
 action sends b_k to b_(tk mod N), and 2*cos(2*pi*k/m) is a basis vector or
 a table row.
 
@@ -267,12 +266,10 @@ def _pack(slots: Sequence[int], step: int) -> int:
     return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
-def _pack_symmetric(coords: Sequence[int], step: int, length: int = 0) -> int:
+def _pack_symmetric(coords: Sequence[int], step: int) -> int:
     """The packing of a_0 + sum a_k (z^k + z^-k): slot L - 1 + k holds
-    a_|k| for |k| < L = max(length, len(coords)), the coordinates past the
-    given ones zero (the slots below them are made by the shift)."""
-    shift = 8 * step * max(length - len(coords), 0)
-    return _pack([*coords[:0:-1], *coords], step) << shift
+    a_|k| for |k| < L = len(coords)."""
+    return _pack([*coords[:0:-1], *coords], step)
 
 
 def _unpack(value: int, step: int, count: int, skip: int = 0) -> list[int]:
@@ -617,22 +614,19 @@ class FieldContext:
         in integers with 2 log2(N) + 8 guard bits: an error made at one of
         its fewer than N/2 steps reaches a later b_k at most
         1/sin(2 pi/N) <= N/2 times over."""
-        cached = self._approx_cache.get(precision_bits)
-        if cached is None:
-            import mpmath
+        import mpmath
 
-            guard = 2 * self.N.bit_length() + 8
-            scale = precision_bits + guard
-            with mpmath.workprec(scale + 16):
-                c = int(mpmath.floor(mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi / self.N),
-                                                  scale)))
-            prev, cur = 2 << scale, c
-            cached = [1 << precision_bits]
-            for _ in range(self.degree - 1):
-                cached.append(cur >> guard)
-                prev, cur = cur, ((c * cur) >> scale) - prev
-            self._approx_cache[precision_bits] = cached
-        return cached
+        guard = 2 * self.N.bit_length() + 8
+        scale = precision_bits + guard
+        with mpmath.workprec(scale + 16):
+            c = int(mpmath.floor(mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi / self.N),
+                                              scale)))
+        prev, cur = 2 << scale, c
+        out = [1 << precision_bits]
+        for _ in range(self.degree - 1):
+            out.append(cur >> guard)
+            prev, cur = cur, ((c * cur) >> scale) - prev
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -837,19 +831,24 @@ class FieldElement:
 
         The sum of num times the context's fixed-point cosines is exact up
         to 2 sum |num| units of its last place; the working precision grows
-        until that error is 2^-(precision_bits + 20) of the sum.
+        until that error is 2^-(precision_bits + 20) of the sum.  The context
+        keeps the cosines of the precision that is accepted, not those of
+        the precisions tried before it.
         """
         import mpmath
 
         num = self.num
+        cache = self.ctx._approx_cache
         error = 2 * sum(map(abs, num))
         work = precision_bits + error.bit_length() + 20
         while True:
             work = -(-work // 64) * 64
-            acc = sum(v * b for v, b in zip(num, self.ctx._cosines(work)) if v)
+            cosines = cache.get(work) or self.ctx._cosines(work)
+            acc = sum(v * b for v, b in zip(num, cosines) if v)
             if not acc and not error or abs(acc) >= error << (precision_bits + 20):
                 break
             work += max(64, error.bit_length() + precision_bits + 20 - abs(acc).bit_length())
+        cache[work] = cosines
         with mpmath.workprec(work + 64):
             value = mpmath.ldexp(mpmath.mpf(acc), -work) / self.den
         with mpmath.workprec(precision_bits):

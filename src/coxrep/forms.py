@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .construction import ReflectionRep, cartan_matrix
+from .construction import CartanMatrixData, ReflectionRep, cartan_matrix
 from .cyclotomic import FieldContext, FieldElement
 from .graph import chord_circuit, precedes
 
@@ -263,9 +263,8 @@ class DualRep:
 
     primal: ReflectionRep
     dual_generators: tuple
-    adapted_rows: tuple                 # A'_i, dual-basis coordinates
+    cartan: CartanMatrixData
     scalings: tuple                     # tree products, one per vertex
-    discriminant: FieldElement
     degenerate: bool
     adapted_generators: Optional[tuple]  # None when degenerate
 
@@ -273,12 +272,19 @@ class DualRep:
     def ctx(self) -> FieldContext:
         return self.primal.ctx
 
+    @property
+    def adapted_rows(self) -> Matrix:
+        """A'_i, dual-basis coordinates."""
+        return self.cartan.entries
+
+    @property
+    def discriminant(self) -> FieldElement:
+        return self.cartan.discriminant
+
     def adapted_rank(self) -> int:
-        """Rank of the adapted rows: n when the discriminant, their
-        determinant, is nonzero, and by elimination otherwise."""
-        if not self.degenerate:
-            return len(self.adapted_rows)
-        return linalg.rank(self.ctx, [list(r) for r in self.adapted_rows])
+        """Rank of the adapted rows, the rank of C from the elimination that
+        gave the discriminant."""
+        return self.cartan.rank
 
 
 def adapted_generators(rep: ReflectionRep, products: Sequence[FieldElement]) -> tuple:
@@ -342,8 +348,7 @@ def dual_representation(rep: ReflectionRep) -> DualRep:
                 ctx, rep.generator_rows, adapted_rows, basis_cols, transposed=True):
             raise AdaptedBasisMismatch(
                 "adapted generators fail the exact check D_s B = B A'_s")
-    return DualRep(rep, duals, tuple(tuple(r) for r in rows), products,
-                   data.discriminant, degenerate, adapted)
+    return DualRep(rep, duals, data, products, degenerate, adapted)
 
 
 def dual_chord_coefficients_match(dual: DualRep) -> bool:

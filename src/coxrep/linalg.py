@@ -1,31 +1,21 @@
 """Exact linear algebra over a real cyclotomic field context.
 
-Matrices are lists (or tuples) of rows of FieldElement.  Characteristic
-polynomials, determinants and inverses go through Faddeev-LeVerrier, which
-only ever divides by small integers and by the determinant; rank and
-nullspace use fraction-free elimination, with no field inversions.  The
-commands need only the determinant; charpoly and inverse are the references
-the tests check the rank-one closed forms against (the rank-two pair
-quadratic of analysis.product_analysis, forms.adapted_generators and the
-diagonal inverse of cli's equiv).
+Matrices are lists (or tuples) of rows of FieldElement.  Rank, nullspace
+and the determinant come from one fraction-free elimination, with no field
+inversion in the loop; the determinant takes at most one at the end.
+charpoly and inverse (Faddeev-LeVerrier) and the plain product mat_mul
+are references: no command calls them, and the tests check the
+elimination determinant, the near-identity kernel and the rank-one closed
+forms against them (the rank-two pair quadratic of
+analysis.product_analysis, forms.adapted_generators and the diagonal
+inverse of cli's equiv).
 
-There are two product kernels.  near_identity_mul and mul_near_identity
-compute M A and A M as A + (M - I) A and A + A (M - I): they read only the
-nonzero entries of M - I, skip the zero entries of A, and make one field
-product and one sum per remaining term; nothing is assumed of M.  The
-squares of generators, the pair products rs, the unipotency check and
-the word matrices go through them.
-
-mat_mul is the dense kernel; in the commands only the Faddeev-LeVerrier
-sequence behind the determinant uses it.  Each row of A and each column of
-B is brought to a common denominator, and each nonzero entry's integer
-cosine coordinates are packed once into one Python int as a symmetric
-Laurent polynomial (cyclotomic._pack_symmetric, Kronecker substitution),
-in signed slots wide enough that no output coefficient can overflow.  Each
-output cell is then one big-integer sum of products, whose coefficients of
-z^0, z^1, ... are the coordinates of 1, b_1, ..., folded by
-FieldContext._fold and normalized once, in the canonical (num, den) form:
-exactly the term-by-term product.
+near_identity_mul and mul_near_identity compute M A and A M as
+A + (M - I) A and A + A (M - I): they read only the nonzero entries of
+M - I, skip the zero entries of A, and make one field product and one sum
+per remaining term; nothing is assumed of M.  The squares of generators,
+the pair products rs, the unipotency check and the word matrices go
+through them.
 
 The systems A_s X = X B_s of the commands (commutant, invariant forms)
 have generators that differ from I in one row or one column, read by
@@ -43,10 +33,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import FieldContext, FieldElement, _pack_symmetric, _slot_bytes, _unpack
+from .cyclotomic import FieldContext, FieldElement
 
 Matrix = Sequence[Sequence[FieldElement]]
 
@@ -61,54 +50,12 @@ def mat_freeze(m: Matrix) -> tuple[tuple[FieldElement, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-def _over_common_denominator(entries: Iterable[FieldElement]
-                             ) -> tuple[int, list[tuple[int, Sequence[int]]]]:
-    """The lcm D of the denominators of the nonzero entries, and for each of
-    them its index and its coordinates times D, up to its effective degree
-    (one coordinate for a rational)."""
-    nonzero = [(t, x.num, x.den) for t, x in enumerate(entries) if any(x.num)]
-    den = math.lcm(*[x_den for _, _, x_den in nonzero])
-    scaled = []
-    for t, num, x_den in nonzero:
-        top = len(num) if any(num[1:]) else 1
-        while not num[top - 1]:
-            top -= 1
-        f = den // x_den
-        scaled.append((t, num[:top] if f == 1 else [v * f for v in num[:top]]))
-    return den, scaled
-
-
 def mat_mul(ctx: FieldContext, a: Matrix, b: Matrix) -> list[list[FieldElement]]:
-    """The product A B: each cell one integer sum of packed products,
-    folded and normalized once (see the module docstring)."""
-    rows = [_over_common_denominator(row) for row in a]
-    cols = [_over_common_denominator(col) for col in zip(*b)]
-    coords_a = [c for _, row in rows for _, c in row]
-    coords_b = [c for _, col in cols for _, c in col]
-    len_a = max(map(len, coords_a), default=1)
-    len_b = max(map(len, coords_b), default=1)
-    bits_a = max(map(abs, chain.from_iterable(coords_a)), default=0).bit_length()
-    bits_b = max(map(abs, chain.from_iterable(coords_b)), default=0).bit_length()
-    # a cell coefficient sums at most len(b) * (2 min(len_a, len_b) - 1)
-    # products, each below 2^(bits_a + bits_b) in size
-    step = _slot_bytes(bits_a + bits_b + (len(b) * (2 * min(len_a, len_b) - 1)).bit_length())
-    packed_b: list[list[tuple[int, int]]] = [[] for _ in b]
-    for j, (_, col) in enumerate(cols):
-        for t, c in col:
-            packed_b[t].append((j, _pack_symmetric(c, step, len_b)))
-    center = len_a + len_b - 2             # the slot of z^0 in a product
-    zero = ctx.zero
-    out = []
-    for den_a, row in rows:
-        acc = [0] * len(cols)
-        for t, c in row:
-            pa = _pack_symmetric(c, step, len_a)
-            for j, pb in packed_b[t]:
-                acc[j] += pa * pb
-        out.append([FieldElement(ctx, ctx._fold(_unpack(v, step, center + 1, center)),
-                                 den_a * den_b) if v else zero
-                    for (den_b, _), v in zip(cols, acc)])
-    return out
+    """The product A B, one field product and sum per pair of nonzero
+    entries (the reference; see the module docstring)."""
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col) if x and y), ctx.zero) for col in cols]
+            for row in a]
 
 
 def near_identity_mul(ctx: FieldContext, m: Matrix, a: Matrix) -> list[list[FieldElement]]:
@@ -195,20 +142,12 @@ def charpoly(ctx: FieldContext, a: Matrix) -> list[FieldElement]:
     """Characteristic polynomial det(XI - A) by Faddeev-LeVerrier.
 
     Returns coefficients lowest degree first, length n+1, monic.  Only
-    divides by the integers 1..n, so everything stays exact.  Commands
-    reach it only through determinant; the pair products of verify use the
-    rank-two quadratic of analysis._pair_quadratic, which the tests check
+    divides by the integers 1..n, so everything stays exact.  No command
+    calls it: the pair products of verify use the rank-two quadratic of
+    analysis._pair_quadratic, and the tests check that and determinant
     against this.
     """
     return _faddeev_leverrier(ctx, a)[0]
-
-
-def determinant(ctx: FieldContext, a: Matrix) -> FieldElement:
-    n = len(a)
-    if n == 0:
-        return ctx.one
-    c0 = charpoly(ctx, a)[0]
-    return c0 if n % 2 == 0 else -c0
 
 
 def inverse(ctx: FieldContext, a: Matrix) -> list[list[FieldElement]]:
@@ -236,32 +175,37 @@ def primitive_factor(entries: Iterable[FieldElement]) -> Fraction | int:
     return Fraction(den, content) if content > 1 or den > 1 else 1
 
 
-def _row_primitive(row: list[FieldElement]) -> list[FieldElement]:
-    """Scale a row by a rational D/C so integer contents stay small: each
-    nonzero entry becomes num*D over den*C, with one normalization."""
+def _row_primitive(row: list[FieldElement]) -> tuple[list[FieldElement], Fraction]:
+    """The row scaled by the rational f = D/C of primitive_factor, so integer
+    contents stay small (each nonzero entry becomes num*D over den*C, with
+    one normalization), and f."""
     factor = Fraction(primitive_factor(row))
     if factor == 1:
-        return row
+        return row, factor
     d, c = factor.numerator, factor.denominator
     return [x if x.is_zero() else FieldElement(x.ctx, [v * d for v in x.num], x.den * c)
-            for x in row]
+            for x in row], factor
 
 
 def _pivot_cost(x: FieldElement) -> tuple[int, int]:
     return (x.effective_degree, sum(1 for v in x.num if v))
 
 
-def eliminate(ctx: FieldContext, rows: Matrix
-              ) -> tuple[list[list[FieldElement]], list[int]]:
+def _echelon(ctx: FieldContext, rows: Matrix
+             ) -> tuple[list[list[FieldElement]], list[int], list[int], Fraction]:
     """Fraction-free forward elimination (no field inversions).
 
-    Returns the echelon rows and pivot column indices.  Pivot rows are
-    chosen to prefer low-degree (ideally rational) pivots.
+    Returns the echelon rows, the pivot columns, the number of rows each
+    pivot multiplied, and the sign of the row exchanges over the product of
+    the _row_primitive factors.  Pivot rows are chosen to prefer low-degree
+    (ideally rational) pivots.
     """
     rows = [list(r) for r in rows]
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    uses: list[int] = []
+    scale = Fraction(1)
     r = 0
     for col in range(ncols):
         best = None
@@ -276,19 +220,59 @@ def eliminate(ctx: FieldContext, rows: Matrix
         if best is None:
             continue
         i = best[1]
-        rows[r], rows[i] = rows[i], rows[r]
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            scale = -scale
         pivot = rows[r][col]
+        used = 0
         for i in range(r + 1, m):
             x = rows[i][col]
             if x.is_zero():
                 continue
-            rows[i] = _row_primitive(
+            rows[i], factor = _row_primitive(
                 [pivot * a - x * b for a, b in zip(rows[i], rows[r])])
+            scale /= factor
+            used += 1
         pivots.append(col)
+        uses.append(used)
         r += 1
         if r == m:
             break
-    return rows, pivots
+    return rows, pivots, uses, scale
+
+
+def eliminate(ctx: FieldContext, rows: Matrix
+              ) -> tuple[list[list[FieldElement]], list[int]]:
+    """The echelon rows and pivot column indices of a fraction-free forward
+    elimination (_echelon: no field inversions)."""
+    return _echelon(ctx, rows)[:2]
+
+
+def determinant_and_rank(ctx: FieldContext, a: Matrix) -> tuple[FieldElement, int]:
+    """det A and the rank of the square matrix A from one elimination.
+
+    _echelon (Bareiss 1968, with primitive rows in place of exact division)
+    multiplies each row below pivot p_k by p_k, uses_k times in all, scales
+    rows by rationals f and exchanges rows; the echelon diagonal is the
+    pivots, so det A = +-prod p_k^(1 - uses_k) / prod f.  That takes at
+    most one field inversion, of the product of the pivots used more than
+    once, and none when it is rational; det A = 0 when a column has no
+    pivot.
+    """
+    rows, pivots, uses, scale = _echelon(ctx, a)
+    if len(pivots) < len(a):
+        return ctx.zero, len(pivots)
+    kept = repeated = ctx.one
+    for row, col, used in zip(rows, pivots, uses):
+        if used == 0:
+            kept = kept * row[col]
+        elif used > 1:
+            repeated = repeated * row[col] ** (used - 1)
+    return kept * scale / repeated, len(pivots)
+
+
+def determinant(ctx: FieldContext, a: Matrix) -> FieldElement:
+    return determinant_and_rank(ctx, a)[0]
 
 
 def rank(ctx: FieldContext, a: Matrix) -> int:

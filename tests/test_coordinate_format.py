@@ -1,0 +1,33 @@
+"""Only cyclotomic knows the coordinate format of a field element: no other
+module of coxrep imports a private name from it or calls a private
+FieldContext method (the fold, the packed product, the fold table, psi and
+the fixed-point cosines).  The modules are parsed, not imported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "coxrep"
+PRIVATE_METHODS = {"_fold", "_product", "_rows", "_psi", "_cosines"}
+
+
+def violations(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("cyclotomic"):
+            found += [f"imports {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute):
+            if node.attr in PRIVATE_METHODS:
+                found.append(f"line {node.lineno}: .{node.attr}")
+            elif isinstance(node.value, ast.Name) and node.value.id == "cyclotomic" \
+                    and node.attr.startswith("_"):
+                found.append(f"line {node.lineno}: cyclotomic.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "cyclotomic.py"))
+def test_only_cyclotomic_knows_the_coordinate_format(name):
+    assert violations(ast.parse((SRC / name).read_text())) == []
+

@@ -227,10 +227,10 @@ def test_approximate_raises_its_precision_on_small_values_with_large_coordinates
     """(c - 2)^k and a - b c, a/b the best approximation of c with b below
     2^40, have cosine coordinates of up to 2^40 and values far below 1, so
     the first working precision leaves the error bound above 2^-84 of the
-    sum and approximate retries: more fixed-point precisions enter the
-    context's cache.  c and c - 2 are decided on the first pass.  The
-    values are checked against the power-basis coordinates evaluated at
-    2000 bits."""
+    sum and approximate retries at a higher one; the context keeps only
+    the fixed-point cosines of the precision it accepts.  c and c - 2 are
+    decided on the first pass.  The values are checked against the
+    power-basis coordinates evaluated at 2000 bits."""
     ctx = cyclotomic.FieldContext(n)
     c = ctx.generator
 
@@ -248,7 +248,10 @@ def test_approximate_raises_its_precision_on_small_values_with_large_coordinates
         value = exact(x)
         assert abs(x.approximate(64) - value) <= abs(value) * mpmath.mpf(2) ** -63
         assert math.isclose(float(x), float(value), rel_tol=2 ** -51)
-        assert (len(ctx._approx_cache) > 1) == (x in small), (n, x)
+        # the precision approximate(64) tries first
+        first = -(-(64 + (2 * sum(map(abs, x.num))).bit_length() + 20) // 64) * 64
+        (accepted,) = ctx._approx_cache
+        assert (accepted > first) == (x in small), (n, x)
 
 
 def _random_element(ctx, rng):

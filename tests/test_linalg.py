@@ -3,8 +3,9 @@ above, an exactly checked witness from below, and exact elimination decides
 when the bounds stay apart, by the n^2-unknown route of tests/oracles.py
 and by the n-unknown reduced_dimension, which must agree on dimension and
 route; the rank-one intertwining check against the near-identity products.
-Also the product kernels: mat_mul against the term-by-term product, and the
-near-identity kernel against mat_mul."""
+Also the elimination determinant and rank against Faddeev-LeVerrier and
+linalg.rank, the reference product mat_mul against the term-by-term
+product, and the near-identity kernel against mat_mul."""
 
 import random
 from fractions import Fraction
@@ -221,8 +222,9 @@ def test_row_primitive_rescales_like_the_rational_factor():
                for _ in range(6)]
         factor = linalg.primitive_factor(row)
         expected = [x * factor for x in row]
-        got = linalg._row_primitive(row)
+        got, got_factor = linalg._row_primitive(row)
         assert [(x.num, x.den) for x in got] == [(x.num, x.den) for x in expected]
+        assert got_factor == factor
 
 
 def term_by_term_product(ctx, a, b):
@@ -331,6 +333,77 @@ def test_inverse_of_size_one_and_of_a_singular_matrix():
         linalg.inverse(ctx, [[ctx.zero]])
     with pytest.raises(ZeroDivisionError):
         linalg.inverse(ctx, [[x, x], [2 * x, 2 * x]])
+
+
+def faddeev_leverrier_determinant(ctx, a):
+    """det A = (-1)^n c_0, c_0 the constant term of charpoly (the reference)."""
+    c0 = linalg.charpoly(ctx, a)[0]
+    return -c0 if len(a) % 2 else c0
+
+
+def test_determinant_and_rank_of_every_corpus_cartan_matrix(suite_instances, monkeypatch):
+    # at most one irrational inversion per determinant
+    invert = cyclotomic.FieldElement.invert
+    inverted = []
+
+    def counted(x):
+        if not x.is_rational():
+            inverted.append(x)
+        return invert(x)
+
+    results = []
+    with monkeypatch.context() as patched:
+        patched.setattr(cyclotomic.FieldElement, "invert", counted)
+        for inst in suite_instances:
+            data = cartan_matrix(inst.rep)
+            inverted.clear()
+            results.append((inst.rep, data, data.discriminant, data.rank))
+            assert len(inverted) <= 1
+    for rep, data, det, rank in results:
+        assert det == faddeev_leverrier_determinant(rep.ctx, data.entries)
+        assert rank == linalg.rank(rep.ctx, data.entries)
+        assert det.is_zero() == (rank < rep.rank)
+    assert any(det.is_zero() for _, _, det, _ in results)
+
+
+@pytest.mark.parametrize("diagram", [
+    TRIANGLE,
+    validate([[1, 3, 2, 3], [3, 1, 3, 2], [2, 3, 1, 3], [3, 2, 3, 1]]),
+])
+def test_an_affine_cartan_matrix_has_determinant_zero(diagram):
+    data = cartan_matrix(geometric_representation(diagram))
+    ctx = data.entries[0][0].ctx
+    assert data.discriminant.is_zero()
+    assert faddeev_leverrier_determinant(ctx, data.entries).is_zero()
+    assert data.rank == linalg.rank(ctx, data.entries) == diagram.rank - 1
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 60, 280])
+def test_determinant_with_row_exchanges_and_of_rank_deficient_matrices(n):
+    ctx = field_context(n)
+    rng = random.Random(n)
+    for size in [1, 2, 3, 4, 5] * (3 if ctx.degree < 20 else 1):
+        a = [[random_entry(rng, ctx) for _ in range(size)] for _ in range(size)]
+        if size > 1:
+            # no pivot in the leading row: the elimination exchanges rows
+            a[0][0] = ctx.zero
+            a[1][0] = a[1][0] or ctx.from_rational(rng.choice([1, -3, 5]))
+        det, rank = linalg.determinant_and_rank(ctx, a)
+        assert det == faddeev_leverrier_determinant(ctx, a)
+        assert rank == linalg.rank(ctx, a)
+        assert linalg.determinant(ctx, a[1:2] + a[:1] + a[2:]) == (-det if size > 1 else det)
+        for dependent in range(1, size):
+            # the last `dependent` rows are combinations of the others
+            kept = a[:size - dependent]
+            b = kept + [_combination(ctx, rng, kept) for _ in range(dependent)]
+            det, rank = linalg.determinant_and_rank(ctx, b)
+            assert det.is_zero() and faddeev_leverrier_determinant(ctx, b).is_zero()
+            assert rank == linalg.rank(ctx, b) <= size - dependent
+
+
+def _combination(ctx, rng, rows):
+    weights = [random_entry(rng, ctx) for _ in rows]
+    return [sum((w * x for w, x in zip(weights, col)), ctx.zero) for col in zip(*rows)]
 
 
 def test_word_matrix_of_the_empty_word_and_one_letter():

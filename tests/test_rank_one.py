@@ -40,6 +40,7 @@ from coxrep.io import params_to_json
 from coxrep.cli import _diagonal_inverse, _json_text, _normalize_integral, main
 from coxrep.construction import (
     build,
+    cartan_matrix,
     equivalence_intertwiner,
     geometric_parameters,
     tree_change_intertwiner,
@@ -49,6 +50,8 @@ from coxrep.forms import dual_representation
 from coxrep.graph import spanning_tree, validate
 
 TRIANGLE_1584 = validate([[1, 11, 9], [11, 1, 8], [9, 8, 1]])
+BC3 = validate([[1, 4, 2], [4, 1, 4], [2, 4, 1]])
+AFFINE_TRIANGLE = validate([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
 
 
 def _geometric(diagram, root=0):
@@ -191,27 +194,44 @@ def _corpus_job(suite_instances, tmp_path):
     return inst, [command + job for command in commands]
 
 
-def test_only_the_discriminant_uses_the_dense_product(suite_instances, tmp_path,
-                                                      monkeypatch, capsys):
+def test_no_command_uses_a_reference_kernel_and_dual_eliminates_once(
+        suite_instances, tmp_path, monkeypatch, capsys):
     # every generator, pair and word product goes through the near-identity
-    # kernel; mat_mul is left to the n - 1 Faddeev-LeVerrier products
+    # kernel and the discriminant through elimination, so mat_mul and
+    # Faddeev-LeVerrier are left to the tests; dual eliminates the Cartan
+    # matrix once for the discriminant and the adapted rank, degenerate
+    # (bc3, affine) or not
     inst, command_lines = _corpus_job(suite_instances, tmp_path)
-    diagram = inst.diagram
-    calls = []
-    dense = linalg.mat_mul
+    reference = []
+    for name in ("mat_mul", "charpoly", "_faddeev_leverrier", "inverse"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name: reference.append(name))
+    eliminated = []
+    echelon = linalg._echelon
 
-    def counted(ctx, a, b):
-        calls.append(len(a))
-        return dense(ctx, a, b)
+    def counted(ctx, rows):
+        eliminated.append(rows)
+        return echelon(ctx, rows)
 
-    monkeypatch.setattr(linalg, "mat_mul", counted)
-    counts = {}
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    bundled = [("bc3", BC3, True), ("affine_triangle", AFFINE_TRIANGLE, True),
+               ("h3", validate([[1, 3, 2], [3, 1, 5], [2, 5, 1]]), False)]
+    duals = [(argv, inst.rep, False) for argv in command_lines if argv[0] == "dual"]
+    duals += [(["dual", "--diagram", name, "--root", "s1", "--format", "json"],
+               _geometric(diagram), degenerate) for name, diagram, degenerate in bundled]
     for argv in command_lines:
-        calls.clear()
         assert main(argv) in (0, 3)
-        counts[argv[0]] = len(calls)
+    for argv, rep, degenerate in duals:
+        capsys.readouterr()
+        eliminated.clear()
+        assert main(argv) == 0
+        document = json.loads(capsys.readouterr().out)
+        cartan = cartan_matrix(rep)
+        assert eliminated == [cartan.entries]
+        assert document["degenerate"] is degenerate
+        assert document["adapted_row_rank"] == linalg.rank(rep.ctx, cartan.entries) \
+            == (rep.rank - 1 if degenerate else rep.rank)
     capsys.readouterr()
-    assert counts == {"equiv": 0, "dual": diagram.rank - 1, "verify": 0, "form": 0}
+    assert reference == []
 
 
 def test_no_command_solves_a_nullspace(suite_instances, tmp_path, monkeypatch, capsys):
