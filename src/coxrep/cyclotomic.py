@@ -7,10 +7,11 @@ unitriangular to the power basis of c: b_k = D_k(c) with D_k monic of
 degree k (D_0 = 2, D_1 = X, D_(k+1) = X D_k - D_(k-1)).  So the content,
 the denominator, rationality, the effective degree and the sign of the top
 coordinate are those of the power-basis coordinates, while small values
-keep small coordinates.  Every operation is exact; floating point only
-enters through ``approximate``, which exists for display and
-cross-checking, never for decisions.  Every element is brought to
-canonical form in one place, the ``FieldElement`` constructor.
+keep small coordinates.  Every operation is exact and in integers, with
+the standard library only; the one float, the nearest float that
+``approximate`` gives for display, comes from one integer true division,
+and no decision reads it.  Every element is brought to canonical form in
+one place, the ``FieldElement`` constructor.
 
 Read as a symmetric Laurent polynomial x = a_0 + sum a_k (z^k + z^-k) in a
 primitive N-th root of unity z, a product is one Kronecker-packed
@@ -216,27 +217,10 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
     return IntPolynomial(spread)
 
 
-@lru_cache(maxsize=None)
 def minimal_poly_real_cyclotomic(n: int) -> IntPolynomial:
-    """Monic integer polynomial whose roots are 2*cos(2*pi*k/n), gcd(k, n) = 1.
-
-    For n >= 3 the n-th cyclotomic polynomial a is palindromic of even
-    degree 2d, so z^-d * Phi_n(z) = a_d + sum a_(d+i) (z^i + z^-i) is the
-    element with cosine coordinates a_d, ..., a_2d, written in y = z + 1/z
-    by the power-basis conversion.  FieldContext._psi, which invert reads,
-    computes the same coefficients without this cache.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return IntPolynomial([-2, 1])
-    if n == 2:
-        return IntPolynomial([2, 1])
-    a = cyclotomic_polynomial(n).coeffs
-    d = len(a) // 2
-    assert len(a) == 2 * d + 1 and a == a[::-1], \
-        "cyclotomic polynomial must be palindromic"
-    return IntPolynomial(_cosine_to_power(a[d:]))
+    """Monic integer polynomial whose roots are 2*cos(2*pi*k/n), gcd(k, n) = 1:
+    the minimal polynomial ``field_context(n).min_poly``."""
+    return field_context(n).min_poly
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +394,7 @@ class FieldContext:
         self._one_num = (1,) + self._zero_num[1:]
         # entry m - degree: the coordinates of b_m as (index, value) pairs
         self._fold_rows: list[tuple[tuple[int, int], ...]] = []
-        self._psi_coeffs: list[int] | None = None
+        self._min_poly: IntPolynomial | None = None
         self._approx_cache: dict[int, list[int]] = {}
         self._modular: list[tuple[int, tuple[int, ...]]] = []
 
@@ -419,8 +403,14 @@ class FieldContext:
 
     @property
     def min_poly(self) -> IntPolynomial:
-        """The minimal polynomial psi of c, computed on demand."""
-        return minimal_poly_real_cyclotomic(self.N)
+        """The minimal polynomial psi of c, made on first use: for N >= 3,
+        z^-d Phi_N(z) = a_d + sum a_(d+i) (z^i + z^-i), Phi_N = sum a_i z^i
+        palindromic of degree 2d, written in c; X -+ 2 for N = 1, 2."""
+        if self._min_poly is None:
+            self._min_poly = IntPolynomial(
+                _cosine_to_power(cyclotomic_polynomial(self.N).coeffs[self.degree:])
+                if self.N > 2 else [-2 if self.N == 1 else 2, 1])
+        return self._min_poly
 
     # -- constructors -----------------------------------------------------
 
@@ -565,14 +555,6 @@ class FieldContext:
             self._modular.append((p, tuple(images)))
         return self._modular[k]
 
-    def _psi(self) -> list[int]:
-        """The coefficients of psi, computed on first use: the power-basis
-        coordinates of z^-d Phi_N(z), the element with cosine coordinates
-        a_d, ..., a_2d (N >= 3)."""
-        if self._psi_coeffs is None:
-            self._psi_coeffs = _cosine_to_power(cyclotomic_polynomial(self.N).coeffs[self.degree:])
-        return self._psi_coeffs
-
     # -- Galois action -----------------------------------------------------
 
     def galois_index(self, j: int) -> int:
@@ -614,19 +596,42 @@ class FieldContext:
         in integers with 2 log2(N) + 8 guard bits: an error made at one of
         its fewer than N/2 steps reaches a later b_k at most
         1/sin(2 pi/N) <= N/2 times over."""
-        import mpmath
-
         guard = 2 * self.N.bit_length() + 8
         scale = precision_bits + guard
-        with mpmath.workprec(scale + 16):
-            c = int(mpmath.floor(mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi / self.N),
-                                              scale)))
+        c = _two_cos_fixed(self.N, scale)
         prev, cur = 2 << scale, c
         out = [1 << precision_bits]
         for _ in range(self.degree - 1):
             out.append(cur >> guard)
             prev, cur = cur, ((c * cur) >> scale) - prev
         return out
+
+
+def _two_cos_fixed(n: int, bits: int) -> int:
+    """2*cos(2*pi/n) * 2^bits within one unit, in integers.  pi comes from
+    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239) and the cosine from
+    its Taylor series, each term floored in fixed point with 32 guard bits;
+    for bits below 10^5 the floors, about one per bit, err by less than
+    2^30 of those units in all."""
+    w = bits + 32
+    one = 1 << w
+
+    def atan_inv(x: int) -> int:      # atan(1/x) = sum (-1)^k / ((2k+1) x^(2k+1))
+        total, power, k = 0, one // x, 1
+        while power:
+            total += power // k if k % 4 == 1 else -(power // k)
+            power //= x * x
+            k += 2
+        return total
+
+    theta = 2 * (16 * atan_inv(5) - 4 * atan_inv(239)) // n
+    square = theta * theta >> w
+    total, term, k = one, one, 0
+    while term:                       # term = theta^k / k!
+        k += 2
+        term = (term * square >> w) // (k * (k - 1))
+        total += term if k % 4 == 0 else -term
+    return (total + (1 << 30)) >> 31
 
 
 @lru_cache(maxsize=None)
@@ -795,7 +800,7 @@ class FieldElement:
         num = self.num
         for k in itertools.count():
             q = ctx.modular_image(k)[0]
-            y = _inverse_mod(_cosine_to_power(num), ctx._psi(), q)
+            y = _inverse_mod(_cosine_to_power(num), ctx.min_poly.coeffs, q)
             if y is not None:
                 break
         y = [v % q for v in _power_to_cosine(y)]
@@ -826,41 +831,35 @@ class FieldElement:
 
     # -- numerics -------------------------------------------------------------
 
-    def approximate(self, precision_bits: int = 53):
-        """Real approximation with |error| < 2^-precision_bits (mpmath float).
+    def approximate(self) -> float:
+        """The nearest float, or +-inf beyond the float range.
 
-        The sum of num times the context's fixed-point cosines is exact up
-        to 2 sum |num| units of its last place; the working precision grows
-        until that error is 2^-(precision_bits + 20) of the sum.  The context
-        keeps the cosines of the precision that is accepted, not those of
-        the precisions tried before it.
+        acc, num times the context's fixed-point cosines at 2^work, is within
+        2 sum |num| units of 2^work num (exact for a rational, as b_0 = 1);
+        work grows until that bound is 2^-84 of |acc|, and one correctly
+        rounded integer division, acc / (den << work), gives the float, the
+        nearest unless the value is within 2^-84 of a tie.  The context
+        keeps only the cosines of the precision it accepts.
         """
-        import mpmath
-
         num = self.num
         cache = self.ctx._approx_cache
         error = 2 * sum(map(abs, num))
-        work = precision_bits + error.bit_length() + 20
+        work = error.bit_length() + 84
         while True:
             work = -(-work // 64) * 64
             cosines = cache.get(work) or self.ctx._cosines(work)
             acc = sum(v * b for v, b in zip(num, cosines) if v)
-            if not acc and not error or abs(acc) >= error << (precision_bits + 20):
+            if not acc and not error or abs(acc) >= error << 84:
                 break
-            work += max(64, error.bit_length() + precision_bits + 20 - abs(acc).bit_length())
+            work += max(64, error.bit_length() + 84 - abs(acc).bit_length())
         cache[work] = cosines
-        with mpmath.workprec(work + 64):
-            value = mpmath.ldexp(mpmath.mpf(acc), -work) / self.den
-        with mpmath.workprec(precision_bits):
-            return +value
+        try:
+            return acc / (self.den << work)
+        except OverflowError:
+            return math.inf if acc > 0 else -math.inf
 
     def __float__(self) -> float:
-        if not self.is_rational():
-            return float(self.approximate(64))
-        try:
-            return self.num[0] / self.den
-        except OverflowError:  # beyond the float range: ±inf, as approximate()
-            return math.inf if self.num[0] > 0 else -math.inf
+        return self.approximate()
 
     # -- display ------------------------------------------------------------------
 

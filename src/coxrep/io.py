@@ -5,8 +5,9 @@ in the power basis of c = 2cos(2pi/N), with the conductor carried in the
 enclosing document.  Records keep the power basis; field elements compute
 in the cosine basis and are converted at this boundary only
 (`FieldElement.power_num` out, `FieldContext.from_coeffs` in).  An
-"approx" float is attached for human readability but never parsed back.  `scalar_to_json`
-makes that record.  The CLI's documents, `rep_to_json` and
+"approx" float, the nearest float to the value (`float(x)`, +-inf beyond
+the float range), is attached for human readability but never parsed
+back.  `scalar_to_json` makes that record.  The CLI's documents, `rep_to_json` and
 `params_to_json` among them, hold field elements as they are, and
 `cli._json_text` makes each distinct one into a record once per document;
 a parameter file is written through it too.  `matrix_to_json` makes the

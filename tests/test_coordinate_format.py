@@ -1,7 +1,7 @@
 """Only cyclotomic knows the coordinate format of a field element: no other
 module of coxrep imports a private name from it or calls a private
-FieldContext method (the fold, the packed product, the fold table, psi and
-the fixed-point cosines).  The modules are parsed, not imported."""
+FieldContext method (the fold, the packed product, the fold table and the
+fixed-point cosines).  The modules are parsed, not imported."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coxrep"
-PRIVATE_METHODS = {"_fold", "_product", "_rows", "_psi", "_cosines"}
+PRIVATE_METHODS = {"_fold", "_product", "_rows", "_cosines"}
 
 
 def violations(tree: ast.AST) -> list[str]:
