@@ -4,7 +4,8 @@ A pair of reflections whose product has finite order n >= 3 has Cartan
 coefficient 4*cos^2(k*pi/n) for some k coprime to n.  ``order_poly(n)`` is
 the monic integer polynomial with exactly those roots; ``order_poly_full(n)``
 takes all 1 <= k <= floor(n/2), i.e. products whose order divides n.  The
-classifier maps an exact coefficient to its order by one lookup per field,
+classifier reads the order off C - 2 = 2*cos(2*pi*k/n): a rational, or
++-b_j = +-2*cos(2*pi*j/N) found by ``FieldContext.cos_index``.  That is
 complete by the conductor theorem (Washington, *Introduction to Cyclotomic
 Fields*): if 2*cos(2*pi*k/n), gcd(k, n) = 1, lies in Q(zeta_N)+, then n is
 in {1, 2, 3, 4, 6}, or n | N, or n = 2m with m odd and m | N.
@@ -120,22 +121,6 @@ def order_poly_roots(ctx: FieldContext, n: int) -> list[FieldElement]:
     return [2 + ctx.cos_element(k, n) for k in admissible_root_indices(n)]
 
 
-@lru_cache(maxsize=None)
-def _order_table(ctx: FieldContext) -> dict[FieldElement, int]:
-    """Every Cartan coefficient of finite order n >= 3 in the field, mapped
-    to n: the rationals 1, 2, 3 (n = 3, 4, 6), the roots of order_poly(n)
-    for n | N, and 4 - root for odd n | N (order 2n)."""
-    table = {ctx.from_rational(c): n for c, n in ((1, 3), (2, 4), (3, 6))}
-    for n in range(3, ctx.N + 1):
-        if ctx.N % n == 0:
-            for root in order_poly_roots(ctx, n):
-                table[root] = n
-                if n % 2:
-                    # 4 - 4cos^2(k pi/n) = 4cos^2((2k + n) pi/(2n))
-                    table[4 - root] = 2 * n
-    return table
-
-
 def classify_pair(c_rs: FieldElement, c_sr: FieldElement,
                   max_order: int | None = None) -> OrderClass:
     """Classify the product order of a reflection pair from its two Cartan
@@ -148,9 +133,17 @@ def classify_pair(c_rs: FieldElement, c_sr: FieldElement,
     coefficient = c_rs * c_sr
     if coefficient == 4:
         return OrderClass.unipotent()
-    # a one-sided zero gives coefficient 0, which is not in the table: the
-    # product is then (-1)*unipotent, never of finite order
-    n = _order_table(coefficient.ctx).get(coefficient)
+    # C = 2 + 2cos(2 pi k/n); a one-sided zero gives C = 0, which is none
+    # of these: the product is then (-1)*unipotent, never of finite order
+    x, ctx, n = coefficient - 2, coefficient.ctx, None
+    if x.is_rational():
+        n = {-1: 3, 0: 4, 1: 6}.get(x.as_fraction())
+    elif (j := ctx.cos_index(x)) is not None:
+        n = ctx.N // math.gcd(j, ctx.N)
+    elif (j := ctx.cos_index(-x)) is not None:
+        # -b_j = 2cos(pi (N - 2j)/N), of order 2N/gcd(N - 2j, 2N), which is
+        # 2N/gcd(j, N) for odd N; for even N it is b_(N/2 - j), found above
+        n = 2 * ctx.N // math.gcd(j, ctx.N)
     if n is None or (max_order is not None and n > max_order):
         return OrderClass.indeterminate()
     return OrderClass.finite(n)

@@ -2,7 +2,7 @@
 
 Elements are integer coordinate vectors over one positive denominator in
 the cosine basis {1, b_1, ..., b_(d-1)}, b_k = 2*cos(2*pi*k/N) and d the
-degree.  It is a Z-basis of the ring of integers Z[c], c = b_1, and
+degree.  The basis is a Z-basis of the ring of integers Z[c], c = b_1, and
 unitriangular to the power basis of c: b_k = D_k(c) with D_k monic of
 degree k (D_0 = 2, D_1 = X, D_(k+1) = X D_k - D_(k-1)).  So the content,
 the denominator, rationality, the effective degree and the sign of the top
@@ -11,7 +11,9 @@ keep small coordinates.  Every operation is exact and in integers, with
 the standard library only; the one float, the nearest float that
 ``approximate`` gives for display, comes from one integer true division,
 and no decision reads it.  Every element is brought to canonical form in
-one place, the ``FieldElement`` constructor.
+one place, the ``FieldElement`` constructor, and the coordinates of that
+form end at the last nonzero one: zero is (0,), a rational is one
+coordinate and b_j, 0 < j < d, is j zeros and a one.
 
 Read as a symmetric Laurent polynomial x = a_0 + sum a_k (z^k + z^-k) in a
 primitive N-th root of unity z, a product is one Kronecker-packed
@@ -20,8 +22,9 @@ z^m is the coordinate of b_m.  Each b_m with m >= d is folded back by
 ``FieldContext._fold`` through a sparse integer table whose first row comes
 from the palindromic z^-d Phi_N(z) and whose later rows follow from
 b_(m+1) = b_1 b_m - b_(m-1), built only as far as it is read.  The Galois
-action sends b_k to b_(tk mod N), and 2*cos(2*pi*k/m) is a basis vector or
-a table row.
+action sends b_k to b_(tk mod N), 2*cos(2*pi*k/m) is a basis vector or
+a table row, and ``FieldContext.cos_index`` reads an element back as the
+index of its cosine.
 
 The power basis is kept at the boundary and in ``invert`` only:
 ``from_coeffs`` (and so ``io.scalar_from_json``) takes power-basis
@@ -309,6 +312,7 @@ def _power_to_cosine(coeffs: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _normalize(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    num = num[:_trimmed(num)]
     if den < 0:
         num = [-v for v in num]
         den = -den
@@ -320,7 +324,7 @@ def _normalize(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     if g > 1:
         num = [v // g for v in num]
         den //= g
-    if not any(num):
+    if not num[-1]:
         den = 1
     return tuple(num), den
 
@@ -347,7 +351,7 @@ def _inverse_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...] 
     if not r1:
         return None
     inv = pow(r1[0], -1, p)
-    return tuple(v * inv % p for v in t1) + (0,) * (len(m) - 1 - len(t1))
+    return tuple(v * inv % p for v in t1)
 
 
 def _reconstruct(residues: Sequence[int], q: int) -> tuple[tuple[int, ...], int] | None:
@@ -390,8 +394,6 @@ class FieldContext:
         # to its context, so one held here would make a reference cycle,
         # and a context dropped from field_context's cache would then wait,
         # caches and all, for the cycle collector.
-        self._zero_num = (0,) * self.degree            # coordinates of 0, 1
-        self._one_num = (1,) + self._zero_num[1:]
         # entry m - degree: the coordinates of b_m as (index, value) pairs
         self._fold_rows: list[tuple[tuple[int, int], ...]] = []
         self._min_poly: IntPolynomial | None = None
@@ -416,18 +418,15 @@ class FieldContext:
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, self._zero_num, 1, _normalized=True)
+        return FieldElement(self, (0,), 1, _normalized=True)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, self._one_num, 1, _normalized=True)
+        return FieldElement(self, (1,), 1, _normalized=True)
 
     def from_rational(self, value: Fraction | int) -> "FieldElement":
-        if type(value) is int:
-            return FieldElement(self, (value,) + self._zero_num[1:], 1, _normalized=True)
-        q = Fraction(value)
-        num = [q.numerator] + [0] * (self.degree - 1)
-        return FieldElement(self, num, q.denominator)
+        q = value if type(value) is int else Fraction(value)
+        return FieldElement(self, (q.numerator,), q.denominator, _normalized=True)
 
     def from_coeffs(self, coefficients: Sequence[Fraction | int]) -> "FieldElement":
         """Element from power-basis coordinates (length <= degree)."""
@@ -436,7 +435,7 @@ class FieldContext:
             raise ValueError("coordinate vector longer than field degree")
         den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
         num = _power_to_cosine([c.numerator * (den // c.denominator) for c in coeffs] or [0])
-        return FieldElement(self, num + [0] * (self.degree - len(num)), den)
+        return FieldElement(self, num, den)
 
     @property
     def generator(self) -> "FieldElement":
@@ -452,16 +451,22 @@ class FieldContext:
             raise NonDivisorOrder(f"order {m} does not divide conductor {self.N}")
         j = (k % m) * (self.N // m)
         j = min(j, self.N - j)  # cosine parity: 2cos(2pi j/N) = 2cos(2pi (N-j)/N)
-        d = self.degree
-        num = [0] * d
-        if j >= d:
-            for i, v in self._rows(j)[j - d]:
-                num[i] = v
-        elif j:
-            num[j] = 1
-        else:
-            num[0] = 2
-        return FieldElement(self, tuple(num), 1, _normalized=True)
+        return FieldElement(self, self._fold([0] * j + [1] if j else [2]))
+
+    def cos_index(self, x: "FieldElement") -> int | None:
+        """The j with 0 <= j <= N/2 and x == cos_element(j, N), or None: 2 is
+        b_0, a unit vector of j + 1 coordinates b_j, and any other b_j the
+        first fold-table row equal to x (rows past N/2 repeat earlier ones)."""
+        if x.ctx is not self:
+            raise ContextMismatch("element belongs to a different context")
+        if x.den != 1:
+            return None
+        pairs = tuple((i, v) for i, v in enumerate(x.num) if v)
+        j = len(x.num) - 1
+        if pairs == ((j, 1 if j else 2),):
+            return j
+        return next((m for m, row in enumerate(self._rows(self.N // 2), self.degree)
+                     if row == pairs), None)
 
     # -- the fold of b_m, m >= degree ------------------------------------------
 
@@ -503,11 +508,12 @@ class FieldContext:
         return rows
 
     def _fold(self, coeffs: list[int]) -> list[int]:
-        """The `degree` coordinates of sum coeffs[m] b_m, with coeffs[0] the
-        coordinate of 1: each b_m with m >= degree through its table row."""
+        """The coordinates, at most `degree`, of sum coeffs[m] b_m, with
+        coeffs[0] the coordinate of 1: each b_m with m >= degree through its
+        table row."""
         d = self.degree
         if len(coeffs) <= d:
-            return coeffs + [0] * (d - len(coeffs))
+            return coeffs
         out = coeffs[:d]
         rows = self._fold_rows
         if len(rows) < len(coeffs) - d:
@@ -644,13 +650,14 @@ class FieldElement:
     """Immutable element of a real cyclotomic field.
 
     Stored as an integer coordinate vector over a single positive
-    denominator, normalized so gcd(content, den) = 1.  The constructor is
-    the one place that normalizes: it takes integer coordinates over any
-    nonzero denominator.  `_normalized`, private to this module, skips that
-    for values already in canonical form: integers, zero, one, the
-    generator, negations, cosines and the den-1 values of the p-adic lift in
-    `invert`.  `num` holds cosine-basis coordinates; `power_num` converts
-    them to the power basis.
+    denominator, normalized so gcd(content, den) = 1 and the vector ends at
+    its last nonzero coordinate (zero is (0,)): an element is rational
+    exactly when it has one coordinate.  The constructor is the one place
+    that normalizes: it takes integer coordinates over any nonzero
+    denominator.  `_normalized`, private to this module, skips that for
+    values already in canonical form: rationals, zero, one and negations.
+    `num` holds cosine-basis coordinates; `power_num` converts them to the
+    power basis.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -666,13 +673,13 @@ class FieldElement:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self.num[-1]
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        return len(self.num) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -685,18 +692,13 @@ class FieldElement:
 
     @property
     def power_num(self) -> tuple[int, ...]:
-        """The integer power-basis coordinates of num (over den)."""
-        if self.is_rational():
-            return self.num
-        coeffs = _cosine_to_power(self.num)
-        return tuple(coeffs) + self.ctx._zero_num[len(coeffs):]
+        """The `degree` integer power-basis coordinates of num (over den)."""
+        coeffs = self.num if self.is_rational() else tuple(_cosine_to_power(self.num))
+        return coeffs + (0,) * (self.ctx.degree - len(coeffs))
 
     @property
     def effective_degree(self) -> int:
-        for i in range(len(self.num) - 1, -1, -1):
-            if self.num[i]:
-                return i
-        return 0
+        return len(self.num) - 1
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -715,7 +717,8 @@ class FieldElement:
             return NotImplemented
         g = math.gcd(self.den, o.den)
         fa, fb = o.den // g, self.den // g
-        num = [a * fa + b * fb for a, b in zip(self.num, o.num)]
+        num = [a * fa + b * fb
+               for a, b in itertools.zip_longest(self.num, o.num, fillvalue=0)]
         return FieldElement(self.ctx, num, self.den * fa)
 
     __radd__ = __add__
@@ -804,7 +807,6 @@ class FieldElement:
             if y is not None:
                 break
         y = [v % q for v in _power_to_cosine(y)]
-        y += [0] * (ctx.degree - len(y))
         while True:
             found = _reconstruct(y, q)
             if found is not None and \

@@ -36,9 +36,8 @@ class InputError(ValueError):
 
 
 def scalar_to_json(x: FieldElement) -> dict:
-    top = x.effective_degree
     return {
-        "num": list(x.power_num[:top + 1]),
+        "num": list(x.power_num[:len(x.num)]),
         "den": x.den,
         "approx": float(x),
     }
@@ -107,6 +106,10 @@ def diagram_from_json(obj: Any) -> Diagram:
     if labels is not None and not (
             isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
         raise InputError('"labels" must be a list of strings')
+    for label in labels or ():
+        if "-" in label:
+            raise InputError(f"label {label!r} contains '-', which parameter keys "
+                             "('label-label') use to separate the two labels")
     return validate(rows, labels=labels)
 
 
@@ -161,7 +164,7 @@ def params_from_json(tree: SpanningTree, obj: Any) -> ParameterSystem:
         return geometric_parameters(tree)
     if not isinstance(obj, Mapping):
         raise InputError("parameter document must be an object")
-    alpha, chords = (obj.get(name) or {} for name in ("alpha", "chords"))
+    alpha, chords = ({} if obj.get(k) is None else obj[k] for k in ("alpha", "chords"))
     if not isinstance(alpha, Mapping) or not isinstance(chords, Mapping):
         raise InputError('"alpha" and "chords" must be objects')
     alpha_index = {}

@@ -13,7 +13,9 @@ inversion per vertex that the adapted dual generators replaced, the
 `FieldElement` recurrence for cosines that `cos_element` replaced, the
 division form of the dual chord check, the matrix-vector route to the
 pair coefficients and the square-and-nullspace reflection test that the
-rank-one factorization replaced, the routes the rank-one reductions
+rank-one factorization replaced, the table of every Cartan coefficient of
+finite order that `classify_pair` looked its order up in before it read
+the order off `FieldContext.cos_index`, the routes the rank-one reductions
 replaced (is_intertwiner, the intertwining check by near-identity
 products; intertwiner_dimension, the certified dimension of the
 n^2-unknown system; matrix_order_check, the pair-order check by n x n
@@ -38,6 +40,7 @@ from coxrep.analysis import (
     character_word_family,
     is_reflection,
 )
+from coxrep.cartanpoly import order_poly_roots
 from coxrep.construction import ReflectionRep, cartan_matrix, conductor_for
 from coxrep.cyclotomic import (
     DivisionByZero,
@@ -474,3 +477,18 @@ def matrix_order_check(ctx, product, n: int) -> bool:
 
     return linalg.is_identity(ctx, power(n)) and not any(
         linalg.is_identity(ctx, power(n // q)) for q in prime_factors(n))
+
+
+def order_table(ctx) -> dict[FieldElement, int]:
+    """Every Cartan coefficient of finite order n >= 3 in the field, mapped
+    to n: the rationals 1, 2, 3 (n = 3, 4, 6), the roots of order_poly(n)
+    for n | N, and 4 - root for odd n | N (order 2n)."""
+    table = {ctx.from_rational(c): n for c, n in ((1, 3), (2, 4), (3, 6))}
+    for n in range(3, ctx.N + 1):
+        if ctx.N % n == 0:
+            for root in order_poly_roots(ctx, n):
+                table[root] = n
+                if n % 2:
+                    # 4 - 4cos^2(k pi/n) = 4cos^2((2k + n) pi/(2n))
+                    table[4 - root] = 2 * n
+    return table

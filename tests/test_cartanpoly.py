@@ -1,6 +1,7 @@
 """Order-polynomial family and pair classification."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -13,9 +14,9 @@ from coxrep.cartanpoly import (
     order_poly_full,
     order_poly_roots,
 )
-from coxrep.cyclotomic import euler_phi, field_context
+from coxrep.cyclotomic import ContextMismatch, FieldElement, euler_phi, field_context
 
-from oracles import evaluate, poly_divmod
+from oracles import evaluate, order_table, poly_divmod
 
 
 def expand_roots_oracle(n: int, primitive_only: bool, bits: int = 200) -> list[int]:
@@ -151,3 +152,51 @@ def test_order_class_invariants():
     assert OrderClass.commuting().finite_order == 2
     assert OrderClass.finite(7).finite_order == 7
     assert OrderClass.unipotent().finite_order is None
+
+
+def _expected(table, coefficient):
+    """The class the old table gave a coefficient C = c_rs * 1."""
+    if coefficient in table:
+        return OrderClass.finite(table[coefficient])
+    return OrderClass.unipotent() if coefficient == 4 else OrderClass.indeterminate()
+
+
+@pytest.mark.parametrize("n", range(1, 401))
+def test_classify_matches_the_order_table(n):
+    ctx = field_context(n)
+    table = order_table(ctx)
+    for coefficient, order in table.items():
+        assert classify_pair(coefficient, ctx.one) == OrderClass.finite(order), coefficient
+    rng = random.Random(n)
+    b_1 = ctx.cos_element(1, n)
+    samples = [ctx.zero, ctx.from_rational(4), ctx.from_rational(Fraction(1, 2)),
+               2 + b_1 / 2, 2 * b_1, 2 + 2 * b_1, 2 - 2 * b_1]
+    samples += [FieldElement(ctx, [rng.randint(-2, 2) for _ in range(ctx.degree)])
+                for _ in range(20)]
+    for coefficient in samples:
+        assert classify_pair(coefficient, ctx.one) == _expected(table, coefficient), coefficient
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 30, 105, 280, 281])
+def test_cos_index_inverts_cos_element(n):
+    ctx = field_context(n)
+    cosines = [ctx.cos_element(j, n) for j in range(n // 2 + 1)]
+    for j, x in enumerate(cosines):
+        assert ctx.cos_index(x) == j
+    # 1 = 2cos(2 pi (N/6)/N) is a cosine only when 6 | N; 1 is never b_0 = 2
+    assert ctx.cos_index(ctx.one) == (n // 6 if n % 6 == 0 else None)
+    assert ctx.cos_index(ctx.from_rational(3)) is None
+    assert ctx.cos_index(ctx.from_rational(Fraction(1, 2))) is None
+    b_1, rng = cosines[1] if n > 1 else ctx.one, random.Random(n)
+    samples = [2 * b_1, b_1 + 1, b_1 / 2, b_1 * b_1, b_1 - 2, -b_1]
+    samples += [FieldElement(ctx, [rng.randint(-1, 1) for _ in range(ctx.degree)])
+                for _ in range(30)]
+    for x in samples:
+        assert ctx.cos_index(x) == next((j for j, c in enumerate(cosines) if c == x), None), x
+    with pytest.raises(ContextMismatch):
+        ctx.cos_index(field_context(n + 1).one)
+
+
+def test_classify_two_minus_b_1_at_conductor_5_as_order_10():
+    ctx = field_context(5)
+    assert classify_pair(2 - ctx.cos_element(1, 5), ctx.one) == OrderClass.finite(10)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -590,3 +591,63 @@ def test_generated_argv_exit_0_2_or_3_without_traceback(tmp_path, data):
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert code != 2 or "error:" in err.getvalue(), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("name", ["alpha", "chords"])
+@pytest.mark.parametrize("value", [[], 0, False, ""])
+def test_falsy_parameter_sections_exit_2(capsys, tmp_path, name, value):
+    diagram = _file(tmp_path, "diagram.json", {"m": [[1, 3], [3, 1]], "labels": ["a", "b"]})
+    params = _file(tmp_path, "params.json", {name: value})
+    assert_input_error(run(capsys, "build", "--diagram", diagram, "--root", "a",
+                           "--params", params), '"alpha" and "chords" must be objects')
+
+
+@pytest.mark.parametrize("document", [{}, {"alpha": None}, {"chords": None},
+                                      {"alpha": None, "chords": None}])
+def test_missing_or_null_parameter_sections_mean_none_given(capsys, tmp_path, document):
+    params = _file(tmp_path, "params.json", document)
+    assert run(capsys, "build", "--diagram", "a3", "--root", "s1", "--params", params) == \
+        run(capsys, "build", "--diagram", "a3", "--root", "s1")
+
+
+@pytest.mark.parametrize("labels", [["a-b", "c", "d"], ["a", "-", "d"], ["a", "b", "d-"]])
+def test_labels_with_a_dash_exit_2(capsys, tmp_path, labels):
+    bad = next(v for v in labels if "-" in v)
+    diagram = _file(tmp_path, "diagram.json",
+                    {"m": [[1, 3, 3], [3, 1, 3], [3, 3, 1]], "labels": labels})
+    assert_input_error(run(capsys, "build", "--diagram", diagram, "--root", labels[1]),
+                       f"label {bad!r} contains '-'")
+
+
+def _generated_diagrams():
+    """Small random diagrams with chords, some with labels of their own,
+    each with its first vertex as the root."""
+    rng = random.Random(2718)
+    found = []
+    for rank in (3, 4, 4, 5):
+        m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+        for t in range(1, rank):
+            s = rng.randrange(t)
+            m[s][t] = m[t][s] = rng.choice([3, 4, 5, 6])
+        free = [(s, t) for s in range(rank) for t in range(s + 1, rank) if m[s][t] == 2]
+        for s, t in rng.sample(free, min(2, len(free))):
+            m[s][t] = m[t][s] = rng.choice([3, 4, 5])
+        if len(found) % 2:
+            labels = [f"v_{i}.x" for i in range(rank)]
+            found.append(({"m": m, "labels": labels}, labels[0]))
+        else:
+            found.append(({"m": m}, "s1"))
+    return found
+
+
+@pytest.mark.parametrize("diagram, root", [(name, "s1") for name in
+                                           ("a3", "affine_triangle", "b3", "bc3", "h3", "k4")]
+                         + _generated_diagrams())
+def test_parameters_of_build_round_trip_through_params(capsys, tmp_path, diagram, root):
+    if not isinstance(diagram, str):
+        diagram = _file(tmp_path, "diagram.json", diagram)
+    argv = ["build", "--diagram", diagram, "--root", root, "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    params = _file(tmp_path, "params.json", json.loads(out)["parameters"])
+    assert run(capsys, *argv, "--params", params) == (0, out, "")

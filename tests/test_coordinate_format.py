@@ -1,7 +1,9 @@
 """Only cyclotomic knows the coordinate format of a field element: no other
-module of coxrep imports a private name from it or calls a private
+module of coxrep imports a private name from it, calls a private
 FieldContext method (the fold, the packed product, the fold table and the
-fixed-point cosines).  The modules are parsed, not imported."""
+fixed-point cosines) or passes `_normalized`, which skips the constructor's
+canonical form (trimmed coordinates, gcd(content, den) = 1).  The modules
+are parsed, not imported."""
 
 import ast
 from pathlib import Path
@@ -17,6 +19,8 @@ def violations(tree: ast.AST) -> list[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("cyclotomic"):
             found += [f"imports {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.keyword) and node.arg == "_normalized":
+            found.append(f"line {node.value.lineno}: _normalized=")
         elif isinstance(node, ast.Attribute):
             if node.attr in PRIVATE_METHODS:
                 found.append(f"line {node.lineno}: .{node.attr}")
@@ -31,3 +35,8 @@ def violations(tree: ast.AST) -> list[str]:
 def test_only_cyclotomic_knows_the_coordinate_format(name):
     assert violations(ast.parse((SRC / name).read_text())) == []
 
+
+
+def test_the_guard_sees_a_normalized_keyword():
+    source = "x = 1\nFieldElement(ctx, (0, 1, 0), _normalized=True)\n"
+    assert violations(ast.parse(source)) == ["line 2: _normalized="]

@@ -1,13 +1,15 @@
 """Runs at conductors in the thousands, end to end through the CLI: the
 rank-2 diagram with m = 2003 (N = 4006, degree 1001), the triangle
 m = (11, 8, 9) and a rank-8 diagram at N = 1584 (degree 240), with their
-verdicts and exit codes; and that no command calls
-minimal_poly_real_cyclotomic."""
+verdicts and exit codes; that no command calls
+minimal_poly_real_cyclotomic; and that `verify` at m = 5003 (N = 10006,
+degree 2501) keeps no structure that grows as N times the degree."""
 
 import contextlib
 import functools
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -18,6 +20,7 @@ from coxrep.cli import main
 TRIANGLE_1260 = [[1, 7, 10], [7, 1, 9], [10, 9, 1]]
 TRIANGLE_1584 = [[1, 11, 9], [11, 1, 8], [9, 8, 1]]
 RANK_2_2003 = [[1, 2003], [2003, 1]]
+RANK_2_5003 = [[1, 5003], [5003, 1]]
 
 
 def _rank_8_1584():
@@ -82,6 +85,24 @@ def _assert_dual(code, doc):
 @pytest.mark.slow
 def test_rank_2_m_2003_verify(tmp_path):
     _assert_verify(*run_json(tmp_path, "verify", RANK_2_2003, "--max-order", "2003"))
+
+
+@pytest.mark.slow
+def test_rank_2_m_5003_verify_memory(tmp_path, monkeypatch):
+    # one coefficient per pair is classified; a table of every cosine of
+    # the field, d coordinates each, took a 145.6 MB peak here.  The
+    # context is built afresh, inside the measurement
+    fresh = functools.lru_cache(maxsize=None)(cyclotomic.FieldContext)
+    monkeypatch.setattr(construction, "field_context", fresh)
+    monkeypatch.setattr(io_module, "field_context", fresh)
+    tracemalloc.start()
+    try:
+        code, doc = run_json(tmp_path, "verify", RANK_2_5003, "--max-order", "5003")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and doc["passed"] is True
+    assert peak < 16 * 2 ** 20, peak
 
 
 @pytest.mark.slow
