@@ -128,10 +128,10 @@ def _matrix_order_check(ctx: FieldContext, t: Matrix, n: int) -> bool:
 def _is_unipotent(ctx: FieldContext, product: Matrix) -> bool:
     shifted = _minus_identity(product)
     acc = shifted
-    # the kernel is exact for any factor; rs - I is near zero, not near I,
-    # and its zero rows add only the -1 diagonal of (rs - I) - I
+    # exact for any factor, and powers of one matrix commute; rs - I is near
+    # zero, not near I, and its zero rows add only the -1 diagonal of (rs - I) - I
     for _ in range(len(product) - 1):
-        acc = linalg.mul_near_identity(ctx, acc, shifted)
+        acc = linalg.near_identity_mul(ctx, shifted, acc)
     return linalg.is_zero_matrix(acc) and not linalg.is_identity(ctx, product)
 
 
@@ -315,7 +315,6 @@ def verify_good_morphism(rep: ReflectionRep,
     ctx = rep.ctx
     n = rep.rank
     checks = []
-    all_ok = True
     reflections = [is_reflection(ctx, g) for g in rep.generators]
     for s in range(n):
         for t in range(s, n):
@@ -325,19 +324,16 @@ def verify_good_morphism(rep: ReflectionRep,
                 ok = reflections[s] is not None or \
                     linalg.is_identity(ctx, linalg.near_identity_mul(ctx, g, g))
                 checks.append(PairCheck(s, t, 1, 1 if ok else None, ok))
-                all_ok &= ok
                 continue
             expected = m[s][t]
             if reflections[s] is None or reflections[t] is None:
                 checks.append(PairCheck(s, t, expected, None, False))
-                all_ok = False
                 continue
             analysis = product_analysis(reflections[s], reflections[t], max_order)
             computed = analysis.order_class.finite_order
             ok = computed == expected
             checks.append(PairCheck(s, t, expected, computed, ok, analysis))
-            all_ok &= ok
-    return GoodMorphismReport(tuple(checks), all_ok)
+    return GoodMorphismReport(tuple(checks), all(c.passed for c in checks))
 
 
 def commutant_dimension(rep: ReflectionRep) -> tuple[int, str]:
@@ -412,7 +408,6 @@ def circuit_trace(rep: ReflectionRep, chord: tuple[int, int]) -> CircuitTrace:
     inner chords only the direct trace is reported.
     """
     path = chord_circuit(rep.tree, chord).path
-    diagram = rep.diagram
     ctx = rep.ctx
     word = tuple(path)
     direct = rep.word_trace(word)
@@ -424,14 +419,14 @@ def circuit_trace(rep: ReflectionRep, chord: tuple[int, int]) -> CircuitTrace:
                             shortcut, rep.word_trace(shortcut))
     m = len(path)
     params = rep.params
-    alpha_sum = params.alpha(diagram, path[0], path[-1])
+    alpha_sum = params.alpha(path[0], path[-1])
     directed_prod = ctx.one
     for i in range(m - 1):
-        a = params.alpha(diagram, path[i], path[i + 1])
+        a = params.alpha(path[i], path[i + 1])
         alpha_sum = alpha_sum + a
         if precedes(rep.tree, path[i], path[i + 1]):
             directed_prod = directed_prod * a
-    closing = params.chord_pair(diagram, path[-1], path[0])[0]
+    closing = params.chord_pair(path[-1], path[0])[0]
     formula = rep.rank - 2 * m + alpha_sum + directed_prod * closing
     if formula != direct:
         raise OrderMismatch("circuit trace disagrees with the closed form")

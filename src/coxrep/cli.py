@@ -206,7 +206,7 @@ def cmd_form(args) -> int:
     except NotCoprime as exc:
         raise CliError(str(exc)) from exc
     existence = form_exists(rep, theta)
-    gram = build_form(rep, theta) if existence else None
+    gram = build_form(rep, theta, existence) if existence else None
     # the dimension's witness and invariance_verified share one exact check
     intertwined = gram is not None and gram_intertwines(rep, gram)
     dimension, route = form_space_dimension(rep, theta, intertwined)

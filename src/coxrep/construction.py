@@ -17,6 +17,8 @@ turns c_st into c_st * scale_t / scale_s.  One walk down a rooted tree
 finds the scales that give the tree's convention; it yields the chord
 scalars of the geometric representation, the intertwiners of root and
 tree changes, and the decision whether two representations are equivalent.
+Parameters hold their diagram, and so their field, and fit only its trees;
+a representation reads its diagram off its tree, its field off its parameters.
 """
 
 from __future__ import annotations
@@ -54,67 +56,69 @@ def conductor_for(diagram: Diagram) -> int:
     return n
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ParameterSystem:
-    """Per-edge root choices plus chord scalars.
+    """Per-edge root choices plus chord scalars on one diagram, whose
+    conductor (conductor_for) fixes the field.
 
     alpha_index maps each diagram edge (s, t), s < t, to the admissible
     index k (gcd(k, m_e) = 1, k <= m_e/2) selecting alpha_e =
-    4*cos^2(k*pi/m_e).  chord_l maps each chord to the nonzero scalar l
-    for the low-to-high direction; the reverse scalar alpha_e / l is
-    always derived, which enforces the defining product constraint, and
-    each l is inverted once, when its pair is first read.
+    4*cos^2(k*pi/m_e), made on the first read of any alpha.  chord_l maps
+    each chord to the nonzero scalar l for the low-to-high direction; the
+    reverse scalar alpha_e / l is always derived, which enforces the
+    defining product constraint, and each l is inverted once, when its
+    pair is first read.
     """
 
-    ctx: FieldContext
+    diagram: Diagram
     alpha_index: Mapping[tuple[int, int], int]
     chord_l: Mapping[tuple[int, int], FieldElement]
-    _inverses: dict = field(default_factory=dict, init=False, repr=False)
+    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def alpha(self, diagram: Diagram, s: int, t: int) -> FieldElement:
-        key = (s, t) if s < t else (t, s)
-        m = diagram.edge_label(s, t)
-        k = self.alpha_index[key]
-        return 2 + self.ctx.cos_element(k, m)
+    @cached_property
+    def ctx(self) -> FieldContext:
+        return field_context(conductor_for(self.diagram))
 
-    def path_product(self, diagram: Diagram, path: Sequence[int]) -> FieldElement:
+    @cached_property
+    def _alphas(self) -> dict[tuple[int, int], FieldElement]:
+        return {(s, t): 2 + self.ctx.cos_element(k, self.diagram.edge_label(s, t))
+                for (s, t), k in self.alpha_index.items()}
+
+    def alpha(self, s: int, t: int) -> FieldElement:
+        return self._alphas[(s, t) if s < t else (t, s)]
+
+    def path_product(self, path: Sequence[int]) -> FieldElement:
         """Product of alpha over the consecutive pairs of a path of diagram
         edges; the empty product (a path of one vertex) is 1."""
         acc = self.ctx.one
         for s, t in zip(path, path[1:]):
-            acc = acc * self.alpha(diagram, s, t)
+            acc = acc * self.alpha(s, t)
         return acc
 
-    def chord_pair(self, diagram: Diagram, s: int, t: int
-                   ) -> tuple[FieldElement, FieldElement]:
+    def chord_pair(self, s: int, t: int) -> tuple[FieldElement, FieldElement]:
         """(l for direction s->t, l for direction t->s)."""
         key = (s, t) if s < t else (t, s)
         forward = self.chord_l[key]
         inverse = self._inverses.get(key)
         if inverse is None:
             inverse = self._inverses[key] = forward.invert()
-        backward = self.alpha(diagram, s, t) * inverse
+        backward = self.alpha(s, t) * inverse
         return (forward, backward) if s < t else (backward, forward)
 
     def with_alpha(self, edge: tuple[int, int], k: int) -> "ParameterSystem":
         new = dict(self.alpha_index)
         new[edge] = k
-        return ParameterSystem(self.ctx, new, dict(self.chord_l))
+        return ParameterSystem(self.diagram, new, dict(self.chord_l))
 
     def with_chord(self, edge: tuple[int, int], l: FieldElement) -> "ParameterSystem":
         new = dict(self.chord_l)
         new[edge] = l
-        return ParameterSystem(self.ctx, dict(self.alpha_index), new)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParameterSystem):
-            return NotImplemented
-        return (self.ctx is other.ctx
-                and dict(self.alpha_index) == dict(other.alpha_index)
-                and dict(self.chord_l) == dict(other.chord_l))
+        return ParameterSystem(self.diagram, dict(self.alpha_index), new)
 
     def validate_for(self, tree: SpanningTree) -> None:
-        diagram = tree.diagram
+        diagram = self.diagram
+        if tree.diagram != diagram:
+            raise DifferentDiagram("the tree belongs to a different diagram")
         for s, t in diagram.edges:
             if (s, t) not in self.alpha_index:
                 raise IncompleteParameters(f"edge ({s}, {t}) has no root choice")
@@ -151,7 +155,7 @@ def geometric_parameters(tree: SpanningTree,
             tree, lambda s, t: -ctx.cos_element(1, 2 * diagram.edge_label(s, t)),
             ctx.one, missing)
         chords.update(geometric)
-    return ParameterSystem(ctx, {edge: 1 for edge in diagram.edges}, chords)
+    return ParameterSystem(diagram, {edge: 1 for edge in diagram.edges}, chords)
 
 
 @dataclass(frozen=True)
@@ -179,11 +183,17 @@ class CartanMatrixData:
 class ReflectionRep:
     """Generator matrices over an exact cyclotomic field, with provenance."""
 
-    ctx: FieldContext
-    diagram: Diagram
     tree: SpanningTree
     params: ParameterSystem
     generators: tuple[Matrix, ...]
+
+    @property
+    def ctx(self) -> FieldContext:
+        return self.params.ctx
+
+    @property
+    def diagram(self) -> Diagram:
+        return self.tree.diagram
 
     @property
     def rank(self) -> int:
@@ -202,13 +212,13 @@ class ReflectionRep:
         return rows
 
     def word_matrix(self, word: Sequence[int]) -> list[list[FieldElement]]:
-        """The product of the generators along the word, left to right, each
-        factor read only where it differs from I; I for the empty word."""
+        """The product of the generators along the word, made from its right
+        end, each factor read only where it differs from I; I for the empty word."""
         if not word:
             return linalg.identity(self.ctx, self.rank)
-        acc = [list(row) for row in self.generators[word[0]]]
-        for s in word[1:]:
-            acc = linalg.mul_near_identity(self.ctx, acc, self.generators[s])
+        acc = [list(row) for row in self.generators[word[-1]]]
+        for s in reversed(word[:-1]):
+            acc = linalg.near_identity_mul(self.ctx, self.generators[s], acc)
         return acc
 
     def word_trace(self, word: Sequence[int]) -> FieldElement:
@@ -248,13 +258,13 @@ def cartan_rows(tree: SpanningTree, params: ParameterSystem
     for s in range(n):
         rows[s][s] = two
     for s, t in diagram.edges:
-        alpha = params.alpha(diagram, s, t)
+        alpha = params.alpha(s, t)
         if tree.is_tree_edge(s, t):
             low, high = (s, t) if precedes(tree, s, t) else (t, s)
             rows[low][high] = -alpha
             rows[high][low] = -ctx.one
         else:
-            forward, backward = params.chord_pair(diagram, s, t)
+            forward, backward = params.chord_pair(s, t)
             rows[s][t] = -forward
             rows[t][s] = -backward
     return rows
@@ -274,7 +284,7 @@ def build(tree: SpanningTree, params: ParameterSystem) -> ReflectionRep:
     for s, row in enumerate(rows):
         reflected = tuple(one - c if t == s else -c for t, c in enumerate(row))
         generators.append(eye[:s] + (reflected,) + eye[s + 1:])
-    return ReflectionRep(ctx, tree.diagram, tree, params, tuple(generators))
+    return ReflectionRep(tree, params, tuple(generators))
 
 
 def geometric_representation(diagram: Diagram, root: int | str = 0) -> ReflectionRep:
@@ -350,7 +360,7 @@ def tree_change_intertwiner(rep: ReflectionRep, new_tree: SpanningTree) -> Inter
         raise DifferentDiagram("target tree belongs to a different diagram")
     c = cartan_matrix(rep).entries
     scale, chords = _tree_rescaling(new_tree, lambda s, t: c[s][t], rep.ctx.one)
-    params = ParameterSystem(rep.ctx, dict(rep.params.alpha_index), chords)
+    params = ParameterSystem(rep.diagram, dict(rep.params.alpha_index), chords)
     return Intertwiner(rep, build(new_tree, params), tuple(scale))
 
 

@@ -94,7 +94,7 @@ def involutive_automorphisms(ctx: FieldContext) -> list[Automorphism]:
 def tree_product(rep: ReflectionRep, s: int) -> FieldElement:
     """Product of the edge coefficients along the tree path from the root
     to s; the empty product (s = root) is 1."""
-    return rep.params.path_product(rep.diagram, rep.tree.path_to_root(s))
+    return rep.params.path_product(rep.tree.path_to_root(s))
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,19 @@ def form_exists(rep: ReflectionRep, theta: Automorphism) -> FormExistence:
     coefficient; and for every chord, the two scalars balance against the
     prefix/suffix coefficient products around the circuit entry.
     """
-    diagram = rep.diagram
     params = rep.params
     if not theta.is_involution():
         return FormExistence(False, "not_involution", (theta.index,))
-    for edge in diagram.edges:
-        alpha = params.alpha(diagram, *edge)
+    for edge in rep.diagram.edges:
+        alpha = params.alpha(*edge)
         if theta(alpha) != alpha:
             return FormExistence(False, "moves_alpha", edge)
     for chord in rep.tree.chords:
         circuit = chord_circuit(rep.tree, chord)
         path = circuit.path
-        forward, backward = params.chord_pair(diagram, path[0], path[-1])
-        prefix = params.path_product(diagram, path[:circuit.entry_index + 1])
-        suffix = params.path_product(diagram, path[circuit.entry_index:])
+        forward, backward = params.chord_pair(path[0], path[-1])
+        prefix = params.path_product(path[:circuit.entry_index + 1])
+        suffix = params.path_product(path[circuit.entry_index:])
         if theta(forward) * prefix != backward * suffix:
             return FormExistence(False, "chord_balance", chord)
     return FormExistence(True)
@@ -150,27 +149,29 @@ class GramMatrix:
                              self.entries)
 
 
-def build_form(rep: ReflectionRep, theta: Automorphism) -> GramMatrix:
+def build_form(rep: ReflectionRep, theta: Automorphism,
+               existence: Optional[FormExistence] = None) -> GramMatrix:
     """Assemble the Gram matrix: diagonal twice the tree product, tree edges
-    minus the deeper endpoint's tree product, chords from the chord scalars."""
-    existence = form_exists(rep, theta)
+    minus the deeper endpoint's tree product, chords from the chord scalars;
+    `existence` is the criterion's verdict, when the caller has it already."""
+    if existence is None:
+        existence = form_exists(rep, theta)
     if not existence:
         raise NoInvariantForm(
             f"no invariant form: {existence.obstruction} at {existence.detail}")
     ctx = rep.ctx
-    diagram = rep.diagram
     n = rep.rank
     products = [tree_product(rep, s) for s in range(n)]
     gram = [[ctx.zero] * n for _ in range(n)]
     for s in range(n):
         gram[s][s] = 2 * products[s]
-    for s, t in diagram.edges:
+    for s, t in rep.diagram.edges:
         if rep.tree.is_tree_edge(s, t):
             low, high = (s, t) if precedes(rep.tree, s, t) else (t, s)
             gram[s][t] = -products[high]
             gram[t][s] = -products[high]
         else:
-            forward, _ = rep.params.chord_pair(diagram, s, t)
+            forward, _ = rep.params.chord_pair(s, t)
             gram[s][t] = -theta(forward) * products[s]
             gram[t][s] = -forward * products[s]
     return GramMatrix(linalg.mat_freeze(gram), theta)
@@ -232,8 +233,9 @@ def form_space_dimension(rep: ReflectionRep, theta: Automorphism,
     n^2-unknown system.
     """
     if witness is None:
-        witness = bool(form_exists(rep, theta)) and \
-            gram_intertwines(rep, build_form(rep, theta))
+        existence = form_exists(rep, theta)
+        witness = bool(existence) and \
+            gram_intertwines(rep, build_form(rep, theta, existence))
     rows = rep.generator_rows
     return linalg.reduced_dimension(rep.ctx, linalg.transpose(rows),
                                     theta.apply_matrix(rows), int(witness))
@@ -366,11 +368,10 @@ def dual_chord_coefficients_match(dual: DualRep) -> bool:
     rep = dual.primal
     if dual.degenerate:
         raise ValueError("no adapted basis in the degenerate case")
-    diagram = rep.diagram
     p = dual.scalings
     for s, t in rep.tree.chords:
         forward = rep.params.chord_l[(s, t)]
-        alpha = rep.params.alpha(diagram, s, t)
+        alpha = rep.params.alpha(s, t)
         gen_t = dual.adapted_generators[t]
         gen_s = dual.adapted_generators[s]
         if gen_t[t][s] * p[t] != p[s] * forward or \

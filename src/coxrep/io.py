@@ -181,7 +181,7 @@ def params_from_json(tree: SpanningTree, obj: Any) -> ParameterSystem:
             raise InputError(f"{key!r} is not a chord of the chosen tree")
         chord_l[edge] = scalar_from_json(ctx, spec)
     params = geometric_parameters(tree, chord_l)
-    return ParameterSystem(ctx, {**params.alpha_index, **alpha_index}, params.chord_l)
+    return ParameterSystem(diagram, {**params.alpha_index, **alpha_index}, params.chord_l)
 
 
 def load_params(tree: SpanningTree, path: str | None) -> ParameterSystem:
@@ -191,9 +191,9 @@ def load_params(tree: SpanningTree, path: str | None) -> ParameterSystem:
         return params_from_json(tree, json.load(fh))
 
 
-def params_to_json(diagram: Diagram, params: ParameterSystem) -> dict:
+def params_to_json(params: ParameterSystem) -> dict:
     """The parameter document, its chord scalars left as field elements."""
-    labels = diagram.labels
+    labels = params.diagram.labels
     alpha = {f"{labels[s]}-{labels[t]}": k
              for (s, t), k in sorted(params.alpha_index.items())}
     chords = {f"{labels[s]}-{labels[t]}": l
@@ -213,6 +213,6 @@ def rep_to_json(rep: ReflectionRep) -> dict:
         "tree_edges": [[labels[s], labels[t]]
                        for s, t in sorted(rep.tree.tree_edges)],
         "chords": [[labels[s], labels[t]] for s, t in rep.tree.chords],
-        "parameters": params_to_json(rep.diagram, rep.params),
+        "parameters": params_to_json(rep.params),
         "generators": dict(zip(labels, rep.generators)),
     }

@@ -10,12 +10,11 @@ forms against them (the rank-two pair quadratic of
 analysis.product_analysis, forms.adapted_generators and the diagonal
 inverse of cli's equiv).
 
-near_identity_mul and mul_near_identity compute M A and A M as
-A + (M - I) A and A + A (M - I): they read only the nonzero entries of
-M - I, skip the zero entries of A, and make one field product and one sum
-per remaining term; nothing is assumed of M.  The squares of generators,
-the pair products rs, the unipotency check and the word matrices go
-through them.
+near_identity_mul computes M A as A + (M - I) A: it reads only the
+nonzero entries of M - I, skips the zero entries of A, and makes one field
+product and one sum per remaining term; nothing is assumed of M.  The
+squares of generators, the pair products rs, the unipotency check and the
+word matrices, multiplied from the right end, go through it.
 
 The systems A_s X = X B_s of the commands (commutant, invariant forms)
 have generators that differ from I in one row or one column, read by
@@ -77,12 +76,6 @@ def near_identity_mul(ctx: FieldContext, m: Matrix, a: Matrix) -> list[list[Fiel
                 if y:
                     acc[j] = acc[j] + e * y
     return out
-
-
-def mul_near_identity(ctx: FieldContext, a: Matrix, m: Matrix) -> list[list[FieldElement]]:
-    """The product A M, as (M^T A^T)^T by near_identity_mul: it reads only
-    the nonzero entries of M - I."""
-    return transpose(near_identity_mul(ctx, transpose(m), transpose(a)))
 
 
 def mat_scale(a: Matrix, s) -> list[list[FieldElement]]:

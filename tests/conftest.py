@@ -92,7 +92,7 @@ def _random_params(rng: random.Random, tree: SpanningTree) -> ParameterSystem:
     for chord in tree.chords:
         if rng.random() < 0.25:
             # an irrational scalar: shift the chord coefficient by one
-            l = 1 + params.alpha(diagram, *chord)
+            l = 1 + params.alpha(*chord)
         else:
             l = params.ctx.from_rational(rng.choice(_CHORD_CHOICES))
         params = params.with_chord(chord, l)

@@ -16,8 +16,8 @@ pair coefficients and the square-and-nullspace reflection test that the
 rank-one factorization replaced, the table of every Cartan coefficient of
 finite order that `classify_pair` looked its order up in before it read
 the order off `FieldContext.cos_index`, the routes the rank-one reductions
-replaced (is_intertwiner, the intertwining check by near-identity
-products; intertwiner_dimension, the certified dimension of the
+replaced (is_intertwiner, the intertwining check by matrix products;
+intertwiner_dimension, the certified dimension of the
 n^2-unknown system; matrix_order_check, the pair-order check by n x n
 matrix powers), and helpers only tests call: a generator's checked
 ReflectionData, the parse of a representation document's generator
@@ -328,7 +328,7 @@ def chord_check_by_division(dual) -> bool:
     gen_t[t][s] = p_s l / p_t and gen_s[s][t] = p_t l' / p_s, l' = alpha / l."""
     rep = dual.primal
     for s, t in rep.tree.chords:
-        forward, backward = rep.params.chord_pair(rep.diagram, s, t)
+        forward, backward = rep.params.chord_pair(s, t)
         expected_ts = dual.scalings[s] * forward / dual.scalings[t]
         expected_st = dual.scalings[t] * backward / dual.scalings[s]
         if dual.adapted_generators[t][t][s] != expected_ts or \
@@ -431,12 +431,11 @@ def pair_coefficients_by_images(r: ReflectionData, s: ReflectionData
 
 
 def is_intertwiner(ctx, gens_a, gens_b, w) -> bool:
-    """Exact check that w is nonzero and A_s w = w B_s for every s, by the
-    two near-identity products of each s; nothing is assumed of A_s and
-    B_s."""
+    """Exact check that w is nonzero and A_s w = w B_s for every s, A_s w
+    by the near-identity product and w B_s by mat_mul; nothing is assumed
+    of A_s and B_s."""
     return not linalg.is_zero_matrix(w) and all(
-        linalg.mat_eq(linalg.near_identity_mul(ctx, a, w),
-                      linalg.mul_near_identity(ctx, w, b))
+        linalg.mat_eq(linalg.near_identity_mul(ctx, a, w), linalg.mat_mul(ctx, w, b))
         for a, b in zip(gens_a, gens_b))
 
 

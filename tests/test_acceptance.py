@@ -364,7 +364,6 @@ def test_criterion_9_dual_suite():
                 assert dual.adapted_rank() < rep.rank
                 continue
             assert dual.adapted_rank() == rep.rank
-            adapted = ReflectionRep(rep.ctx, rep.diagram, rep.tree, rep.params,
-                                    dual.adapted_generators)
+            adapted = ReflectionRep(rep.tree, rep.params, dual.adapted_generators)
             assert verify_good_morphism(adapted).passed
             assert dual_chord_coefficients_match(dual)

@@ -180,8 +180,7 @@ def test_good_morphism_on_corrupted_alpha():
     gens = [list(map(list, g)) for g in rep.generators]
     gens[1][1][2] = ctx.from_rational(-5)   # 5 is not a coefficient of any order
     from coxrep.construction import ReflectionRep
-    corrupted = ReflectionRep(ctx, rep.diagram, tree, params,
-                              tuple(linalg.mat_freeze(g) for g in gens))
+    corrupted = ReflectionRep(tree, params, tuple(linalg.mat_freeze(g) for g in gens))
     report = verify_good_morphism(corrupted)
     assert not report.passed
     failing = {(c.s, c.t) for c in report.checks if not c.passed}

@@ -383,6 +383,24 @@ def test_form_criterion_against_the_dimension_still_exits_4(capsys, monkeypatch)
     assert err == "error: form criterion and nullspace dimension disagree\n"
 
 
+def test_one_form_job_runs_the_criterion_once(capsys, monkeypatch):
+    import coxrep.cli as cli
+    import coxrep.forms as forms
+
+    calls = []
+    real = forms.form_exists
+
+    def counted(rep, theta):
+        calls.append(theta.index)
+        return real(rep, theta)
+
+    monkeypatch.setattr(cli, "form_exists", counted)
+    monkeypatch.setattr(forms, "form_exists", counted)
+    code, doc, _ = run_json(capsys, "form", "--diagram", "h3", "--root", "s2")
+    assert code == 0 and doc["exists"] is True and doc["invariance_verified"] is True
+    assert calls == [1]
+
+
 TRIANGLE_1584 = {"rank": 3, "m": [[1, 11, 9], [11, 1, 8], [9, 8, 1]]}
 
 

@@ -1,5 +1,6 @@
 """Fundamental construction: golden Cartan matrices, parameters, intertwiners."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,9 +22,9 @@ from coxrep.construction import (
     root_change_intertwiner,
     tree_change_intertwiner,
 )
-from coxrep.cyclotomic import FieldElement, field_context
+from coxrep.cyclotomic import FieldContext, FieldElement, field_context
 from coxrep.forms import Automorphism, form_exists
-from coxrep.graph import spanning_tree, spanning_tree_from_edges, validate
+from coxrep.graph import DifferentDiagram, spanning_tree, spanning_tree_from_edges, validate
 from coxrep import linalg
 
 B3 = validate([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
@@ -116,7 +117,7 @@ def test_geometric_parameters_affine_triangle():
     tree = spanning_tree(TRIANGLE, 0)
     params = geometric_parameters(tree)
     assert params.chord_l[(1, 2)] == 1
-    fwd, back = params.chord_pair(TRIANGLE, 1, 2)
+    fwd, back = params.chord_pair(1, 2)
     assert fwd == 1 and back == 1
 
 
@@ -127,19 +128,60 @@ def test_geometric_chord_product_identity():
         tree = spanning_tree(diagram, root)
         params = geometric_parameters(tree)
         for chord in tree.chords:
-            fwd, back = params.chord_pair(diagram, *chord)
-            assert fwd * back == params.alpha(diagram, *chord)
+            fwd, back = params.chord_pair(*chord)
+            assert fwd * back == params.alpha(*chord)
 
 
 def test_parameter_validation_errors():
     tree = spanning_tree(TRIANGLE, 0)
     good = geometric_parameters(tree)
     with pytest.raises(IncompleteParameters):
-        build(tree, ParameterSystem(good.ctx, {}, dict(good.chord_l)))
+        build(tree, ParameterSystem(good.diagram, {}, dict(good.chord_l)))
     with pytest.raises(ZeroChordParameter):
         build(tree, good.with_chord((1, 2), good.ctx.zero))
     with pytest.raises(IncompleteParameters):
         build(tree, good.with_alpha((0, 1), 2))  # gcd(2, 3) != 1
+
+
+def test_parameters_fit_only_the_trees_of_their_diagram():
+    # two triangles of conductor 12 with one tree shape: B's geometric chord
+    # scalar is A's divided by 3, so A's parameters would build a wrong B
+    tree_a = spanning_tree(validate([[1, 3, 6], [3, 1, 3], [6, 3, 1]]), 0)
+    tree_b = spanning_tree(validate([[1, 6, 3], [6, 1, 3], [3, 3, 1]]), 0)
+    assert conductor_for(tree_a.diagram) == conductor_for(tree_b.diagram) == 12
+    assert tree_a.chords == tree_b.chords == ((1, 2),)
+    with pytest.raises(DifferentDiagram):
+        build(tree_b, geometric_parameters(tree_a))
+    # A3's parameters on a B3 tree are refused before any field arithmetic
+    a3 = validate([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    with pytest.raises(DifferentDiagram):
+        build(spanning_tree(B3, 0), geometric_parameters(spanning_tree(a3, 0)))
+
+
+def test_alpha_is_computed_once_per_parameter_system(monkeypatch):
+    params = geometric_parameters(spanning_tree(validate([[1, 5], [5, 1]]), 0))
+    calls = []
+    cos_element = FieldContext.cos_element
+
+    def counted(ctx, k, m):
+        calls.append((k, m))
+        return cos_element(ctx, k, m)
+
+    monkeypatch.setattr(FieldContext, "cos_element", counted)
+    first = params.alpha(0, 1)
+    assert params.alpha(1, 0) is first
+    assert calls == [(1, 5)]
+    assert abs(float(first) - 4 * math.cos(math.pi / 5) ** 2) < 1e-12
+
+
+def test_a_with_alpha_copy_starts_with_fresh_values():
+    params = geometric_parameters(spanning_tree(validate([[1, 5], [5, 1]]), 0))
+    golden = params.alpha(0, 1)
+    other = params.with_alpha((0, 1), 2)
+    assert other.alpha(0, 1) == 2 + params.ctx.cos_element(2, 5) != golden
+    assert params.alpha(0, 1) == golden
+    # equality reads the diagram, indices and scalars, not the cached values
+    assert other != params and other.with_alpha((0, 1), 1) == params
 
 
 def test_b3_root_change_intertwiner_is_diag_2_2_1():
@@ -319,9 +361,9 @@ def test_a_chord_scalar_is_inverted_once_per_parameter_system(monkeypatch):
     base = geometric_parameters(tree)
     ctx = base.ctx
     chord = tree.chords[0]
-    l = 1 + base.alpha(diagram, *chord)
+    l = 1 + base.alpha(*chord)
     params = base.with_chord(chord, l)
-    expected = base.alpha(diagram, *chord) / l
+    expected = base.alpha(*chord) / l
     calls = []
     invert = FieldElement.invert
 
@@ -330,12 +372,12 @@ def test_a_chord_scalar_is_inverted_once_per_parameter_system(monkeypatch):
         return invert(x)
 
     monkeypatch.setattr(FieldElement, "invert", counted)
-    assert params.chord_pair(diagram, *chord) == (l, expected)
-    assert params.chord_pair(diagram, *chord[::-1]) == (expected, l)
+    assert params.chord_pair(*chord) == (l, expected)
+    assert params.chord_pair(*chord[::-1]) == (expected, l)
     rep = build(tree, params)
     theta = Automorphism.identity(ctx)
     form_exists(rep, theta)
     assert calls == [l]
     other = params.with_chord(chord, 2 * l)
-    assert other.chord_pair(diagram, *chord) == (2 * l, expected * Fraction(1, 2))
+    assert other.chord_pair(*chord) == (2 * l, expected * Fraction(1, 2))
     assert calls == [l, 2 * l]

@@ -285,8 +285,7 @@ def test_dual_h3_nondegenerate():
     assert dual.discriminant == cartan_matrix(rep).discriminant
     assert dual.adapted_rank() == 3
     from coxrep.construction import ReflectionRep
-    adapted = ReflectionRep(rep.ctx, rep.diagram, rep.tree, rep.params,
-                            dual.adapted_generators)
+    adapted = ReflectionRep(rep.tree, rep.params, dual.adapted_generators)
     assert verify_good_morphism(adapted).passed
 
 
@@ -313,8 +312,7 @@ def test_dual_chord_formula_circuits():
     dual = dual_representation(rep)
     assert not dual.degenerate
     assert dual_chord_coefficients_match(dual)
-    adapted = type(rep)(rep.ctx, rep.diagram, rep.tree, rep.params,
-                        dual.adapted_generators)
+    adapted = type(rep)(rep.tree, rep.params, dual.adapted_generators)
     assert verify_good_morphism(adapted).passed
     # non-geometric chord scalar on the affine triangle also de-degenerates it
     tree = spanning_tree(TRIANGLE, 0)
@@ -338,8 +336,7 @@ def test_dual_generators_are_transposes_with_same_orders():
     for g, d in zip(rep.generators, dual.dual_generators):
         assert linalg.mat_eq(linalg.transpose(g), d)
     from coxrep.construction import ReflectionRep
-    as_rep = ReflectionRep(rep.ctx, rep.diagram, rep.tree, rep.params,
-                           dual.dual_generators)
+    as_rep = ReflectionRep(rep.tree, rep.params, dual.dual_generators)
     assert verify_good_morphism(as_rep).passed
 
 

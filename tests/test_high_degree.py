@@ -145,7 +145,7 @@ def test_document_chord_scalars_skip_the_geometric_walk(suite_instances, monkeyp
     monkeypatch.setattr(construction, "_tree_rescaling", counted)
     for inst in suite_instances:
         tree = inst.tree
-        full = json.loads(_json_text(params_to_json(inst.diagram, inst.params)))
+        full = json.loads(_json_text(params_to_json(inst.params)))
         walked.clear()
         assert params_from_json(tree, full) == inst.params
         assert walked == []

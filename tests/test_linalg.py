@@ -444,9 +444,6 @@ def test_near_identity_kernel_matches_mat_mul(conductor, n, shape, other, seed):
     a = [[ctx.zero if other == "zero" else random_entry(rng, ctx) for _ in range(width)]
          for _ in range(n)]
     assert exact(linalg.near_identity_mul(ctx, m, a)) == exact(linalg.mat_mul(ctx, m, a))
-    a_t = linalg.transpose(a)
-    assert exact(linalg.mul_near_identity(ctx, a_t, m)) == \
-        exact(linalg.mat_mul(ctx, a_t, m))
 
 
 def test_near_identity_kernel_on_the_corpus_generators(suite_instances):
@@ -460,8 +457,6 @@ def test_near_identity_kernel_on_the_corpus_generators(suite_instances):
             for m in (g, linalg.transpose(g), pair):
                 assert exact(linalg.near_identity_mul(ctx, m, coxeter)) == \
                     exact(linalg.mat_mul(ctx, m, coxeter))
-                assert exact(linalg.mul_near_identity(ctx, coxeter, m)) == \
-                    exact(linalg.mat_mul(ctx, coxeter, m))
 
 
 @pytest.mark.parametrize("broken", [0, 1, 2])

@@ -182,7 +182,7 @@ def _corpus_job(suite_instances, tmp_path):
     files = {"diagram": {"m": [list(row) for row in diagram.m], "labels": list(labels)},
              "tree": {"edges": [[labels[s], labels[t]]
                                 for s, t in sorted(inst.tree.tree_edges)]},
-             "params": params_to_json(diagram, inst.params)}
+             "params": params_to_json(inst.params)}
     job = []
     for name, document in files.items():
         path = tmp_path / f"{name}.json"
