@@ -13,7 +13,10 @@ the standard library only; the one float, the nearest float that
 and no decision reads it.  Every element is brought to canonical form in
 one place, the ``FieldElement`` constructor, and the coordinates of that
 form end at the last nonzero one: zero is (0,), a rational is one
-coordinate and b_j, 0 < j < d, is j zeros and a one.
+coordinate and b_j, 0 < j < d, is j zeros and a one.  Each arithmetic
+operation makes at most one element, and none when an operand decides
+the result (x + 0, x * 1, x * 0): an int or Fraction operand is read as
+one coordinate over its denominator, and subtraction is one pass.
 
 Read as a symmetric Laurent polynomial x = a_0 + sum a_k (z^k + z^-k) in a
 primitive N-th root of unity z, a product is one Kronecker-packed
@@ -316,14 +319,15 @@ def _normalize(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     if den < 0:
         num = [-v for v in num]
         den = -den
-    g = den
-    for v in num:
-        g = math.gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        num = [v // g for v in num]
-        den //= g
+    if den != 1:
+        g = den
+        for v in num:
+            g = math.gcd(g, v)
+            if g == 1:
+                break
+        if g > 1:
+            num = [v // g for v in num]
+            den //= g
     if not num[-1]:
         den = 1
     return tuple(num), den
@@ -654,10 +658,18 @@ class FieldElement:
     its last nonzero coordinate (zero is (0,)): an element is rational
     exactly when it has one coordinate.  The constructor is the one place
     that normalizes: it takes integer coordinates over any nonzero
-    denominator.  `_normalized`, private to this module, skips that for
-    values already in canonical form: rationals, zero, one and negations.
-    `num` holds cosine-basis coordinates; `power_num` converts them to the
-    power basis.
+    denominator, and an integral one (den 1) needs no gcd.  `_normalized`,
+    private to this module, skips that for values already in canonical
+    form: rationals, zero, one, negations, and the sums and multiples by
+    an integer that the arithmetic shows to be canonical.  `num` holds
+    cosine-basis coordinates; `power_num` converts them to the power basis.
+
+    Each of +, -, * and == makes at most one element.  An int or Fraction
+    operand is read as one coordinate over its denominator, never built as
+    an element; x - y and k - x are one pass, with no negated operand; and
+    an operand that decides the result is returned itself, as elements are
+    immutable: x + 0, 0 + x, x * 1 and x * 0 (the zero operand) make no
+    element, x * -1 makes the one negation, and x == k makes none.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -702,71 +714,104 @@ class FieldElement:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """The coordinates and denominator of an element of this context, an
+        int or a Fraction, with no element made; None for any other type."""
         if type(other) is FieldElement:
             if other.ctx is not self.ctx:
                 raise ContextMismatch("elements from different field contexts")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.from_rational(other)
-        return None
+            return other.num, other.den
+        if type(other) is int:
+            return (other,), 1
+        if type(other) is not Fraction:
+            if not isinstance(other, (int, Fraction)):
+                return None
+            other = Fraction(other)
+        return (other.numerator,), other.denominator
 
-    def __add__(self, other):
-        o = self._coerce(other)
+    def _linear(self, other, a: int, b: int):
+        """a*self + b*other for signs a and b, in one pass; an element
+        operand itself when self is zero and b = 1, and self when other is
+        zero and a = 1.  An integer k keeps the denominator D and is
+        canonical as it stands: k D changes only coordinate 0, so the gcd of
+        the coordinates with D is unchanged."""
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        g = math.gcd(self.den, o.den)
-        fa, fb = o.den // g, self.den // g
-        num = [a * fa + b * fb
-               for a, b in itertools.zip_longest(self.num, o.num, fillvalue=0)]
-        return FieldElement(self.ctx, num, self.den * fa)
+        num, den = o
+        x, d = self.num, self.den
+        if not x[-1] and type(other) is FieldElement:
+            return other if b == 1 else -other
+        if len(num) == 1 and den == 1:
+            if not num[0]:
+                return self if a == 1 else -self
+            head = a * x[0] + b * num[0] * d
+            if len(x) == 1:
+                return FieldElement(self.ctx, (head,), d if head else 1, _normalized=True)
+            rest = x[1:] if a == 1 else [-v for v in x[1:]]
+            return FieldElement(self.ctx, (head, *rest), d, _normalized=True)
+        g = math.gcd(d, den)
+        fa, fb = den // g * a, d // g * b
+        return FieldElement(self.ctx, [u * fa + v * fb for u, v in
+                                       itertools.zip_longest(x, num, fillvalue=0)],
+                            d * (den // g))
+
+    def __add__(self, other):
+        return self._linear(other, 1, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._linear(other, 1, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self._linear(other, -1, 1)
 
     def __neg__(self):
+        if not self.num[-1]:
+            return self
         return FieldElement(self.ctx, tuple(-v for v in self.num), self.den,
                             _normalized=True)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        a, b = self, o
-        if a.is_rational() or b.is_rational():
-            if b.is_rational():
-                a, b = b, a
-            q = a.num[0]
-            if q == 0:
-                return self.ctx.zero
-            num = [q * v for v in b.num]
-            return FieldElement(self.ctx, num, a.den * b.den)
-        return FieldElement(self.ctx, self.ctx._product(a.num, b.num), a.den * b.den)
+        num, den = o
+        if len(num) > 1 and len(self.num) > 1:
+            return FieldElement(self.ctx, self.ctx._product(self.num, num), self.den * den)
+        if not self.num[-1]:
+            return self
+        if len(num) == 1:       # self times p/q
+            x, p, q = self, num[0], den
+            if not p:
+                return other if type(other) is FieldElement else self.ctx.zero
+        else:                   # other times self, a nonzero rational
+            x, p, q = other, self.num[0], self.den
+        if p == q:
+            return x
+        if p == -q:
+            return -x
+        g = math.gcd(p, x.den)
+        if q == 1:              # p/g is prime to den/g, and den to the content
+            return FieldElement(self.ctx, tuple([v * (p // g) for v in x.num]),
+                                x.den // g, _normalized=True)
+        return FieldElement(self.ctx, [v * (p // g) for v in x.num], x.den // g * q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self * o.invert()
+        if type(other) is not FieldElement:
+            other = FieldElement(self.ctx, *o, _normalized=True)
+        return self * other.invert()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._operand(other) is None:
             return NotImplemented
-        return o * self.invert()
+        return self.invert() * other
 
     def __pow__(self, k: int):
         if k < 0:
@@ -820,13 +865,10 @@ class FieldElement:
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if type(other) is not FieldElement:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = self.ctx.from_rational(other)
-        if other.ctx is not self.ctx:
-            return False
-        return self.num == other.num and self.den == other.den
+        if type(other) is FieldElement:
+            return other.ctx is self.ctx and self.num == other.num and self.den == other.den
+        o = self._operand(other)
+        return NotImplemented if o is None else (self.num, self.den) == o
 
     def __hash__(self) -> int:
         return hash((id(self.ctx), self.num, self.den))
@@ -836,25 +878,28 @@ class FieldElement:
     def approximate(self) -> float:
         """The nearest float, or +-inf beyond the float range.
 
-        acc, num times the context's fixed-point cosines at 2^work, is within
-        2 sum |num| units of 2^work num (exact for a rational, as b_0 = 1);
-        work grows until that bound is 2^-84 of |acc|, and one correctly
-        rounded integer division, acc / (den << work), gives the float, the
-        nearest unless the value is within 2^-84 of a tie.  The context
-        keeps only the cosines of the precision it accepts.
+        A rational is num_0 / den itself.  Otherwise acc, num times the
+        context's fixed-point cosines at 2^work, is within 2 sum |num| units
+        of 2^work num; work grows until that bound is 2^-84 of |acc|, and one
+        correctly rounded integer division, acc / (den << work), gives the
+        float, the nearest unless the value is within 2^-84 of a tie.  The
+        context keeps only the cosines of the precision it accepts, and a
+        rational builds none.
         """
         num = self.num
-        cache = self.ctx._approx_cache
-        error = 2 * sum(map(abs, num))
-        work = error.bit_length() + 84
-        while True:
-            work = -(-work // 64) * 64
-            cosines = cache.get(work) or self.ctx._cosines(work)
-            acc = sum(v * b for v, b in zip(num, cosines) if v)
-            if not acc and not error or abs(acc) >= error << 84:
-                break
-            work += max(64, error.bit_length() + 84 - abs(acc).bit_length())
-        cache[work] = cosines
+        acc, work = num[0], 0
+        if len(num) > 1:
+            cache = self.ctx._approx_cache
+            error = 2 * sum(map(abs, num))
+            work = error.bit_length() + 84
+            while True:
+                work = -(-work // 64) * 64
+                cosines = cache.get(work) or self.ctx._cosines(work)
+                acc = sum(v * b for v, b in zip(num, cosines) if v)
+                if abs(acc) >= error << 84:
+                    break
+                work += max(64, error.bit_length() + 84 - abs(acc).bit_length())
+            cache[work] = cosines
         try:
             return acc / (self.den << work)
         except OverflowError:

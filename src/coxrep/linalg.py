@@ -416,13 +416,14 @@ def intertwines(ctx: FieldContext, rows_a: Matrix, rows_b: Matrix, w: Matrix,
     u_s b_ss (u_i r_j - k_i b_sj) = 0 for all i, j."""
     if is_zero_matrix(w):
         return False
+    zero, one = ctx.zero, ctx.one
     for s, (a, b) in enumerate(zip(rows_a, rows_b)):
         k = [row[s] for row in w]
         if transposed:
             u, r = a, w[s]
         else:
-            u = [ctx.one if i == s else ctx.zero for i in range(len(w))]
-            r = [sum((x * row[j] for x, row in zip(a, w) if x and row[j]), ctx.zero)
+            u = [one if i == s else zero for i in range(len(w))]
+            r = [sum((x * row[j] for x, row in zip(a, w) if x and row[j]), zero)
                  for j in range(len(w))]
         if any(u[s] * x != k[s] * y for x, y in zip(r, b)) or \
                 any(r[s] * x != b[s] * y for x, y in zip(u, k)):

@@ -1,16 +1,17 @@
 """FieldElement.approximate (float(x)) against mpmath: the nearest float to
 (num_0 + sum num_k 2cos(2 pi k/N)) / den evaluated at 600 bits, on random
 elements up to degree 240, coordinates near 10^40, denominators and
-near-cancelling values; and the integer 2cos(2 pi/N) behind it, within one
-unit."""
+near-cancelling values; the integer 2cos(2 pi/N) behind it, within one
+unit; and that a rational builds no cosine table."""
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 from hypothesis import given, settings, strategies as st
 
-from coxrep.cyclotomic import FieldElement, _two_cos_fixed, field_context
+from coxrep.cyclotomic import FieldContext, FieldElement, _two_cos_fixed, field_context
 
 # degrees 2, 3, 4, 24, 48 and 240
 CONDUCTORS = [5, 7, 12, 105, 280, 1232]
@@ -82,3 +83,15 @@ def test_float_goes_through_approximate_for_every_element(monkeypatch):
     monkeypatch.setattr(FieldElement, "approximate", lambda self: 0.25)
     ctx = field_context(5)
     assert float(ctx.generator) == float(ctx.from_rational(3)) == 0.25
+
+
+def test_a_rational_builds_no_cosine_table(monkeypatch):
+    def cosines(self, bits):
+        raise AssertionError("cosine table built for a rational")
+
+    monkeypatch.setattr(FieldContext, "_cosines", cosines)
+    for n in (280, 10006):
+        ctx = FieldContext(n)
+        for q in (Fraction(7, 3), Fraction(-1, 10 ** 30), Fraction(0), Fraction(10 ** 300, 7)):
+            assert float(ctx.from_rational(q)) == float(q)
+        assert ctx._approx_cache == {}

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxrep.cyclotomic import FieldElement, field_context
+from coxrep.cyclotomic import ContextMismatch, FieldElement, field_context
 
 CONDUCTORS = (5, 7, 12, 105, 280)
 
@@ -81,3 +81,49 @@ def test_zero_one_and_basis_vectors_have_their_short_coordinates(n):
     for j in range(1, ctx.degree):
         assert ctx.cos_element(j, n).num == (0,) * j + (1,)
     assert len(ctx.one.power_num) == ctx.degree
+
+
+def _scalars(ctx):
+    """An int, a Fraction, a bool, and 0, 1 and -1 both as ints and as
+    elements of ctx."""
+    ints = st.sampled_from([0, 1, -1]) | st.integers(-10 ** 20, 10 ** 20)
+    return (ints | _rational | st.booleans()
+            | st.sampled_from([0, 1, -1]).map(ctx.from_rational))
+
+
+def _coords(z, degree):
+    """The cosine coordinates of an element or a rational, as Fractions."""
+    if isinstance(z, FieldElement):
+        return [Fraction(v, z.den) for v in z.num] + [Fraction(0)] * (degree - len(z.num))
+    return [Fraction(z)] + [Fraction(0)] * (degree - 1)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mixed_operands_give_canonical_results_equal_to_fraction_coordinates(n, data):
+    ctx = field_context(n)
+    x = data.draw(st.one_of(_element(ctx), st.sampled_from([0, 1, -1]).map(ctx.from_rational)))
+    k = data.draw(_scalars(ctx))
+    xs, ks = _coords(x, ctx.degree), _coords(k, ctx.degree)
+    rational = ks[0]                    # k is rational
+    for result, expected in ((x + k, [a + b for a, b in zip(xs, ks)]),
+                             (k + x, [a + b for a, b in zip(xs, ks)]),
+                             (x - k, [a - b for a, b in zip(xs, ks)]),
+                             (k - x, [b - a for a, b in zip(xs, ks)]),
+                             (x * k, [a * rational for a in xs]),
+                             (k * x, [a * rational for a in xs])):
+        assert type(result) is FieldElement and result.ctx is ctx
+        assert_canonical(result)
+        assert _coords(result, ctx.degree) == expected
+    assert (x == k) is (k == x) is (xs == ks)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_arithmetic_across_contexts_raises(n):
+    x, y = field_context(n).generator, field_context(2 * n + 1).one
+    for op in (lambda: x + y, lambda: y + x, lambda: x - y, lambda: y - x,
+               lambda: x * y, lambda: y * x, lambda: x / y):
+        with pytest.raises(ContextMismatch):
+            op()
+    assert x != y and not x == field_context(2 * n + 1).generator

@@ -513,3 +513,35 @@ def test_subtraction_and_rational_coercion_match_fraction_coordinates(data, n):
     # the same coordinates in another field of the same degree
     twin = field_context({1: 2, 5: 10, 12: 10, 30: 15, 1260: 1008}[n])
     assert twin.degree == ctx.degree and x != twin.from_coeffs(coords(x))
+
+
+def test_each_operation_makes_at_most_one_element(monkeypatch):
+    """An int or Fraction operand becomes no element, subtraction is one
+    pass, and an operand that decides the result is returned itself."""
+    ctx = field_context(24)
+    x, y = 3 + ctx.generator ** 3, ctx.generator - 5
+    zero, one = ctx.zero, ctx.one
+    made = []
+    init = cyclotomic.FieldElement.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cyclotomic.FieldElement, "__init__", counted)
+
+    def count(op):
+        made.clear()
+        result = op()
+        return len(made), result
+
+    for op in (lambda: x - 1, lambda: 1 - x, lambda: x - y, lambda: x + y,
+               lambda: x * Fraction(1, 2), lambda: x * 3, lambda: x * -1, lambda: 0 - x):
+        assert count(op)[0] <= 1
+    for op, same in ((lambda: x * 1, x), (lambda: 1 * x, x), (lambda: x * one, x),
+                     (lambda: x + 0, x), (lambda: 0 + x, x), (lambda: x - 0, x),
+                     (lambda: x + zero, x), (lambda: zero + x, x), (lambda: x * zero, zero),
+                     (lambda: zero * x, zero), (lambda: -zero, zero)):
+        assert count(op) == (0, same) and op() is same
+    assert count(lambda: x == 4) == (0, False)
+    assert count(lambda: x == x * 1) == (0, True)

@@ -1,6 +1,7 @@
 """Runs at conductors in the thousands, end to end through the CLI: the
 rank-2 diagram with m = 2003 (N = 4006, degree 1001), the triangle
-m = (11, 8, 9) and a rank-8 diagram at N = 1584 (degree 240), with their
+m = (11, 8, 9), a rank-8 diagram at N = 1584 (degree 240) and the path
+labelled 3, 5, 7, 11 at the composite N = 2310 (degree 240), with their
 verdicts and exit codes; that no command calls
 minimal_poly_real_cyclotomic; and that `verify` at m = 5003 (N = 10006,
 degree 2501) keeps no structure that grows as N times the degree."""
@@ -21,6 +22,8 @@ TRIANGLE_1260 = [[1, 7, 10], [7, 1, 9], [10, 9, 1]]
 TRIANGLE_1584 = [[1, 11, 9], [11, 1, 8], [9, 8, 1]]
 RANK_2_2003 = [[1, 2003], [2003, 1]]
 RANK_2_5003 = [[1, 5003], [5003, 1]]
+PATH_2310 = [[1, 3, 2, 2, 2], [3, 1, 5, 2, 2], [2, 5, 1, 7, 2], [2, 2, 7, 1, 11],
+             [2, 2, 2, 11, 1]]
 
 
 def _rank_8_1584():
@@ -116,3 +119,21 @@ def test_triangle_at_conductor_1584(tmp_path, command, check):
 @pytest.mark.parametrize("command,check", [("form", _assert_form), ("dual", _assert_dual)])
 def test_rank_8_at_conductor_1584(tmp_path, command, check):
     check(*run_json(tmp_path, command, _rank_8_1584()))
+
+
+def _assert_build(code, doc):
+    assert code == 0 and doc["conductor"] == 2310 and doc["rank"] == 5
+
+
+def _assert_equivalent(code, doc):
+    assert code == 0 and doc["verdict"] == "equivalent"
+    assert doc["intertwiner_integral"] is True and doc["inverse_integral"] is True
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command,extra,check", [
+    ("build", (), _assert_build), ("verify", (), _assert_verify), ("form", (), _assert_form),
+    ("dual", (), _assert_dual), ("equiv", ("--root2", "s2"), _assert_equivalent)],
+    ids=["build", "verify", "form", "dual", "equiv"])
+def test_composite_path_at_conductor_2310(tmp_path, command, extra, check):
+    check(*run_json(tmp_path, command, PATH_2310, *extra))
