@@ -6,11 +6,12 @@ dot products.  Everything else is an exact cross-check: pair orders are
 decided both by polynomial classification of the Cartan coefficient and by
 literal powers of the 2 x 2 matrix by which rs acts on the plane of the
 directing vectors, the quadratic factor of each characteristic
-polynomial, read off the rank-two rs - I, is compared against the closed
-form in the Cartan coefficient, the commutant dimension is certified by
-two bounds that must meet, and circuit traces against the closed-form
-trace.  Disagreement between redundant routes raises, since it can only
-mean an arithmetic bug.  A matrix commuting with every I - e_s (x) c_s is
+polynomial, read off the nonzero block of rs - I (2 x 2 for built
+generators), is compared against the closed form in the Cartan
+coefficient, the commutant dimension is certified by two bounds that
+must meet, and circuit traces against the closed-form trace.
+Disagreement between redundant routes raises, since it can only mean an
+arithmetic bug.  A matrix commuting with every I - e_s (x) c_s is
 diagonal, so the commutant system has n unknowns; the reduction holds
 mod every odd prime too, so its route is that of the n^2 unknowns.
 """
@@ -18,7 +19,6 @@ mod every odd prime too, so its route is that of the n^2 unknowns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
 
@@ -66,16 +66,22 @@ def is_reflection(ctx: FieldContext, matrix: Matrix) -> Optional[ReflectionData]
     entry by entry, with form . directing = -2; None otherwise.  Then
     M^2 = I + (2 + form . directing)(M - I) = I, and these are exactly the
     involutions with M - I of rank one.  The directing vector is the first
-    nonzero column of M - I scaled to first nonzero coordinate 1 (so a
-    built generator reports its basis vector), at row i0, and the form is
-    row i0 of M - I."""
+    nonzero column of M - I scaled to first nonzero coordinate 1, at row
+    i0, and the form is row i0 of M - I.  A column with one nonzero entry
+    scales to the unit vector e_i0 with no inversion: a built generator
+    reports its basis vector that way."""
     shifted = _minus_identity(matrix)
     col = next((col for col in zip(*shifted) if any(col)), None)
     if col is None:
         return None
-    i0, pivot = next((i, x) for i, x in enumerate(col) if x)
-    inv = pivot.invert()
-    directing = tuple(x * inv for x in col)
+    support = [i for i, x in enumerate(col) if x]
+    i0 = support[0]
+    if len(support) == 1:
+        zero = ctx.zero
+        directing = tuple(ctx.one if i == i0 else zero for i in range(len(col)))
+    else:
+        inv = col[i0].invert()
+        directing = tuple(x * inv for x in col)
     form = tuple(shifted[i0])
     if not all(all(x == d * f for x, f in zip(row, form)) if d else not any(row)
                for d, row in zip(directing, shifted)):
@@ -111,18 +117,32 @@ def cartan_coefficient(r: ReflectionData, s: ReflectionData) -> FieldElement:
 
 def _matrix_order_check(ctx: FieldContext, t: Matrix, n: int) -> bool:
     """Exact power check on the 2 x 2 matrix T of a pair product (see
-    product_analysis): T^n = I and T^(n/q) != I for each prime q | n, by
-    square-and-multiply over the squares T^(2^i)."""
+    product_analysis): det T = 1, T^n = I and T^(n/q) != I for each prime
+    q | n.  With det T = 1, adj(T^h) is the inverse of T^h, so for
+    h = floor(n/2), T^n = I exactly when T^(n-h) = adj(T^h); n/q <= h.
+    Each power is made once, over the squares T^(2^i), i < bitlength(h).
+    Without det T = 1, T = 2I would pass n = 2; the T of a pair has
+    det T = pq - (C - 1) = 1."""
     def mul(a: Matrix, b: Matrix) -> Matrix:
         return tuple(tuple(x * b[0][j] + y * b[1][j] for j in range(2)) for x, y in a)
 
+    (a, b), (c, d) = t
+    if a * d - b * c != 1:
+        return False
+    h = n // 2
     squares = [t]
-    for _ in range(n.bit_length() - 1):
+    for _ in range(h.bit_length() - 1):
         squares.append(mul(squares[-1], squares[-1]))
     eye = ((1, 0), (0, 1))
-    powers = [reduce(mul, [sq for i, sq in enumerate(squares) if k >> i & 1])
-              for k in [n] + [n // q for q in prime_factors(n)]]
-    return powers[0] == eye and eye not in powers[1:]
+
+    def power(k: int) -> Matrix:
+        factors = [sq for i, sq in enumerate(squares) if k >> i & 1]
+        return reduce(mul, factors) if factors else eye
+
+    powers = {k: power(k) for k in {h} | {n // q for q in prime_factors(n)}}
+    (a, b), (c, d) = powers[h]
+    rest = mul(powers[h], t) if n % 2 else powers[h]
+    return rest == ((d, -b), (-c, a)) and eye not in [powers[n // q] for q in prime_factors(n)]
 
 
 def _is_unipotent(ctx: FieldContext, product: Matrix) -> bool:
@@ -157,20 +177,20 @@ def product_analysis(r: ReflectionData, s: ReflectionData,
                      max_order: int | None = None) -> ProductAnalysis:
     """Order class of the pair product, cross-validated by matrix powers,
     with its characteristic polynomial (X-1)^(n-2) q(X), q read off the
-    rank-two M = rs - I, checked against the closed form
-    (X-1)^(n-2) (X^2 - (C-2) X + 1) in the Cartan coefficient C (C = 4 for
-    parallel directing vectors, where the product has passed the
-    unipotency check).  K[X] has no zero divisors, so the two agree
-    exactly when q = X^2 - (C-2) X + 1, and only the quadratics are
-    compared.  The powers are 2 x 2: with p, q the pair coefficients,
-    rs = I + U W for U = [a_r, a_s], W = [phi_r + p phi_s; phi_s], and
-    (rs) U = U T, T = [[C - 1, -p], [q, -1]].  For C != 4, det(W U) = 4 - C
-    is nonzero, the space is im U + ker W, and rs fixes ker W, so
-    (rs)^k = I exactly when T^k = I; a finite class with C = 4 raises."""
+    nonzero block of M = rs - I (_pair_block), checked against the closed
+    form (X-1)^(n-2) (X^2 - (C-2) X + 1) in the Cartan coefficient C
+    (C = 4 for parallel directing vectors, where the product has passed
+    the unipotency check, the one use of the n x n product).  K[X] has no
+    zero divisors, so the two agree exactly when q = X^2 - (C-2) X + 1,
+    and only the quadratics are compared.  The powers are 2 x 2: with p,
+    q the pair coefficients, rs = I + U W for U = [a_r, a_s],
+    W = [phi_r + p phi_s; phi_s], and (rs) U = U T,
+    T = [[C - 1, -p], [q, -1]].  For C != 4, det(W U) = 4 - C is nonzero,
+    the space is im U + ker W, and rs fixes ker W, so (rs)^k = I exactly
+    when T^k = I; a finite class with C = 4 raises."""
     ctx = r.ctx
     n = len(r.matrix)
     coeffs = pair_coefficients(r, s)
-    product = linalg.near_identity_mul(ctx, r.matrix, s.matrix)
     if coeffs is None:
         order_class = OrderClass.unipotent()
         coefficient = ctx.from_rational(4)
@@ -185,13 +205,24 @@ def product_analysis(r: ReflectionData, s: ReflectionData,
             raise OrderMismatch(
                 f"classified order {expected} but matrix powers disagree")
     elif order_class.kind == "unipotent":
-        if not _is_unipotent(ctx, product):
+        if not _is_unipotent(ctx, linalg.near_identity_mul(ctx, r.matrix, s.matrix)):
             raise OrderMismatch("classified unipotent but (rs - I)^n != 0")
-    quadratic = _pair_quadratic(ctx, product)
+    quadratic = _pair_quadratic(ctx, _pair_block(r, s))
     if quadratic != (ctx.one, 2 - coefficient, ctx.one):     # X^2 - (C-2) X + 1
         raise OrderMismatch("characteristic polynomial differs from closed form")
     return ProductAnalysis(order_class, quadratic, n,
                            None if coeffs is None else True, coefficient)
+
+
+def _pair_block(r: ReflectionData, s: ReflectionData) -> list[list[FieldElement]]:
+    """The square block of rs on S, the union of supp(a_r) and supp(a_s),
+    each entry the sum of r_ik s_kj over the nonzero terms.  A row of
+    r - I vanishes outside supp(a_r), and rs - I = (r - I) s + (s - I), so
+    rs - I is zero outside the rows in S: its trace and principal minors
+    are those of the block minus I.  For built generators it is 2 x 2."""
+    support = sorted({i for data in (r, s) for i, x in enumerate(data.directing) if x})
+    cols = [[row[j] for row in s.matrix] for j in support]
+    return [[_dot(r.ctx, r.matrix[i], col) for col in cols] for i in support]
 
 
 def _times_x_minus_one(poly: Sequence[FieldElement], k: int) -> tuple[FieldElement, ...]:
@@ -203,16 +234,18 @@ def _times_x_minus_one(poly: Sequence[FieldElement], k: int) -> tuple[FieldEleme
 
 
 def _pair_quadratic(ctx: FieldContext, product: Matrix) -> tuple[FieldElement, ...]:
-    """For n >= 2, the quadratic factor X^2 - (e1 + 2) X + (e1 + e2 + 1)
-    of det(XI - rs), coefficients lowest first, from M = rs - I of rank at
-    most 2: its characteristic polynomial is Y^(n-2) (Y^2 - e1 Y + e2) with
-    e1 = tr M and e2 = (e1^2 - tr M^2) / 2, and Y = X - 1.  Only the
-    nonzero rows of M enter tr M^2 = sum M_ij M_ji."""
+    """The quadratic factor X^2 - (e1 + 2) X + (e1 + e2 + 1) of det(XI - rs),
+    coefficients lowest first, from a square block of rs that holds every
+    nonzero row of M = rs - I (the block of _pair_block, or all of rs),
+    where M has rank at most 2: its characteristic polynomial is
+    Y^(n-2) (Y^2 - e1 Y + e2) with e1 = tr M, e2 the sum of the principal
+    2 x 2 minors of M, and Y = X - 1.  A minor through a zero row of M
+    vanishes, so only the nonzero rows enter e2."""
     m = _minus_identity(product)
     e1 = linalg.trace(ctx, m)
     rows = [i for i in range(len(m)) if any(m[i])]
-    tr_sq = sum((m[i][j] * m[j][i] for i in rows for j in rows), ctx.zero)
-    e2 = (e1 * e1 - tr_sq) * Fraction(1, 2)
+    e2 = sum((m[i][i] * m[j][j] - m[i][j] * m[j][i] for i in rows for j in rows if i < j),
+             ctx.zero)
     # (X-1)^2 - e1 (X-1) + e2 = X^2 - (e1 + 2) X + (e1 + e2 + 1)
     return (e1 + e2 + 1, -(e1 + 2), ctx.one)
 
@@ -248,18 +281,12 @@ def unipotent_equivalences(r: ReflectionData, s: ReflectionData) -> UnipotentRep
     cond1 = _is_unipotent(ctx, product)
     cond2 = cartan_coefficient(r, s) == 4
     independent = not _directing_dependent(r, s)
-    # condition 3: a nonzero x = xa*a + xb*b with r(x) = x and s(x) = x,
-    # that is form_r . x = form_s . x = 0; nonzero coefficient pairs can
-    # still give x = 0 when the directing vectors are parallel, so the
-    # combination itself is checked
-    rows = [[_dot(ctx, data.form, r.directing), _dot(ctx, data.form, s.directing)]
-            for data in (r, s)]
-    cond3 = False
-    for xa, xb in linalg.nullspace(ctx, rows):
-        x = [xa * a + xb * b for a, b in zip(r.directing, s.directing)]
-        if any(not v.is_zero() for v in x):
-            cond3 = True
-            break
+    # condition 3: a nonzero x = xa*a + xb*b with form_r . x = form_s . x = 0,
+    # the system [[-2, p], [q, -2]] in the dot products p = form_r . b and
+    # q = form_s . a: solvable exactly when pq = 4, then p != 0 and (p, 2)
+    # spans the solutions; parallel directing vectors can still give x = 0
+    p, q = _dot(ctx, r.form, s.directing), _dot(ctx, s.form, r.directing)
+    cond3 = p * q == 4 and any(p * a + 2 * b for a, b in zip(r.directing, s.directing))
     # condition 4: equal fixed hyperplanes, the kernels of the two nonzero
     # forms: the 2 x 2 minors through a nonzero coordinate of form_r vanish
     i0 = next(i for i, x in enumerate(r.form) if x)

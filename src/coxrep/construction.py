@@ -248,43 +248,46 @@ class ReflectionRep:
                 f"root={self.diagram.labels[self.root]})")
 
 
-def cartan_rows(tree: SpanningTree, params: ParameterSystem
-                ) -> list[list[FieldElement]]:
+def _reflected_rows(tree: SpanningTree, params: ParameterSystem, one: FieldElement,
+                    zero: FieldElement) -> list[list[FieldElement]]:
+    """Row s of generator s, e_s - (Cartan row s): -1 on the diagonal and
+    -c_st as the parameters hold it, alpha and 1 on a tree edge (the alpha
+    on the row of the endpoint nearer the root) and the chord pair."""
     diagram = tree.diagram
-    ctx = params.ctx
     n = diagram.rank
-    two = ctx.from_rational(2)
-    rows = [[ctx.zero] * n for _ in range(n)]
-    for s in range(n):
-        rows[s][s] = two
+    minus_one = -one
+    rows = [[minus_one if t == s else zero for t in range(n)] for s in range(n)]
     for s, t in diagram.edges:
-        alpha = params.alpha(s, t)
         if tree.is_tree_edge(s, t):
             low, high = (s, t) if precedes(tree, s, t) else (t, s)
-            rows[low][high] = -alpha
-            rows[high][low] = -ctx.one
+            rows[low][high] = params.alpha(s, t)
+            rows[high][low] = one
         else:
-            forward, backward = params.chord_pair(s, t)
-            rows[s][t] = -forward
-            rows[t][s] = -backward
+            rows[s][t], rows[t][s] = params.chord_pair(s, t)
     return rows
+
+
+def cartan_rows(tree: SpanningTree, params: ParameterSystem
+                ) -> list[list[FieldElement]]:
+    """The Cartan rows c_s: e_s minus row s of generator s."""
+    ctx = params.ctx
+    return [[1 - x if t == s else -x for t, x in enumerate(row)]
+            for s, row in enumerate(_reflected_rows(tree, params, ctx.one, ctx.zero))]
 
 
 def build(tree: SpanningTree, params: ParameterSystem) -> ReflectionRep:
     """The reflection representation determined by the tree and parameters:
     generator s is the identity with row s replaced by e_s - (Cartan row s),
-    its other rows shared with one identity."""
+    written straight from the parameters, its other rows shared with one
+    identity; the generators share one zero, one 1 and one -1."""
     params.validate_for(tree)
     ctx = params.ctx
     n = tree.diagram.rank
-    rows = cartan_rows(tree, params)
-    eye = linalg.mat_freeze(linalg.identity(ctx, n))
-    one = ctx.one
-    generators = []
-    for s, row in enumerate(rows):
-        reflected = tuple(one - c if t == s else -c for t, c in enumerate(row))
-        generators.append(eye[:s] + (reflected,) + eye[s + 1:])
-    return ReflectionRep(tree, params, tuple(generators))
+    one, zero = ctx.one, ctx.zero
+    eye = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    rows = _reflected_rows(tree, params, one, zero)
+    return ReflectionRep(tree, params, tuple(eye[:s] + (tuple(row),) + eye[s + 1:]
+                                             for s, row in enumerate(rows)))
 
 
 def geometric_representation(diagram: Diagram, root: int | str = 0) -> ReflectionRep:

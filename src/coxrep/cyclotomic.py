@@ -619,29 +619,36 @@ class FieldContext:
 
 def _two_cos_fixed(n: int, bits: int) -> int:
     """2*cos(2*pi/n) * 2^bits within one unit, in integers.  pi comes from
-    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239) and the cosine from
-    its Taylor series, each term floored in fixed point with 32 guard bits;
-    for bits below 10^5 the floors, about one per bit, err by less than
-    2^30 of those units in all."""
-    w = bits + 32
+    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239), two terms a step;
+    the angle 2 pi/n < 2^(4 - bitlength(n)) is halved r times, to below
+    2^(4 - isqrt(bits/2)), its cosine summed from the Taylor series, and
+    doubled back r times by cos 2x = 2 cos^2 x - 1, all floored in fixed
+    point with 2r + 32 guard bits.  A doubling multiplies an error by at
+    most 4 and adds one unit, which the 2r bits absorb; for bits below
+    10^5 the floors of the series, about one per term, and of pi err by
+    less than 2^30 of the remaining units in all."""
+    r = max(0, math.isqrt(bits // 2) - n.bit_length())
+    w = bits + 32 + 2 * r
     one = 1 << w
 
     def atan_inv(x: int) -> int:      # atan(1/x) = sum (-1)^k / ((2k+1) x^(2k+1))
         total, power, k = 0, one // x, 1
         while power:
-            total += power // k if k % 4 == 1 else -(power // k)
-            power //= x * x
-            k += 2
+            total += power // k - power // (x * x * (k + 2))
+            power //= x ** 4
+            k += 4
         return total
 
-    theta = 2 * (16 * atan_inv(5) - 4 * atan_inv(239)) // n
+    theta = 2 * (16 * atan_inv(5) - 4 * atan_inv(239)) // (n << r)
     square = theta * theta >> w
     total, term, k = one, one, 0
     while term:                       # term = theta^k / k!
         k += 2
         term = (term * square >> w) // (k * (k - 1))
         total += term if k % 4 == 0 else -term
-    return (total + (1 << 30)) >> 31
+    for _ in range(r):
+        total = (total * total >> (w - 1)) - one
+    return (total + (1 << (30 + 2 * r))) >> (31 + 2 * r)
 
 
 @lru_cache(maxsize=None)

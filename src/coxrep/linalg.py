@@ -13,8 +13,10 @@ inverse of cli's equiv).
 near_identity_mul computes M A as A + (M - I) A: it reads only the
 nonzero entries of M - I, skips the zero entries of A, and makes one field
 product and one sum per remaining term; nothing is assumed of M.  The
-squares of generators, the pair products rs, the unipotency check and the
-word matrices, multiplied from the right end, go through it.
+word matrices, multiplied from the right end, the square of a generator
+that is no reflection and the unipotency check of a pair go through it;
+the other pair checks of verify read only the block of rs on the
+directing vectors' supports (analysis._pair_block).
 
 The systems A_s X = X B_s of the commands (commutant, invariant forms)
 have generators that differ from I in one row or one column, read by

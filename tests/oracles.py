@@ -19,10 +19,12 @@ the order off `FieldContext.cos_index`, the routes the rank-one reductions
 replaced (is_intertwiner, the intertwining check by matrix products;
 intertwiner_dimension, the certified dimension of the
 n^2-unknown system; matrix_order_check, the pair-order check by n x n
-matrix powers), and helpers only tests call: a generator's checked
-ReflectionData, the parse of a representation document's generator
-matrices, Horner evaluation of an IntPolynomial, a circuit's entry vertex
-and the full characteristic polynomial of a pair product."""
+matrix powers), the nullspace route to the third unipotency condition
+that its closed form replaced, and helpers only tests call: a
+generator's checked ReflectionData, the parse of a representation
+document's generator matrices, Horner evaluation of an IntPolynomial, a
+circuit's entry vertex and the full characteristic polynomial of a pair
+product."""
 
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from coxrep import cyclotomic, linalg
 from coxrep.analysis import (
     EquivalenceVerdict,
     ReflectionData,
+    _dot,
     _minus_identity,
     _pair_quadratic,
     _times_x_minus_one,
@@ -461,6 +464,18 @@ def intertwiner_dimension(ctx, gens_a, gens_b, witness=None) -> tuple[int, str]:
         if n * n - linalg._rank_mod(rows, p, n * n - lower) == lower:
             return lower, f"mod {p}"
     return linalg.nullity(ctx, linalg._sylvester_rows(ctx.zero, gens_a, gens_b)), "exact"
+
+
+def plane_meets_both_hyperplanes_by_nullspace(r: ReflectionData, s: ReflectionData) -> bool:
+    """Condition 3 of analysis.unipotent_equivalences by a nullspace: a
+    nonzero x = xa a_r + xb a_s with form_r . x = form_s . x = 0, each
+    basis vector of the solutions of the 2 x 2 system checked for x != 0
+    (parallel directing vectors can give x = 0)."""
+    ctx = r.ctx
+    rows = [[_dot(ctx, data.form, r.directing), _dot(ctx, data.form, s.directing)]
+            for data in (r, s)]
+    return any(any(not (xa * a + xb * b).is_zero() for a, b in zip(r.directing, s.directing))
+               for xa, xb in linalg.nullspace(ctx, rows))
 
 
 def matrix_order_check(ctx, product, n: int) -> bool:

@@ -1,9 +1,15 @@
 """Pair analytics, good-morphism checks, commutant, circuit traces, characters."""
 
+import collections
+import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import intertwiner_dimension, rep_reflection
+from oracles import (
+    intertwiner_dimension,
+    plane_meets_both_hyperplanes_by_nullspace,
+    rep_reflection,
+)
 
 from coxrep import linalg
 from coxrep.analysis import (
@@ -134,6 +140,31 @@ def test_unipotent_equivalences_finite_pair_all_false():
     report = unipotent_equivalences(rep_reflection(rep, 0), rep_reflection(rep, 1))
     assert not report.unipotent and not report.coefficient_is_four
     assert not report.plane_meets_both_hyperplanes and not report.hyperplanes_equal
+
+
+def test_condition_3_matches_the_nullspace_route(suite_instances):
+    # every ordered corpus pair, the independent and parallel unipotent
+    # pairs above, and BC3's coefficient-4 pair of a generator and a conjugate
+    ctx = field_context(1)
+    one, zero, two = ctx.one, ctx.zero, ctx.from_rational(2)
+    pairs = [
+        (is_reflection(ctx, [[-one, two], [zero, one]]),
+         is_reflection(ctx, [[one, zero], [two, -one]])),
+        (is_reflection(ctx, [[-one, zero], [zero, one]]),
+         is_reflection(ctx, [[-one, one], [zero, one]])),
+    ]
+    rep = geometric_representation(BC3, "s1")
+    pairs.append((rep_reflection(rep, 0), is_reflection(rep.ctx, rep.word_matrix([1, 2, 1]))))
+    for inst in suite_instances:
+        reflections = [rep_reflection(inst.rep, s) for s in range(inst.rep.rank)]
+        pairs.extend(itertools.permutations(reflections, 2))
+    verdicts = collections.Counter()
+    for r, s in pairs:
+        report = unipotent_equivalences(r, s)
+        assert report.plane_meets_both_hyperplanes == \
+            plane_meets_both_hyperplanes_by_nullspace(r, s)
+        verdicts[report.plane_meets_both_hyperplanes] += 1
+    assert verdicts[True] >= 2 and verdicts[False] > 1000
 
 
 def test_bc3_contains_unipotent_product():

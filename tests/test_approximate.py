@@ -2,13 +2,14 @@
 (num_0 + sum num_k 2cos(2 pi k/N)) / den evaluated at 600 bits, on random
 elements up to degree 240, coordinates near 10^40, denominators and
 near-cancelling values; the integer 2cos(2 pi/N) behind it, within one
-unit; and that a rational builds no cosine table."""
+unit, up to 40000 bits; and that a rational builds no cosine table."""
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxrep.cyclotomic import FieldContext, FieldElement, _two_cos_fixed, field_context
@@ -56,6 +57,15 @@ def test_float_is_the_nearest_float_to_the_mpmath_value(x):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 20014), st.sampled_from([1, 53, 160, 700, 3000]))
 def test_fixed_point_cosine_is_within_one_unit(n, bits):
+    with mpmath.workprec(bits + 100):
+        exact = mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi / n), bits)
+        assert abs(_two_cos_fixed(n, bits) - exact) < 1
+
+
+@pytest.mark.parametrize("bits", [14000, 40000])
+@pytest.mark.parametrize("n", [5, 1260, 20014])
+def test_fixed_point_cosine_is_within_one_unit_at_high_precision(n, bits):
+    # 68 to 138 halvings of the angle, each doubled back
     with mpmath.workprec(bits + 100):
         exact = mpmath.ldexp(2 * mpmath.cos(2 * mpmath.pi / n), bits)
         assert abs(_two_cos_fixed(n, bits) - exact) < 1

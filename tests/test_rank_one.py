@@ -6,7 +6,9 @@ equivalence intertwiner against linalg.inverse, the reflection test by an
 exact factorization against the square product and nullspace, the pair
 coefficients as dot products against the matrix-vector images, word
 traces read off the last factor's nonzero entries against the full word
-matrix, and pair orders by 2 x 2 powers against n x n matrix powers."""
+matrix, pair orders by 2 x 2 powers against n x n matrix powers, and
+the pair quadratic read off the block of rs on the directing vectors'
+supports against the full product."""
 
 import collections
 import itertools
@@ -45,7 +47,7 @@ from coxrep.construction import (
     geometric_parameters,
     tree_change_intertwiner,
 )
-from coxrep.cyclotomic import field_context
+from coxrep.cyclotomic import FieldElement, field_context
 from coxrep.forms import dual_representation
 from coxrep.graph import spanning_tree, validate
 
@@ -400,11 +402,103 @@ def test_pair_powers_match_the_matrix_powers_on_every_ordered_corpus_pair(suite_
             pair_matrix = ((c - 1, -p), (q, -ctx.one))
             product = linalg.near_identity_mul(ctx, r_data.matrix, s_data.matrix)
             m = inst.diagram.m[s][t]
-            for k in {m, m + 1, 2 * m}:
+            for k in range(1, 2 * m + 1):
                 verdict = analysis._matrix_order_check(ctx, pair_matrix, k)
                 assert verdict == matrix_order_check(ctx, product, k), (inst.index, s, t, k)
                 agreed.add(verdict)
     assert agreed == {True, False}
+
+
+def test_pair_powers_match_the_literal_powers_on_every_split_of_every_order():
+    # T = [[C - 1, -p], [q, -1]] for C = 4cos^2(k pi/m) = 2 + 2cos(2 pi k/m),
+    # split as tree edges and chords split it (q in {1, 3, C}, p = C/q),
+    # against its literal 2 x 2 powers taken one at a time, at every order
+    # up to 2m; k = 0 gives C = 4, where no order holds
+    cases = 0
+    for m in range(1, 19):
+        ctx = field_context(m)
+        for k in range(m):
+            c = 2 + ctx.cos_element(k, m)
+            for q in [1, 3] + ([c] if c else []):
+                t = ((c - 1, -(c / q)), (ctx.one * q, -ctx.one))
+                for n in range(1, 2 * m + 1):
+                    assert analysis._matrix_order_check(ctx, t, n) is \
+                        matrix_order_check(ctx, t, n), (m, k, q, n)
+                    cases += 1
+    assert cases > 11000
+
+
+def test_twice_the_identity_has_no_order_two():
+    # T^2 = 4I is not I; T = adj(T) alone would pass, so det T = 1 is checked
+    ctx = field_context(1)
+    two, zero = ctx.from_rational(2), ctx.zero
+    assert analysis._matrix_order_check(ctx, ((two, zero), (zero, two)), 2) is False
+    assert matrix_order_check(ctx, ((two, zero), (zero, two)), 2) is False
+
+
+def _check_pair_block(ctx, r, s) -> None:
+    product = linalg.mat_mul(ctx, r.matrix, s.matrix)
+    quadratic = analysis._pair_quadratic(ctx, analysis._pair_block(r, s))
+    expected = pair_char_poly(ctx, product)
+    assert analysis._times_x_minus_one(quadratic, len(product) - 2) == expected
+    assert expected == tuple(linalg.charpoly(ctx, product))
+
+
+def test_pair_block_quadratic_matches_the_full_product(suite_instances):
+    # built generators (2 x 2 blocks), the dual's transposed generators,
+    # whose directing vectors have several nonzero coordinates, and the
+    # conjugates t s t
+    blocks = collections.Counter()
+    for inst in suite_instances:
+        rep, ctx = inst.rep, inst.rep.ctx
+        dual = dual_representation(rep)
+        for generators in (rep.generators, dual.dual_generators):
+            reflections = [is_reflection(ctx, g) for g in generators]
+            for r, s in itertools.permutations(reflections, 2):
+                _check_pair_block(ctx, r, s)
+                blocks[len(analysis._pair_block(r, s))] += 1
+        for s, t in itertools.permutations(range(rep.rank), 2):
+            conjugate = is_reflection(ctx, rep.word_matrix((t, s, t)))
+            _check_pair_block(ctx, is_reflection(ctx, rep.generators[s]), conjugate)
+    assert blocks[2] > 1000 and any(size > 2 for size in blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 5, 12]), st.integers(2, 4), st.integers(0, 2 ** 32))
+def test_pair_block_quadratic_matches_the_full_product_on_generic_reflections(
+        conductor, n, seed):
+    ctx = field_context(conductor)
+    rng = random.Random(seed)
+    r, s = (is_reflection(ctx, rng.choice([_rank_one(ctx, rng, n, -2),
+                                           _conjugated_involution(ctx, rng, n, 1)]))
+            for _ in range(2))
+    _check_pair_block(ctx, r, s)
+
+
+def test_verify_inverts_nothing_and_multiplies_no_n_by_n_matrices(
+        suite_instances, monkeypatch):
+    # a built generator's directing vector is a unit vector, read with no
+    # inversion, and each pair's quadratic comes from its 2 x 2 block
+    counts = collections.Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(FieldElement, "invert")
+    counted(linalg, "near_identity_mul")
+    pairs = 0
+    for inst in suite_instances:
+        report = analysis.verify_good_morphism(inst.rep)
+        assert report.passed
+        pairs += sum(check.analysis is not None for check in report.checks)
+    assert pairs > 500
+    assert counts == {}
 
 
 def test_a_finite_class_with_coefficient_4_is_an_order_mismatch(monkeypatch):
