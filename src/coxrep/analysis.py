@@ -58,7 +58,11 @@ def _minus_identity(matrix: Matrix) -> list[list[FieldElement]]:
 
 def _dot(ctx: FieldContext, u: Sequence[FieldElement],
          v: Sequence[FieldElement]) -> FieldElement:
-    return sum((x * y for x, y in zip(u, v) if x and y), ctx.zero)
+    """The sum of the products of nonzero pairs, started from the first of
+    them: a zero element is made only when there is none."""
+    terms = (x * y for x, y in zip(u, v) if x and y)
+    first = next(terms, None)
+    return ctx.zero if first is None else sum(terms, first)
 
 
 def is_reflection(ctx: FieldContext, matrix: Matrix) -> Optional[ReflectionData]:

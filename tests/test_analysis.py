@@ -11,8 +11,9 @@ from oracles import (
     rep_reflection,
 )
 
-from coxrep import linalg
+from coxrep import cyclotomic, linalg
 from coxrep.analysis import (
+    _dot,
     cartan_coefficient,
     character_word_family,
     characters_distinguish,
@@ -76,6 +77,35 @@ def test_cartan_coefficient_values():
     r = is_reflection(ctx, diag_matrix(ctx, [-1, 1]))
     s = is_reflection(ctx, diag_matrix(ctx, [1, -1]))
     assert cartan_coefficient(r, s).is_zero()
+
+
+def test_dot_products_make_a_zero_only_without_a_nonzero_pair(monkeypatch):
+    """A dot product starts its sum from its first product.  For built
+    generators form_r . e_s is form_r[s] times 1, so the coefficients of a
+    pair make no element at all."""
+    rep = geometric_representation(H3, "s2")
+    r, s = rep_reflection(rep, 0), rep_reflection(rep, 1)
+    ctx = rep.ctx
+    c, zero = ctx.generator, ctx.zero
+    u, v = [c, zero, 3 + c], [c, c, c]
+    expected = c * c + (3 + c) * c
+    made = []
+    init = cyclotomic.FieldElement.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cyclotomic.FieldElement, "__init__", counted)
+
+    def count(op):
+        made.clear()
+        result = op()
+        return len(made), result
+
+    assert count(lambda: pair_coefficients(r, s)) == (0, (r.form[1], s.form[0]))
+    assert count(lambda: _dot(ctx, u, v)) == (3, expected)     # two products, one sum
+    assert count(lambda: _dot(ctx, u, [zero] * 3)) == (1, zero)
 
 
 def test_cartan_coefficient_parallel_directing():

@@ -1,5 +1,6 @@
 """The cosine-basis arithmetic of coxrep.cyclotomic against the power-basis
-oracles of tests/oracles.py: products (also across slot widths), sums and
+oracles of tests/oracles.py: products (also across slot widths, and both
+product kernels on sparse operands and at their selection), sums and
 negation, the change of basis both ways, the Galois action, inverses,
 cosines, and the images modulo split primes as a ring map.  The conductors
 include N = 2 (mod 4) (138) and degree 240 (1584)."""
@@ -110,6 +111,69 @@ def test_products_across_slot_widths(n):
             x = FieldElement(ctx, [top if i % 3 else sign * top for i in range(d)])
             y = FieldElement(ctx, [-sign * top if i % 2 else top for i in range(d)])
             assert _exact(x * y) == _exact(power_product(x, y)), (bits, sign)
+
+
+@st.composite
+def _sparse_cosines(draw, n, length=None, count=None):
+    """An element with 1 to 4 nonzero cosine coordinates below the degree,
+    the last one often at d - 1, up to 2^40 in size over a denominator; or,
+    given them, `count` nonzero coordinates ending at `length`."""
+    d = field_context(n).degree
+    if length is None:
+        top = draw(st.sampled_from([d - 1, draw(st.integers(0, d - 1))]))
+        rest = draw(st.sets(st.integers(0, top), max_size=3))
+    else:
+        top = length - 1
+        rest = draw(st.sets(st.integers(0, top - 1), min_size=count - 1, max_size=count - 1))
+    coords = [0] * (top + 1)
+    for i in rest | {top}:
+        coords[i] = draw(st.integers(1, 2 ** 40)) * draw(st.sampled_from((1, -1)))
+    return FieldElement(field_context(n), coords, draw(st.integers(1, 2 ** 20)))
+
+
+def _kernels(ctx, x, y):
+    return ctx._term_product(x.num, y.num), ctx._packed_product(x.num, y.num)
+
+
+@pytest.mark.parametrize("n", (5, 7, 24, 138, 1260))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sparse_products_match_the_power_basis(n, data):
+    """Both product kernels, and the product, on few nonzero coordinates."""
+    ctx = field_context(n)
+    x, y = data.draw(_sparse_cosines(n)), data.draw(_sparse_cosines(n))
+    expected = power_product(x, y)
+    assert _exact(x * y) == _exact(expected)
+    term, packed = _kernels(ctx, x, y)
+    assert term == packed
+    assert _exact(FieldElement(ctx, term, x.den * y.den)) == _exact(expected)
+
+
+# (length, nonzeros) of both operands: pairs of nonzeros at 4 times their
+# lengths' sum, and one short of it and one past it
+AT_THE_SELECTION = ((((7, 7), (9, 9)), -1), (((8, 8), (8, 8)), 0), (((10, 9), (10, 9)), 1))
+
+
+@pytest.mark.parametrize("n", (138, 1260))
+@pytest.mark.parametrize("operands, offset", AT_THE_SELECTION)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_products_at_the_kernel_selection(n, operands, offset, data):
+    """The term kernel is taken up to 4 pairs of nonzeros per coordinate of
+    the operands, the packed one beyond; both give the product."""
+    ctx = field_context(n)
+    x, y = (data.draw(_sparse_cosines(n, *shape)) for shape in operands)
+    (la, ka), (lb, kb) = operands
+    assert ka * kb - 4 * (la + lb) == offset
+    term, packed = _kernels(ctx, x, y)
+    assert term == packed
+    taken = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_term_product", "_packed_product"):
+            kernel = getattr(ctx, name)
+            patch.setattr(ctx, name, lambda a, b, k=kernel, name=name: taken.append(name) or k(a, b))
+        assert _exact(x * y) == _exact(power_product(x, y))
+    assert taken == ["_term_product" if offset <= 0 else "_packed_product"]
 
 
 @pytest.mark.parametrize("n", GALOIS_ORACLE_CONDUCTORS)
