@@ -58,11 +58,8 @@ def _minus_identity(matrix: Matrix) -> list[list[FieldElement]]:
 
 def _dot(ctx: FieldContext, u: Sequence[FieldElement],
          v: Sequence[FieldElement]) -> FieldElement:
-    """The sum of the products of nonzero pairs, started from the first of
-    them: a zero element is made only when there is none."""
-    terms = (x * y for x, y in zip(u, v) if x and y)
-    first = next(terms, None)
-    return ctx.zero if first is None else sum(terms, first)
+    """The sum of the products of nonzero pairs (linalg.element_sum)."""
+    return linalg.element_sum(ctx, (x * y for x, y in zip(u, v) if x and y))
 
 
 def is_reflection(ctx: FieldContext, matrix: Matrix) -> Optional[ReflectionData]:
@@ -248,8 +245,8 @@ def _pair_quadratic(ctx: FieldContext, product: Matrix) -> tuple[FieldElement, .
     m = _minus_identity(product)
     e1 = linalg.trace(ctx, m)
     rows = [i for i in range(len(m)) if any(m[i])]
-    e2 = sum((m[i][i] * m[j][j] - m[i][j] * m[j][i] for i in rows for j in rows if i < j),
-             ctx.zero)
+    e2 = linalg.element_sum(ctx, (m[i][i] * m[j][j] - m[i][j] * m[j][i]
+                                  for i in rows for j in rows if i < j))
     # (X-1)^2 - e1 (X-1) + e2 = X^2 - (e1 + 2) X + (e1 + e2 + 1)
     return (e1 + e2 + 1, -(e1 + 2), ctx.one)
 

@@ -102,11 +102,12 @@ def _job_rep(args, first=None):
         raise CliError(f"bad job input: {exc}") from exc
 
 
-def _emit(args, document: dict, text: str) -> None:
-    """Write the text, or the document: exactly the bytes of
-    `json.dumps(document, indent=2)`, with each FieldElement in it written
-    as its `io.scalar_to_json` record."""
-    sys.stdout.write((_json_text(document) if args.format == "json" else text) + "\n")
+def _emit(args, document: dict, text) -> None:
+    """Write the text that `text()` renders, or the document: exactly the
+    bytes of `json.dumps(document, indent=2)`, with each FieldElement in it
+    written as its `io.scalar_to_json` record.  Only the format written is
+    rendered."""
+    sys.stdout.write((_json_text(document) if args.format == "json" else text()) + "\n")
 
 
 def _json_text(value, indent: str = "\n", records: dict | None = None) -> str:
@@ -157,13 +158,17 @@ def cmd_build(args) -> int:
     document = cio.rep_to_json(rep)
     document["cartan"] = data.entries
     document["discriminant"] = data.discriminant
-    lines = [str(rep), f"conductor N = {rep.ctx.N}",
-             "Cartan matrix:", _matrix_text(data.entries),
-             f"discriminant = {data.discriminant}"]
-    for s in range(rep.rank):
-        lines.append(f"generator {rep.diagram.labels[s]}:")
-        lines.append(_matrix_text(rep.generators[s]))
-    _emit(args, document, "\n".join(lines))
+
+    def text():
+        lines = [str(rep), f"conductor N = {rep.ctx.N}",
+                 "Cartan matrix:", _matrix_text(data.entries),
+                 f"discriminant = {data.discriminant}"]
+        for s in range(rep.rank):
+            lines.append(f"generator {rep.diagram.labels[s]}:")
+            lines.append(_matrix_text(rep.generators[s]))
+        return "\n".join(lines)
+
+    _emit(args, document, text)
     return EXIT_OK
 
 
@@ -185,17 +190,21 @@ def cmd_verify(args) -> int:
         "commutant_dimension": dim,
         "commutant_route": route,
     }
-    lines = [f"good morphism: {'pass' if report.passed else 'FAIL'}"]
-    for check in report.checks:
-        labels = rep.diagram.labels
-        lines.append(f"  {labels[check.s]},{labels[check.t]}: expected "
-                     f"{check.expected}, computed {check.computed}"
-                     f" -> {'ok' if check.passed else 'FAIL'}")
-    # product_analysis raises on a closed-form mismatch, so this always passes
-    lines.append("char poly closed form: pass")
-    lines.append(f"commutant dimension: {dim}")
-    lines.append(f"commutant route: {route}")
-    _emit(args, document, "\n".join(lines))
+
+    def text():
+        lines = [f"good morphism: {'pass' if report.passed else 'FAIL'}"]
+        for check in report.checks:
+            labels = rep.diagram.labels
+            lines.append(f"  {labels[check.s]},{labels[check.t]}: expected "
+                         f"{check.expected}, computed {check.computed}"
+                         f" -> {'ok' if check.passed else 'FAIL'}")
+        # product_analysis raises on a closed-form mismatch, so this always passes
+        lines.append("char poly closed form: pass")
+        lines.append(f"commutant dimension: {dim}")
+        lines.append(f"commutant route: {route}")
+        return "\n".join(lines)
+
+    _emit(args, document, text)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -218,28 +227,34 @@ def cmd_form(args) -> int:
         "dimension": dimension,
         "dimension_route": route,
     }
-    lines = [f"theta = galois index {theta.index}",
-             f"invariant form exists: {bool(existence)} (dimension {dimension})",
-             f"dimension route: {route}"]
     if existence:
         invariant = gram.is_theta_hermitian() and intertwined
         document["gram"] = gram.entries
         document["invariance_verified"] = invariant
-        lines.append("Gram matrix (root diagonal normalized to 2):")
-        lines.append(_matrix_text(gram.entries))
-        lines.append(f"invariance verified: {invariant}")
         if theta.is_identity:
             factorized = gram_cartan_relation(rep, gram)
             document["diag_cartan_factorization"] = factorized
-            lines.append(f"diag * Cartan factorization: {factorized}")
         if not invariant:
             raise CliError("constructed form failed invariance", EXIT_INTERNAL)
-    else:
-        lines.append(f"obstruction: {existence.obstruction} at {existence.detail}")
     if bool(existence) != (dimension == 1):
         raise CliError("form criterion and nullspace dimension disagree",
                        EXIT_INTERNAL)
-    _emit(args, document, "\n".join(lines))
+
+    def text():
+        lines = [f"theta = galois index {theta.index}",
+                 f"invariant form exists: {bool(existence)} (dimension {dimension})",
+                 f"dimension route: {route}"]
+        if existence:
+            lines.append("Gram matrix (root diagonal normalized to 2):")
+            lines.append(_matrix_text(gram.entries))
+            lines.append(f"invariance verified: {invariant}")
+            if theta.is_identity:
+                lines.append(f"diag * Cartan factorization: {factorized}")
+        else:
+            lines.append(f"obstruction: {existence.obstruction} at {existence.detail}")
+        return "\n".join(lines)
+
+    _emit(args, document, text)
     return EXIT_OK
 
 
@@ -256,8 +271,10 @@ def cmd_equiv(args) -> int:
             "separating_word": word,
             "traces": [t1, t2],
         }
-        lines = ["verdict: distinct", f"separating word: {' '.join(word)}",
-                 f"traces: {t1}  vs  {t2}"]
+
+        def text():
+            return "\n".join(["verdict: distinct", f"separating word: {' '.join(word)}",
+                              f"traces: {t1}  vs  {t2}"])
     elif verdict.kind == "equivalent":
         g = _normalize_integral(verdict.intertwiner)
         ginv = _diagonal_inverse(g)
@@ -270,12 +287,16 @@ def cmd_equiv(args) -> int:
             "intertwiner_integral": integral,
             "inverse_integral": inv_integral,
         }
-        lines = ["verdict: equivalent", "intertwiner g:", _matrix_text(g),
-                 f"g integral: {integral}; g^-1 integral: {inv_integral}"]
+
+        def text():
+            return "\n".join(["verdict: equivalent", "intertwiner g:", _matrix_text(g),
+                              f"g integral: {integral}; g^-1 integral: {inv_integral}"])
     else:
         document = {"verdict": "inconclusive"}
-        lines = ["verdict: inconclusive"]
-    _emit(args, document, "\n".join(lines))
+
+        def text():
+            return "verdict: inconclusive"
+    _emit(args, document, text)
     return EXIT_OK
 
 
@@ -306,19 +327,24 @@ def cmd_dual(args) -> int:
         "dual_generators": dict(zip(rep.diagram.labels, dual.dual_generators)),
         "adapted_row_rank": adapted_rank,
     }
-    lines = [f"discriminant = {dual.discriminant}",
-             f"degenerate: {dual.degenerate}",
-             f"adapted row rank: {adapted_rank} of {rep.rank}"]
     if not dual.degenerate:
         document["adapted_generators"] = dict(zip(rep.diagram.labels,
                                                   dual.adapted_generators))
         chords_ok = dual_chord_coefficients_match(dual)
         document["chord_coefficients_match"] = chords_ok
-        lines.append(f"chord coefficient formula: {chords_ok}")
         if not chords_ok:
             raise CliError("dual chord coefficients disagree with the formula",
                            EXIT_INTERNAL)
-    _emit(args, document, "\n".join(lines))
+
+    def text():
+        lines = [f"discriminant = {dual.discriminant}",
+                 f"degenerate: {dual.degenerate}",
+                 f"adapted row rank: {adapted_rank} of {rep.rank}"]
+        if not dual.degenerate:
+            lines.append(f"chord coefficient formula: {chords_ok}")
+        return "\n".join(lines)
+
+    _emit(args, document, text)
     return EXIT_OK
 
 

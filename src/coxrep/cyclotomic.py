@@ -25,13 +25,13 @@ term by b_i b_j = b_(i+j) + b_|i-j|.  Dense ones, read as symmetric
 Laurent polynomials x = a_0 + sum a_k (z^k + z^-k) in a primitive N-th
 root of unity z, make one Kronecker-packed big-integer product
 (``_pack_symmetric``, ``_unpack``) whose coefficient of z^m is the
-coordinate of b_m.  Either way, each b_m with m >= d is folded back by
-``FieldContext._fold`` through a sparse integer table whose first row comes
-from the palindromic z^-d Phi_N(z) and whose later rows follow from
-b_(m+1) = b_1 b_m - b_(m-1), built only as far as it is read.  The Galois
-action sends b_k to b_(tk mod N), 2*cos(2*pi*k/m) is a basis vector or
-a table row, and ``FieldContext.cos_index`` reads an element back as the
-index of its cosine.
+coordinate of b_m.  Either way, ``FieldContext._fold`` reduces each
+index m >= d to +-b_k for its canonical index k, at most N/4 (N/2 for
+odd N): a coordinate below d, else a row of a table of one packed integer
+per canonical index, read off the palindromic z^-d Phi_N(z) and built by
+b_(k+1) = b_1 b_k - b_(k-1) only as far as it is read.  The Galois action
+sends b_k to b_(tk mod N), 2*cos(2*pi*k/m) is a basis vector or a table
+row, and ``FieldContext.cos_index`` looks a cosine up among the rows.
 
 The power basis is kept at the boundary and in ``invert`` only:
 ``from_coeffs`` (and so ``io.scalar_from_json``) takes power-basis
@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -266,13 +268,30 @@ def _pack_symmetric(coords: Sequence[int], step: int) -> int:
     return _pack([*coords[:0:-1], *coords], step)
 
 
-def _unpack(value: int, step: int, count: int, skip: int = 0) -> list[int]:
-    """Slots skip, ..., skip + count - 1 of `step` bytes of a packed value
-    that has no slots beyond them, each below 2^(8 step - 1) in size."""
-    value = (value + _bias(step, skip + count)) >> (8 * step * skip)
-    raw = (value ^ _bias(step, count)).to_bytes(step * count, "little")
+# struct codes of the signed little-endian slots that are machine integers
+_MACHINE_SLOTS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+
+
+def _slots(value: int, step: int, count: int) -> Sequence[int]:
+    """The `count` slots of `step` bytes of a packed value, each below
+    2^(8 step - 1) in size; a memoryview of machine integers where they
+    fit."""
+    bias = _bias(step, count)
+    raw = ((value + bias) ^ bias).to_bytes(step * count, "little")
+    code = _MACHINE_SLOTS.get(step)
+    if code:
+        return memoryview(raw).cast(code)
     return [int.from_bytes(raw[o:o + step], "little", signed=True)
             for o in range(0, step * count, step)]
+
+
+def _unpack(value: int, step: int, count: int, skip: int = 0) -> list[int]:
+    """Slots skip, ..., skip + count - 1 of a packed value that has no
+    slots beyond them (``_slots``), as a list."""
+    if skip:
+        value = ((value + _bias(step, skip + count)) >> (8 * step * skip)) - _bias(step, count)
+    slots = _slots(value, step, count)
+    return slots if type(slots) is list else slots.tolist()
 
 
 def _trimmed(coords: Sequence[int]) -> int:
@@ -402,8 +421,10 @@ class FieldContext:
         # to its context, so one held here would make a reference cycle,
         # and a context dropped from field_context's cache would then wait,
         # caches and all, for the cycle collector.
-        # entry m - degree: the coordinates of b_m as (index, value) pairs
-        self._fold_rows: list[tuple[tuple[int, int], ...]] = []
+        # the fold table (_rows) and each of its packed rows' index
+        self._fold_rows: list[int] = []
+        self._row_index: dict[int, int] = {}
+        self._slot_bits = 64
         self._min_poly: IntPolynomial | None = None
         self._approx_cache: dict[int, list[int]] = {}
         self._modular: list[tuple[int, tuple[int, ...]]] = []
@@ -454,82 +475,155 @@ class FieldContext:
     # -- special values ----------------------------------------------------
 
     def cos_element(self, k: int, m: int) -> "FieldElement":
-        """The element 2*cos(2*pi*k/m); requires m | N."""
+        """The element 2*cos(2*pi*k/m), +-b_j for the canonical index j of
+        kN/m; requires m | N."""
         if m < 1 or self.N % m != 0:
             raise NonDivisorOrder(f"order {m} does not divide conductor {self.N}")
-        j = (k % m) * (self.N // m)
-        j = min(j, self.N - j)  # cosine parity: 2cos(2pi j/N) = 2cos(2pi (N-j)/N)
-        return FieldElement(self, self._fold([0] * j + [1] if j else [2]))
+        sign, j = self._canonical(k % m * (self.N // m))
+        if j >= self.degree:
+            row = self._rows(j)[j - self.degree]
+            return FieldElement(self, _unpack(sign * row, self._slot_bits // 8, self.degree))
+        return FieldElement(self, (0,) * j + (sign,) if j else (2 * sign,), _normalized=True)
 
     def cos_index(self, x: "FieldElement") -> int | None:
-        """The j with 0 <= j <= N/2 and x == cos_element(j, N), or None: 2 is
-        b_0, a unit vector of j + 1 coordinates b_j, and any other b_j the
-        first fold-table row equal to x (rows past N/2 repeat earlier ones)."""
+        """The j with 0 <= j <= N/2 and x == cos_element(j, N), or None: for
+        x = +-b_k, k canonical, a basis vector or the packed table row equal
+        to +-x, looked up by its integer value; -b_k is b_(N/2-k)."""
         if x.ctx is not self:
             raise ContextMismatch("element belongs to a different context")
         if x.den != 1:
             return None
-        pairs = tuple((i, v) for i, v in enumerate(x.num) if v)
-        j = len(x.num) - 1
-        if pairs == ((j, 1 if j else 2),):
-            return j
-        return next((m for m, row in enumerate(self._rows(self.N // 2), self.degree)
-                     if row == pairs), None)
+        n, num = self.N, x.num
+        even = n % 2 == 0
+        j = len(num) - 1
+        if not any(num[:j]):
+            unit = 1 if j else 2
+            if num[j] == unit:
+                return j
+            if num[j] == -unit and even:
+                return n // 2 - j
+        self._rows(n // 4 if even else n // 2)
+        width = self._slot_bits
+        if max(map(abs, num)) >> (width - 1):
+            return None
+        packed, index = _pack(num, width // 8), self._row_index
+        if packed in index:
+            return index[packed]
+        if even and -packed in index:
+            return n // 2 - index[-packed]
+        return None
 
     # -- the fold of b_m, m >= degree ------------------------------------------
 
-    def _rows(self, top: int) -> list[tuple[tuple[int, int], ...]]:
-        """The fold table, built as far as b_top: entry m - degree holds the
-        coordinates of b_m.  The first row is read off z^-d Phi_N(z) = 0,
-        b_d = -a_d - sum a_(d+i) b_i; each later row up to N/2 is
-        b_1 b_(m-1) - b_(m-2), with b_1 b_i = b_(i+1) + b_(i-1) and b_0 = 2;
-        beyond N/2, b_m = b_(N-m)."""
+    def _canonical(self, m: int) -> tuple[int, int]:
+        """The sign s and canonical index k with b_m = s b_k, k at most N/4
+        (N/2 for odd N): b_m = b_(m mod N) = b_(N - m mod N), and for even N
+        with 4k > N, b_k = -b_(N/2-k), as z^(N/2) = -1."""
+        n = self.N
+        m %= n
+        if 2 * m > n:
+            m = n - m
+        if 4 * m > n and n % 2 == 0:
+            return -1, n // 2 - m
+        return 1, m
+
+    def _rows(self, top: int) -> list[int]:
+        """The fold table as far as the canonical top: entry k - degree packs
+        coordinate i of b_k in slot i of `_slot_bits` = w bits.  Row d is
+        -a_d - sum a_(d+i) b_i off z^-d Phi_N(z) = 0; row k + 1 is
+        b_1 b_k - b_(k-1): row k shifted up one slot and down one, its
+        slot 1 again (b_1 b_1 = b_2 + 2), minus row k - 1, with slot d
+        folded by row d.  Rows within 2^(w/4) keep those sums below
+        2^(w-1); a mask test checks each new row, and one that fails
+        rebuilds the table at twice the width."""
         rows = self._fold_rows
-        d, n = self.degree, self.N
-
-        def basis(j):
-            return ((j, 1),) if j else ((0, 2),)
-
+        d = self.degree
         while len(rows) <= top - d:
-            m = d + len(rows)
-            if 2 * m > n:
-                rows.append(rows[n - m - d] if n - m >= d else basis(n - m))
-                continue
-            if not rows:
-                if n <= 2:
-                    rows.append(((0, -2),))          # N = 2: c = -2
+            w = self._slot_bits
+            ones = ((1 << (w * d)) - 1) // ((1 << w) - 1)     # 1 in each slot
+            bias, outside = ones << (w // 4), ~(((2 << (w // 4)) - 1) * ones)
+            low, sign, overflow = (1 << w) - 1, 1 << (w - 1), 1 << (w * d)
+            while len(rows) <= top - d:
+                if not rows:
+                    coords = [-a for a in cyclotomic_polynomial(self.N).coeffs[d:2 * d]]
+                    if max(map(abs, coords)) >> (w - 1):
+                        self._widen()
+                        break
+                    row = _pack(coords, w // 8)
                 else:
-                    a = cyclotomic_polynomial(n).coeffs
-                    rows.append(tuple((i, -a[d + i]) for i in range(d) if a[d + i]))
-                continue
-            terms = [(i - 1, v) if i > 1 else (0, 2 * v) for i, v in rows[-1] if i]
-            terms += [(i + 1, v) for i, v in rows[-1]]
-            terms += [(i, -v) for i, v in (rows[-2] if len(rows) > 1 else basis(d - 1))]
-            acc: dict[int, int] = {}
-            for i, v in terms:
-                if i < d:
-                    acc[i] = acc.get(i, 0) + v
-                else:                               # b_d
-                    for k, f in rows[0]:
-                        acc[k] = acc.get(k, 0) + v * f
-            rows.append(tuple((i, v) for i, v in sorted(acc.items()) if v))
+                    cur = rows[-1]
+                    # b_(k-1); for k = d, b_(d-1), a unit vector or b_0 = 2
+                    prev = rows[-2] if len(rows) > 1 else 1 << (w * (d - 1)) if d > 1 else 2
+                    first = ((cur & low) ^ sign) - sign
+                    down = (cur - first) >> w
+                    top_slot = (cur + (overflow >> w >> 1)) >> (w * (d - 1))
+                    row = ((cur << w) + down + (((down & low) ^ sign) - sign) - prev
+                           + top_slot * (rows[0] - overflow))
+                if (row + bias) & outside:
+                    self._widen()
+                    break
+                self._row_index[row] = d + len(rows)
+                rows.append(row)
         return rows
+
+    def _widen(self) -> None:
+        """Double the table's slot width; its rows are rebuilt as read."""
+        self._slot_bits *= 2
+        self._fold_rows.clear()
+        self._row_index.clear()
 
     def _fold(self, coeffs: list[int]) -> list[int]:
         """The coordinates, at most `degree`, of sum coeffs[m] b_m, with
-        coeffs[0] the coordinate of 1: each b_m with m >= degree through its
-        table row."""
+        coeffs[0] the coordinate of 1."""
         d = self.degree
         if len(coeffs) <= d:
             return coeffs
-        out = coeffs[:d]
-        rows = self._fold_rows
-        if len(rows) < len(coeffs) - d:
-            rows = self._rows(len(coeffs) - 1)
-        for v, row in zip(coeffs[d:], rows):
+        return self._fold_into(coeffs[:d], enumerate(coeffs[d:], d))
+
+    def _fold_into(self, out: list[int], terms: Iterable[tuple[int, int]]) -> list[int]:
+        """out, `degree` coordinates, plus those of sum v b_m over the (m, v)
+        in terms, each b_m = s b_k for its canonical k (b_0 = 2): coordinate
+        k, or table row k in one packed sum, one multiply-add per row and
+        one unpack.  Rows within 2^(w/4) keep a slot below 2^(w-1) while the
+        |v| sum stays below 2^(w-1-w/4); past that, coefficients are split
+        into limbs of l = w - 1 - w/4 - bitlength(T) bits for T rows, a sum
+        each."""
+        d = self.degree
+        high = []
+        for m, v in terms:
             if v:
-                for i, f in row:
-                    out[i] += v * f
+                sign, m = self._canonical(m)
+                if m >= d:
+                    high.append((m, sign * v))
+                elif m:
+                    out[m] += sign * v
+                else:
+                    out[0] += 2 * sign * v
+        if not high:
+            return out
+        rows = self._fold_rows
+        top = max(high)[0]
+        if top - d >= len(rows):
+            self._rows(top)
+        acc = total = 0
+        for k, v in high:
+            acc += v * rows[k - d]
+            total += abs(v)
+        width = self._slot_bits
+        if total >> (width - 1 - width // 4) == 0:
+            return list(map(operator.add, out, _slots(acc, width // 8, d))) if acc else out
+        while (bits := width - 1 - width // 4 - len(high).bit_length()) < 1:
+            self._widen()
+            self._rows(top)
+            width = self._slot_bits
+        mask = (1 << bits) - 1
+        for shift in range(0, max(abs(v) for _, v in high).bit_length(), bits):
+            acc = 0
+            for k, v in high:
+                limb = (abs(v) >> shift) & mask
+                acc += (limb if v > 0 else -limb) * rows[k - d]
+            if acc:
+                out = [u + (s << shift) for u, s in zip(out, _slots(acc, width // 8, d))]
         return out
 
     def _product(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -615,20 +709,16 @@ class FieldContext:
         return min(j, self.N - j)
 
     def galois(self, j: int, x: "FieldElement") -> "FieldElement":
-        """The automorphism b_k -> b_(jk mod N), each image folded."""
+        """The automorphism b_k -> b_(jk mod N), each image folded
+        (``_fold_into``)."""
         if x.ctx is not self:
             raise ContextMismatch("element belongs to a different context")
         j = self.galois_index(j)
         if j == 1 or x.is_rational():
             return x
-        n = self.N
-        images = [(v, min(j * k % n, n - j * k % n)) for k, v in enumerate(x.num) if v and k]
-        num = [x.num[0]] + [0] * (self.degree - 1)
-        rows = self._rows(max(m for _, m in images))
-        for v, m in images:
-            for i, f in rows[m - self.degree] if m >= self.degree else ((m, 1),):
-                num[i] += v * f
-        return FieldElement(self, num, x.den)
+        out = [x.num[0]] + [0] * (self.degree - 1)
+        images = ((j * k, v) for k, v in enumerate(x.num) if k)
+        return FieldElement(self, self._fold_into(out, images), x.den)
 
     # -- numerics ----------------------------------------------------------
 

@@ -103,11 +103,16 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
+def element_sum(ctx: FieldContext, terms: Iterable[FieldElement]) -> FieldElement:
+    """The sum of the terms, started from the first of them: a zero element
+    is made only when there is none."""
+    terms = iter(terms)
+    first = next(terms, None)
+    return ctx.zero if first is None else sum(terms, first)
+
+
 def trace(ctx: FieldContext, a: Matrix) -> FieldElement:
-    acc = ctx.zero
-    for i in range(len(a)):
-        acc = acc + a[i][i]
-    return acc
+    return element_sum(ctx, (a[i][i] for i in range(len(a))))
 
 
 def _faddeev_leverrier(ctx: FieldContext, a: Matrix

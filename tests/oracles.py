@@ -24,7 +24,8 @@ that its closed form replaced, and helpers only tests call: a
 generator's checked ReflectionData, the parse of a representation
 document's generator matrices, Horner evaluation of an IntPolynomial, a
 circuit's entry vertex and the full characteristic polynomial of a pair
-product."""
+product; and the sparse fold table, rows b_d to b_(N/2) of (index, value)
+pairs, that the packed rows of canonical indices replaced."""
 
 from __future__ import annotations
 
@@ -197,6 +198,58 @@ def cosines_by_field_recurrence(ctx, j: int) -> list[tuple[int, ...]]:
         prev, cur = cur, c * cur - prev
         out.append(cur.power_num)
     return out[:j + 1]
+
+
+@functools.lru_cache(maxsize=None)
+def sparse_fold_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The sparse fold table that the packed canonical rows replaced: entry
+    m - d holds the nonzero coordinates of b_m as (index, value) pairs, for
+    every m from the degree d to N/2.  The first row is read off
+    z^-d Phi_N(z) = 0, each later one is b_1 b_(m-1) - b_(m-2) with
+    b_1 b_i = b_(i+1) + b_(i-1) and b_0 = 2, and b_d folds by the first."""
+    d = field_context(n).degree
+    rows: list[tuple[tuple[int, int], ...]] = []
+
+    def basis(j):
+        return ((j, 1),) if j else ((0, 2),)
+
+    for m in range(d, n // 2 + 1):
+        if not rows:
+            a = cyclotomic.cyclotomic_polynomial(n).coeffs
+            rows.append(((0, -2),) if n <= 2 else
+                        tuple((i, -a[d + i]) for i in range(d) if a[d + i]))
+            continue
+        terms = [(i - 1, v) if i > 1 else (0, 2 * v) for i, v in rows[-1] if i]
+        terms += [(i + 1, v) for i, v in rows[-1]]
+        terms += [(i, -v) for i, v in (rows[-2] if len(rows) > 1 else basis(d - 1))]
+        acc: dict[int, int] = {}
+        for i, v in terms:
+            for k, f in ((i, 1),) if i < d else rows[0]:
+                acc[k] = acc.get(k, 0) + v * f
+        rows.append(tuple((i, v) for i, v in sorted(acc.items()) if v))
+    return tuple(rows)
+
+
+def sparse_cosine(ctx, m: int) -> list[int]:
+    """The `degree` coordinates of b_m, any m: b_(m mod N) = b_(N - m mod N),
+    a basis vector below the degree and a sparse table row from it on."""
+    n, d = ctx.N, ctx.degree
+    m %= n
+    m = min(m, n - m)
+    out = [0] * d
+    for i, f in sparse_fold_rows(n)[m - d] if m >= d else ((m, 1 if m else 2),):
+        out[i] += f
+    return out
+
+
+def sparse_fold(ctx, coeffs) -> list[int]:
+    """The `degree` coordinates of sum coeffs[m] b_m, coeffs[0] the
+    coordinate of 1, each b_m from m = 1 on by ``sparse_cosine``."""
+    out = [coeffs[0]] + [0] * (ctx.degree - 1)
+    for m, v in enumerate(coeffs):
+        if v and m:
+            out = [u + v * f for u, f in zip(out, sparse_cosine(ctx, m))]
+    return out
 
 
 # -- the power-basis arithmetic that the cosine basis replaced ---------------

@@ -14,6 +14,7 @@ from oracles import (
 from coxrep import cyclotomic, linalg
 from coxrep.analysis import (
     _dot,
+    _pair_quadratic,
     cartan_coefficient,
     character_word_family,
     characters_distinguish,
@@ -106,6 +107,28 @@ def test_dot_products_make_a_zero_only_without_a_nonzero_pair(monkeypatch):
     assert count(lambda: pair_coefficients(r, s)) == (0, (r.form[1], s.form[0]))
     assert count(lambda: _dot(ctx, u, v)) == (3, expected)     # two products, one sum
     assert count(lambda: _dot(ctx, u, [zero] * 3)) == (1, zero)
+
+
+def test_traces_and_pair_quadratics_start_their_sums_from_a_term(monkeypatch):
+    """linalg.trace and the e2 of _pair_quadratic make no zero element to
+    start from: they read no FieldContext.zero while there is a term, and a
+    trace of three nonzero entries makes two elements, its two sums."""
+    rep = geometric_representation(H3, "s2")
+    ctx = rep.ctx
+    product = linalg.near_identity_mul(ctx, rep.generators[0], rep.generators[1])
+    diagonal = [[ctx.generator + k if i == j else 0 for j in range(3)] for i, k in
+                enumerate((1, 2, 3))]
+    expected = _pair_quadratic(ctx, product), linalg.trace(ctx, diagonal)
+    zeros, made = [], []
+    zero, init = cyclotomic.FieldContext.zero, cyclotomic.FieldElement.__init__
+    monkeypatch.setattr(cyclotomic.FieldContext, "zero",
+                        property(lambda self: zeros.append(1) or zero.fget(self)))
+    monkeypatch.setattr(cyclotomic.FieldElement, "__init__",
+                        lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    assert _pair_quadratic(ctx, product) == expected[0] and zeros == []
+    made.clear()
+    assert linalg.trace(ctx, diagonal) == expected[1] and len(made) == 2
+    assert linalg.trace(ctx, []) == 0 and zeros == [1]
 
 
 def test_cartan_coefficient_parallel_directing():

@@ -137,6 +137,24 @@ def test_one_record_per_distinct_element_and_indentation(capsys, monkeypatch,
     assert len(made) == len(set(records)) < len(records)
 
 
+@pytest.mark.parametrize("argv", [["build"], ["verify"], ["form", "--theta", "1"],
+                                  ["form", "--theta", "11"], ["dual"],
+                                  ["equiv", "--root2", "s2"], ["equiv", "--root2", "s1"]])
+def test_a_json_job_renders_no_text(capsys, monkeypatch, argv):
+    """The text lines, and the power-basis strings of their elements, are
+    made only under --format text (verify's text holds no element)."""
+    rendered = []
+    for owner, name in ((FieldElement, "__str__"), (cli, "_matrix_text")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name:
+                            rendered.append(name) or real(*a))
+    base = [*argv, "--diagram", "h3", "--root", "s1", "--format"]
+    code, out, _ = call(capsys, base + ["json"])
+    assert code == 0 and json.loads(out) and rendered == []
+    code, out, _ = call(capsys, base + ["text"])
+    assert code == 0 and bool(rendered) == (argv[0] != "verify")
+
+
 def test_json_writer_refuses_what_json_dumps_refuses():
     for value in ({1, 2}, object(), {"a": [range(2)]}):
         with pytest.raises(TypeError):

@@ -1,7 +1,8 @@
 """Only cyclotomic knows the coordinate format of a field element: no other
 module of coxrep imports a private name from it, calls a private
-FieldContext method (the fold, the product and its term and packed
-kernels, the fold table and the fixed-point cosines) or passes `_normalized`, which skips the constructor's
+FieldContext method (the fold and its canonical index, the product and its
+term and packed kernels, the fold table and its widening, and the
+fixed-point cosines) or passes `_normalized`, which skips the constructor's
 canonical form (trimmed coordinates, gcd(content, den) = 1).  The modules
 are parsed, not imported."""
 
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coxrep"
-PRIVATE_METHODS = {"_fold", "_product", "_term_product", "_packed_product", "_rows", "_cosines"}
+PRIVATE_METHODS = {"_fold", "_fold_into", "_canonical", "_product", "_term_product",
+                   "_packed_product", "_rows", "_widen", "_cosines"}
 
 
 def violations(tree: ast.AST) -> list[str]:
