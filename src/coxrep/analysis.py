@@ -454,7 +454,7 @@ def circuit_trace(rep: ReflectionRep, chord: tuple[int, int]) -> CircuitTrace:
         alpha_sum = alpha_sum + a
         if precedes(rep.tree, path[i], path[i + 1]):
             directed_prod = directed_prod * a
-    closing = params.chord_pair(path[-1], path[0])[0]
+    closing = rep.generators[path[-1]][path[-1]][path[0]]
     formula = rep.rank - 2 * m + alpha_sum + directed_prod * closing
     if formula != direct:
         raise OrderMismatch("circuit trace disagrees with the closed form")

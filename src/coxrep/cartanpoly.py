@@ -5,7 +5,8 @@ coefficient 4*cos^2(k*pi/n) for some k coprime to n.  ``order_poly(n)`` is
 the monic integer polynomial with exactly those roots; ``order_poly_full(n)``
 takes all 1 <= k <= floor(n/2), i.e. products whose order divides n.  The
 classifier reads the order off C - 2 = 2*cos(2*pi*k/n): a rational, or
-+-b_j = +-2*cos(2*pi*j/N) found by ``FieldContext.cos_index``.  That is
++-b_j = +-2*cos(2*pi*j/N), whose index ``FieldContext.cos_index`` finds
+by its residue modulo a split prime and confirms exactly.  That is
 complete by the conductor theorem (Washington, *Introduction to Cyclotomic
 Fields*): if 2*cos(2*pi*k/n), gcd(k, n) = 1, lies in Q(zeta_N)+, then n is
 in {1, 2, 3, 4, 6}, or n | N, or n = 2m with m odd and m | N.

@@ -24,7 +24,7 @@ a representation reads its diagram off its tree, its field off its parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -66,14 +66,13 @@ class ParameterSystem:
     4*cos^2(k*pi/m_e), made on the first read of any alpha.  chord_l maps
     each chord to the nonzero scalar l for the low-to-high direction; the
     reverse scalar alpha_e / l is always derived, which enforces the
-    defining product constraint, and each l is inverted once, when its
-    pair is first read.
+    defining product constraint; chord_pair inverts l on each call, and
+    build is its one caller, so the built generators hold both scalars.
     """
 
     diagram: Diagram
     alpha_index: Mapping[tuple[int, int], int]
     chord_l: Mapping[tuple[int, int], FieldElement]
-    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def ctx(self) -> FieldContext:
@@ -99,10 +98,7 @@ class ParameterSystem:
         """(l for direction s->t, l for direction t->s)."""
         key = (s, t) if s < t else (t, s)
         forward = self.chord_l[key]
-        inverse = self._inverses.get(key)
-        if inverse is None:
-            inverse = self._inverses[key] = forward.invert()
-        backward = self.alpha(s, t) * inverse
+        backward = self.alpha(s, t) * forward.invert()
         return (forward, backward) if s < t else (backward, forward)
 
     def with_alpha(self, edge: tuple[int, int], k: int) -> "ParameterSystem":
@@ -248,13 +244,13 @@ class ReflectionRep:
                 f"root={self.diagram.labels[self.root]})")
 
 
-def _reflected_rows(tree: SpanningTree, params: ParameterSystem, one: FieldElement,
-                    zero: FieldElement) -> list[list[FieldElement]]:
+def _reflected_rows(tree: SpanningTree, params: ParameterSystem) -> list[list[FieldElement]]:
     """Row s of generator s, e_s - (Cartan row s): -1 on the diagonal and
     -c_st as the parameters hold it, alpha and 1 on a tree edge (the alpha
     on the row of the endpoint nearer the root) and the chord pair."""
     diagram = tree.diagram
     n = diagram.rank
+    one, zero = params.ctx.one, params.ctx.zero
     minus_one = -one
     rows = [[minus_one if t == s else zero for t in range(n)] for s in range(n)]
     for s, t in diagram.edges:
@@ -270,24 +266,17 @@ def _reflected_rows(tree: SpanningTree, params: ParameterSystem, one: FieldEleme
 def cartan_rows(tree: SpanningTree, params: ParameterSystem
                 ) -> list[list[FieldElement]]:
     """The Cartan rows c_s: e_s minus row s of generator s."""
-    ctx = params.ctx
     return [[1 - x if t == s else -x for t, x in enumerate(row)]
-            for s, row in enumerate(_reflected_rows(tree, params, ctx.one, ctx.zero))]
+            for s, row in enumerate(_reflected_rows(tree, params))]
 
 
 def build(tree: SpanningTree, params: ParameterSystem) -> ReflectionRep:
     """The reflection representation determined by the tree and parameters:
     generator s is the identity with row s replaced by e_s - (Cartan row s),
-    written straight from the parameters, its other rows shared with one
-    identity; the generators share one zero, one 1 and one -1."""
+    written straight from the parameters (linalg.identity_with_rows)."""
     params.validate_for(tree)
-    ctx = params.ctx
-    n = tree.diagram.rank
-    one, zero = ctx.one, ctx.zero
-    eye = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-    rows = _reflected_rows(tree, params, one, zero)
-    return ReflectionRep(tree, params, tuple(eye[:s] + (tuple(row),) + eye[s + 1:]
-                                             for s, row in enumerate(rows)))
+    rows = _reflected_rows(tree, params)
+    return ReflectionRep(tree, params, linalg.identity_with_rows(params.ctx, rows))
 
 
 def geometric_representation(diagram: Diagram, root: int | str = 0) -> ReflectionRep:

@@ -31,17 +31,18 @@ odd N): a coordinate below d, else a row of a table of one packed integer
 per canonical index, read off the palindromic z^-d Phi_N(z) and built by
 b_(k+1) = b_1 b_k - b_(k-1) only as far as it is read.  The Galois action
 sends b_k to b_(tk mod N), 2*cos(2*pi*k/m) is a basis vector or a table
-row, and ``FieldContext.cos_index`` looks a cosine up among the rows.
+row, and ``FieldContext.cos_index`` looks a cosine up by its residue modulo
+a split prime among those of b_0, ..., b_(N/2), then checks it exactly.
 
 The power basis is kept at the boundary and in ``invert`` only:
 ``from_coeffs`` (and so ``io.scalar_from_json``) takes power-basis
 coordinates and ``power_num`` (``io.scalar_to_json``, ``__str__``) gives
 them back, each conversion O(d) packed big-integer steps.
 ``FieldContext.modular_image`` maps the basis to F_p for split primes p,
-the ground of the modular rank bounds in ``linalg`` and of ``invert``,
-which inverts the power-basis image modulo (psi, p), converts the inverse
-back, lifts it p-adically in the cosine basis and accepts it only by the
-exact product.
+the ground of the modular rank bounds in ``linalg``, of ``cos_index`` and
+of ``invert``, which inverts the power-basis image modulo (psi, p),
+converts the inverse back, lifts it p-adically in the cosine basis and
+accepts it only by the exact product.
 """
 
 from __future__ import annotations
@@ -421,9 +422,10 @@ class FieldContext:
         # to its context, so one held here would make a reference cycle,
         # and a context dropped from field_context's cache would then wait,
         # caches and all, for the cycle collector.
-        # the fold table (_rows) and each of its packed rows' index
+        # the fold table (_rows), and the index j of the residue of each
+        # b_j, j <= N/2, modulo the first split prime (cos_index)
         self._fold_rows: list[int] = []
-        self._row_index: dict[int, int] = {}
+        self._cos_residues: dict[int, int] = {}
         self._slot_bits = 64
         self._min_poly: IntPolynomial | None = None
         self._approx_cache: dict[int, list[int]] = {}
@@ -486,32 +488,27 @@ class FieldContext:
         return FieldElement(self, (0,) * j + (sign,) if j else (2 * sign,), _normalized=True)
 
     def cos_index(self, x: "FieldElement") -> int | None:
-        """The j with 0 <= j <= N/2 and x == cos_element(j, N), or None: for
-        x = +-b_k, k canonical, a basis vector or the packed table row equal
-        to +-x, looked up by its integer value; -b_k is b_(N/2-k)."""
+        """The j with 0 <= j <= N/2 and x == cos_element(j, N), or None.  An
+        integral x is mapped to F_p by modular_image(0) and its residue
+        looked up among those of b_0, ..., b_(N/2), made once by
+        b_(j+1) = c_p b_j - b_(j-1) with c_p the image of c, and distinct
+        as z has order N; the candidate is accepted only by the exact
+        comparison, which reads a table row only when its canonical index
+        is at least the degree."""
         if x.ctx is not self:
             raise ContextMismatch("element belongs to a different context")
         if x.den != 1:
             return None
-        n, num = self.N, x.num
-        even = n % 2 == 0
-        j = len(num) - 1
-        if not any(num[:j]):
-            unit = 1 if j else 2
-            if num[j] == unit:
-                return j
-            if num[j] == -unit and even:
-                return n // 2 - j
-        self._rows(n // 4 if even else n // 2)
-        width = self._slot_bits
-        if max(map(abs, num)) >> (width - 1):
-            return None
-        packed, index = _pack(num, width // 8), self._row_index
-        if packed in index:
-            return index[packed]
-        if even and -packed in index:
-            return n // 2 - index[-packed]
-        return None
+        p, images = self.modular_image(0)
+        index = self._cos_residues
+        if not index:
+            c = sum(map(operator.mul, self.generator.num, images)) % p
+            prev, cur = 2, c
+            for j in range(self.N // 2 + 1):
+                index[prev] = j
+                prev, cur = cur, (c * cur - prev) % p
+        j = index.get(sum(map(operator.mul, x.num, images)) % p)
+        return j if j is not None and x == self.cos_element(j, self.N) else None
 
     # -- the fold of b_m, m >= degree ------------------------------------------
 
@@ -528,7 +525,8 @@ class FieldContext:
         return 1, m
 
     def _rows(self, top: int) -> list[int]:
-        """The fold table as far as the canonical top: entry k - degree packs
+        """The fold table as far as the canonical top, built only as far as
+        `_fold_into` and `cos_element` read it: entry k - degree packs
         coordinate i of b_k in slot i of `_slot_bits` = w bits.  Row d is
         -a_d - sum a_(d+i) b_i off z^-d Phi_N(z) = 0; row k + 1 is
         b_1 b_k - b_(k-1): row k shifted up one slot and down one, its
@@ -562,7 +560,6 @@ class FieldContext:
                 if (row + bias) & outside:
                     self._widen()
                     break
-                self._row_index[row] = d + len(rows)
                 rows.append(row)
         return rows
 
@@ -570,7 +567,6 @@ class FieldContext:
         """Double the table's slot width; its rows are rebuilt as read."""
         self._slot_bits *= 2
         self._fold_rows.clear()
-        self._row_index.clear()
 
     def _fold(self, coeffs: list[int]) -> list[int]:
         """The coordinates, at most `degree`, of sum coeffs[m] b_m, with

@@ -112,9 +112,10 @@ def form_exists(rep: ReflectionRep, theta: Automorphism) -> FormExistence:
 
     Checks, in order: theta is an involution; theta fixes every chosen edge
     coefficient; and for every chord, the two scalars balance against the
-    prefix/suffix coefficient products around the circuit entry.
+    prefix/suffix coefficient products around the circuit entry; the
+    scalar of s -> t is entry (s, t) of generator s.
     """
-    params = rep.params
+    params, gens = rep.params, rep.generators
     if not theta.is_involution():
         return FormExistence(False, "not_involution", (theta.index,))
     for edge in rep.diagram.edges:
@@ -124,7 +125,8 @@ def form_exists(rep: ReflectionRep, theta: Automorphism) -> FormExistence:
     for chord in rep.tree.chords:
         circuit = chord_circuit(rep.tree, chord)
         path = circuit.path
-        forward, backward = params.chord_pair(path[0], path[-1])
+        s, t = path[0], path[-1]
+        forward, backward = gens[s][s][t], gens[t][t][s]
         prefix = params.path_product(path[:circuit.entry_index + 1])
         suffix = params.path_product(path[circuit.entry_index:])
         if theta(forward) * prefix != backward * suffix:
@@ -171,7 +173,7 @@ def build_form(rep: ReflectionRep, theta: Automorphism,
             gram[s][t] = -products[high]
             gram[t][s] = -products[high]
         else:
-            forward, _ = rep.params.chord_pair(s, t)
+            forward = rep.generators[s][s][t]
             gram[s][t] = -theta(forward) * products[s]
             gram[t][s] = -forward * products[s]
     return GramMatrix(linalg.mat_freeze(gram), theta)
@@ -302,7 +304,6 @@ def adapted_generators(rep: ReflectionRep, products: Sequence[FieldElement]) -> 
     (t, s) of generator t; each chord endpoint's tree product is inverted
     at most once, no other.
     """
-    ctx = rep.ctx
     gens = rep.generators
     rows = [list(gen[s]) for s, gen in enumerate(gens)]
     inverses: dict[int, FieldElement] = {}
@@ -311,12 +312,7 @@ def adapted_generators(rep: ReflectionRep, products: Sequence[FieldElement]) -> 
             if s not in inverses:
                 inverses[s] = products[s].invert()
             rows[s][t] = gens[t][t][s] * products[t] * inverses[s]
-    out = []
-    for s, row in enumerate(rows):
-        mat = linalg.identity(ctx, len(rows))
-        mat[s] = row
-        out.append(linalg.mat_freeze(mat))
-    return tuple(out)
+    return linalg.identity_with_rows(rep.ctx, rows)
 
 
 def dual_representation(rep: ReflectionRep) -> DualRep:

@@ -51,6 +51,14 @@ def mat_freeze(m: Matrix) -> tuple[tuple[FieldElement, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
+def identity_with_rows(ctx: FieldContext, rows: Matrix
+                       ) -> tuple[tuple[tuple[FieldElement, ...], ...], ...]:
+    """Matrix s is the identity with row s replaced by rows[s], frozen; its
+    other rows are those of one shared identity (elements are immutable)."""
+    eye = mat_freeze(identity(ctx, len(rows)))
+    return tuple(eye[:s] + (tuple(row),) + eye[s + 1:] for s, row in enumerate(rows))
+
+
 def mat_mul(ctx: FieldContext, a: Matrix, b: Matrix) -> list[list[FieldElement]]:
     """The product A B, one field product and sum per pair of nonzero
     entries (the reference; see the module docstring)."""
@@ -403,10 +411,9 @@ def generator_rows(ctx: FieldContext, mats: Sequence[Matrix]
     """The rows y_s = -c_s of M_s = I + e_s (x) y_s, or None unless there are
     n matrices, each I outside row s, with M_s[s][s] = -1 (y_ss = -2)."""
     n, minus_two = len(mats), ctx.from_rational(-2)
-    eye = mat_freeze(identity(ctx, n))
-    if any(len(m) != n or m[s][s] != -1 or
-           any(tuple(row) != eye[i] for i, row in enumerate(m) if i != s)
-           for s, m in enumerate(mats)):
+    if any(len(m) != n or m[s][s] != -1 for s, m in enumerate(mats)) or \
+            identity_with_rows(ctx, [m[s] for s, m in enumerate(mats)]) != \
+            tuple(map(mat_freeze, mats)):
         return None
     return tuple(tuple(m[s][:s]) + (minus_two,) + tuple(m[s][s + 1:])
                  for s, m in enumerate(mats))

@@ -9,6 +9,7 @@ import pytest
 from conftest import _random_tree
 from oracles import geometric_chord_scalar
 
+from coxrep.analysis import circuit_trace
 from coxrep.construction import (
     IncompleteParameters,
     ParameterSystem,
@@ -23,7 +24,7 @@ from coxrep.construction import (
     tree_change_intertwiner,
 )
 from coxrep.cyclotomic import FieldContext, FieldElement, field_context
-from coxrep.forms import Automorphism, form_exists
+from coxrep.forms import Automorphism, build_form, form_exists, tree_product
 from coxrep.graph import DifferentDiagram, spanning_tree, spanning_tree_from_edges, validate
 from coxrep import linalg
 
@@ -352,18 +353,20 @@ def test_generators_are_the_identity_but_row_s_on_the_corpus(suite_instances):
             [[exact(x) for x in row] for row in rows]
 
 
-def test_a_chord_scalar_is_inverted_once_per_parameter_system(monkeypatch):
-    # an irrational chord scalar on the 3-4-5 triangle: building, the form
-    # criterion and the Gram matrix all read its pair, and only the first
-    # read inverts it
+def test_a_chord_scalar_is_inverted_once_per_build(monkeypatch):
+    # irrational chord scalars on the 3-4-5 triangle: build inverts each
+    # once, and the form criterion, the Gram matrix and the circuit trace
+    # read both scalars of the pair off the generators, inverting nothing
     diagram = validate([[1, 3, 4], [3, 1, 5], [4, 5, 1]])
     tree = spanning_tree(diagram, 0)
     base = geometric_parameters(tree)
     ctx = base.ctx
     chord = tree.chords[0]
+    geometric = base.chord_l[chord]
     l = 1 + base.alpha(*chord)
     params = base.with_chord(chord, l)
     expected = base.alpha(*chord) / l
+    assert not geometric.is_rational() and not l.is_rational()
     calls = []
     invert = FieldElement.invert
 
@@ -372,12 +375,20 @@ def test_a_chord_scalar_is_inverted_once_per_parameter_system(monkeypatch):
         return invert(x)
 
     monkeypatch.setattr(FieldElement, "invert", counted)
+    theta = Automorphism.identity(ctx)
+    rep = build(tree, base)
+    assert calls == [geometric]
+    gram = build_form(rep, theta, form_exists(rep, theta))
+    assert gram.entries[chord[1]][chord[0]] == -geometric * tree_product(rep, chord[0])
+    assert circuit_trace(rep, chord).matches
+    assert calls == [geometric]
+    other = build(tree, params)
+    assert calls == [geometric, l]
+    assert not form_exists(other, theta)
+    assert (other.generators[chord[0]][chord[0]][chord[1]],
+            other.generators[chord[1]][chord[1]][chord[0]]) == (l, expected)
+    assert calls == [geometric, l]
+    # chord_pair, build's reader, inverts on each call
     assert params.chord_pair(*chord) == (l, expected)
     assert params.chord_pair(*chord[::-1]) == (expected, l)
-    rep = build(tree, params)
-    theta = Automorphism.identity(ctx)
-    form_exists(rep, theta)
-    assert calls == [l]
-    other = params.with_chord(chord, 2 * l)
-    assert other.chord_pair(*chord) == (2 * l, expected * Fraction(1, 2))
-    assert calls == [l, 2 * l]
+    assert calls == [geometric, l, l, l]

@@ -2,8 +2,9 @@
 table it replaced (tests/oracles.py): every row, the fold of coefficients
 up to 2^200 at any index (so that the limb path runs), cosines and their
 indices, and the Galois action, at even conductors (24, 1260, 2310 and
-2p = 202) and odd ones (15, 105 and p = 101); and the same rows and folds
-when the table starts at a slot too narrow for them, so that it widens."""
+2p = 202) and odd ones (15, 105 and p = 101); the same rows and folds
+when the table starts at a slot too narrow for them, so that it widens;
+and no row built by the index lookup."""
 
 import math
 
@@ -40,7 +41,6 @@ def test_one_row_per_canonical_index_from_the_degree(n):
     rows = _packed_rows(ctx)
     assert len(rows) == max(0, _top(n) - ctx.degree + 1)
     assert rows == _sparse_rows(ctx)
-    assert len(ctx._row_index) == len(set(ctx._fold_rows))
 
 
 @pytest.mark.parametrize("n", (15, 105, 1260, 2310))
@@ -130,6 +130,25 @@ def test_cosines_and_their_indices(n):
             assert ctx.cos_index(y) == expected, (k, y)
     assert ctx.cos_index(ctx.zero) == (n // 4 if n % 4 == 0 else None)
     assert len(ctx._fold_rows) == max(0, _top(n) - ctx.degree + 1)
+
+
+@pytest.mark.parametrize("n", (105, 1260, 2310))
+def test_cos_index_builds_no_row(n):
+    """Once cos_element has read a dense b_j, d <= j < N/4 (N/2 for odd N),
+    cos_index of b_j, -b_j and b_j + 1 leaves the table as it is: the
+    lookup is by residue, and the exact check reads only row j.  b_j + p,
+    p the split prime, has the residue of b_j and is no cosine."""
+    ctx = FieldContext(n)
+    half, j = n // 2, (ctx.degree + _top(n)) // 2
+    x = ctx.cos_element(j, n)
+    assert sum(map(bool, x.num)) > 2
+    built = len(ctx._fold_rows)
+    cosines = {k: sparse_cosine(ctx, k) for k in range(half + 1)}
+    for y in (x, -x, x + 1, x + ctx.modular_image(0)[0]):
+        coords = list(y.num) + [0] * (ctx.degree - len(y.num))
+        assert ctx.cos_index(y) == next((k for k, c in cosines.items() if c == coords), None)
+        assert len(ctx._fold_rows) == built
+    assert ctx.cos_index(x) == j and ctx.cos_index(-x) == (half - j if n % 2 == 0 else None)
 
 
 @pytest.mark.parametrize("n", CONDUCTORS)
