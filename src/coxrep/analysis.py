@@ -26,7 +26,7 @@ from . import linalg
 from .cartanpoly import OrderClass, classify_pair
 from .construction import ReflectionRep, equivalence_intertwiner
 from .cyclotomic import FieldContext, FieldElement, prime_factors
-from .graph import chord_circuit, precedes
+from .graph import chord_circuit
 
 Matrix = Sequence[Sequence[FieldElement]]
 
@@ -367,15 +367,13 @@ def verify_good_morphism(rep: ReflectionRep,
 def commutant_dimension(rep: ReflectionRep) -> tuple[int, str]:
     """Dimension of {X : X zeta_s = zeta_s X for all s}, and the route that
     decided it (see linalg.reduced_dimension): a rank over F_p bounds it
-    from above, and the identity, checked exactly, from below by 1.  With
+    from above, and 1 from below, as I commutes with every zeta_s.  With
     zeta_s = I - e_s (x) c_s, X e_s = lambda_s e_s and c_s X = lambda_s c_s:
     n unknowns, one row c_st (lambda_t - lambda_s) per s != t.  As c_ss = 2
     is a unit mod every odd prime, the nullity mod p, and so the route, is
     that of the n^2-unknown system."""
-    ctx = rep.ctx
     rows = rep.generator_rows
-    lower = int(linalg.intertwines(ctx, rows, rows, linalg.identity(ctx, rep.rank)))
-    return linalg.reduced_dimension(ctx, rows, rows, lower)
+    return linalg.reduced_dimension(rep.ctx, rows, rows, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,7 +450,7 @@ def circuit_trace(rep: ReflectionRep, chord: tuple[int, int]) -> CircuitTrace:
     for i in range(m - 1):
         a = params.alpha(path[i], path[i + 1])
         alpha_sum = alpha_sum + a
-        if precedes(rep.tree, path[i], path[i + 1]):
+        if rep.tree.parent[path[i + 1]] == path[i]:
             directed_prod = directed_prod * a
     closing = rep.generators[path[-1]][path[-1]][path[0]]
     formula = rep.rank - 2 * m + alpha_sum + directed_prod * closing

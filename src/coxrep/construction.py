@@ -14,9 +14,10 @@ chord, the generators act on the basis (a_s) by
 Every generator is I - e_s * (Cartan row s), so a change of basis between
 two representations on one diagram is diagonal: scaling a_s by scale_s
 turns c_st into c_st * scale_t / scale_s.  One walk down a rooted tree
-finds the scales that give the tree's convention; it yields the chord
-scalars of the geometric representation, the intertwiners of root and
-tree changes, and the decision whether two representations are equivalent.
+finds the scales that give the tree's convention; it yields the tree
+products, the chord scalars of the geometric representation and of the
+adapted dual, the intertwiners of root and tree changes, and the decision
+whether two representations are equivalent.
 Parameters hold their diagram, and so their field, and fit only its trees;
 a representation reads its diagram off its tree, its field off its parameters.
 """
@@ -31,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 from . import linalg
 from .cartanpoly import admissible_root_indices
 from .cyclotomic import FieldContext, FieldElement, field_context
-from .graph import Diagram, DifferentDiagram, SpanningTree, precedes, spanning_tree
+from .graph import Diagram, DifferentDiagram, SpanningTree, spanning_tree
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
 
@@ -86,14 +87,6 @@ class ParameterSystem:
     def alpha(self, s: int, t: int) -> FieldElement:
         return self._alphas[(s, t) if s < t else (t, s)]
 
-    def path_product(self, path: Sequence[int]) -> FieldElement:
-        """Product of alpha over the consecutive pairs of a path of diagram
-        edges; the empty product (a path of one vertex) is 1."""
-        acc = self.ctx.one
-        for s, t in zip(path, path[1:]):
-            acc = acc * self.alpha(s, t)
-        return acc
-
     def chord_pair(self, s: int, t: int) -> tuple[FieldElement, FieldElement]:
         """(l for direction s->t, l for direction t->s)."""
         key = (s, t) if s < t else (t, s)
@@ -147,7 +140,7 @@ def geometric_parameters(tree: SpanningTree,
     chords = dict(chord_l or {})
     missing = [chord for chord in tree.chords if chord not in chords]
     if missing:
-        _, geometric = _tree_rescaling(
+        _, geometric = tree_rescaling(
             tree, lambda s, t: -ctx.cos_element(1, 2 * diagram.edge_label(s, t)),
             ctx.one, missing)
         chords.update(geometric)
@@ -207,6 +200,13 @@ class ReflectionRep:
             raise ValueError("a generator is not I - e_s (x) c_s with c_ss = 2")
         return rows
 
+    @cached_property
+    def tree_products(self) -> tuple[FieldElement, ...]:
+        """The products of the alphas from the root down to each vertex:
+        the scales of tree_rescaling for c(v, parent) = -alpha."""
+        alpha = self.params.alpha
+        return tuple(tree_rescaling(self.tree, lambda s, t: -alpha(s, t), self.ctx.one, ())[0])
+
     def word_matrix(self, word: Sequence[int]) -> list[list[FieldElement]]:
         """The product of the generators along the word, made from its right
         end, each factor read only where it differs from I; I for the empty word."""
@@ -255,7 +255,7 @@ def _reflected_rows(tree: SpanningTree, params: ParameterSystem) -> list[list[Fi
     rows = [[minus_one if t == s else zero for t in range(n)] for s in range(n)]
     for s, t in diagram.edges:
         if tree.is_tree_edge(s, t):
-            low, high = (s, t) if precedes(tree, s, t) else (t, s)
+            low, high = (s, t) if tree.parent[t] == s else (t, s)
             rows[low][high] = params.alpha(s, t)
             rows[high][low] = one
         else:
@@ -321,27 +321,31 @@ class Intertwiner:
                                   self.target.generator_rows, self.matrix)
 
 
-def _tree_rescaling(tree: SpanningTree, c: Callable[[int, int], FieldElement],
-                    one: FieldElement, chords: Sequence[tuple[int, int]] | None = None
-                    ) -> tuple[list[FieldElement], dict[tuple[int, int], FieldElement]]:
+def tree_rescaling(tree: SpanningTree, c: Callable[[int, int], FieldElement],
+                   one: FieldElement, chords: Sequence[tuple[int, int]] | None = None
+                   ) -> tuple[list[FieldElement], dict[tuple[int, int], FieldElement]]:
     """The basis scales and the scalars of the given chords (all of the
-    tree's by default) that put the Cartan entries c(s, t) of a
-    representation on the tree's diagram into the tree's convention; only
-    the entries on diagram edges are read.
+    tree's by default; either direction) that put the Cartan entries
+    c(s, t) of a representation on the tree's diagram into the tree's
+    convention; only the entries on diagram edges are read.
 
     Rescaling the basis a_s -> scale_s * a_s turns c_st into
     c_st * scale_t / scale_s.  Walking the tree parents before children,
     scale_root = 1 and scale_v = -c_(v,parent) * scale_parent give every
     tree edge the entry -1 from its deeper endpoint; the chord (s, t) then
-    has the scalar l = -c_st * scale_t / scale_s.
+    has the scalar l = -c_st * scale_t / scale_s, each scale_s inverted once.
     """
     scale = [one] * tree.diagram.rank
     for v in sorted(range(tree.diagram.rank), key=tree.depth.__getitem__):
         p = tree.parent[v]
         if p is not None:
             scale[v] = -c(v, p) * scale[p]
-    scalars = {(s, t): -c(s, t) * scale[t] / scale[s]
-               for s, t in (tree.chords if chords is None else chords)}
+    inverses: dict[int, FieldElement] = {}
+    scalars = {}
+    for s, t in (tree.chords if chords is None else chords):
+        if s not in inverses:
+            inverses[s] = scale[s].invert()
+        scalars[(s, t)] = -c(s, t) * scale[t] * inverses[s]
     return scale, scalars
 
 
@@ -351,7 +355,7 @@ def tree_change_intertwiner(rep: ReflectionRep, new_tree: SpanningTree) -> Inter
     if new_tree.diagram != rep.diagram:
         raise DifferentDiagram("target tree belongs to a different diagram")
     c = cartan_matrix(rep).entries
-    scale, chords = _tree_rescaling(new_tree, lambda s, t: c[s][t], rep.ctx.one)
+    scale, chords = tree_rescaling(new_tree, lambda s, t: c[s][t], rep.ctx.one)
     params = ParameterSystem(rep.diagram, dict(rep.params.alpha_index), chords)
     return Intertwiner(rep, build(new_tree, params), tuple(scale))
 
@@ -373,7 +377,7 @@ def equivalence_intertwiner(rep: ReflectionRep, other: ReflectionRep
     if any(alpha1[e] != alpha2[e] for e in rep.diagram.edges):
         return None
     c = cartan_matrix(rep).entries
-    scale, chords = _tree_rescaling(other.tree, lambda s, t: c[s][t], rep.ctx.one)
+    scale, chords = tree_rescaling(other.tree, lambda s, t: c[s][t], rep.ctx.one)
     if any(other.params.chord_l[e] != l for e, l in chords.items()):
         return None
     moved = Intertwiner(rep, other, tuple(scale))

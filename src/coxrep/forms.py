@@ -4,13 +4,15 @@ The space of forms invariant under a built representation, sesquilinear
 with respect to a field automorphism, has dimension at most one.  Existence
 is decided by a constructive criterion on the parameters (the automorphism
 squares to the identity, fixes every edge coefficient, and balances every
-chord around its circuit); the same dimension is recomputed independently
-from the invariance system, by a modular rank bound closed by the exactly
-checked Gram matrix or by exact elimination, and the CLI and the test
-suite compare the two.  When the form exists its Gram matrix is assembled
-in closed form from tree products.  The invariance system has n unknowns,
-as an invariant G has column s equal to lambda_s c_s^T; the reduction
-holds mod every odd prime too, so its route is that of the n^2 unknowns.
+chord against the tree products of its endpoints); the same dimension is
+recomputed independently from the invariance system, by a modular rank
+bound closed by the exactly checked Gram matrix or by exact elimination,
+and the CLI and the test suite compare the two.  When the form exists its
+Gram matrix is assembled in closed form from the tree products, which,
+with the adapted dual's chord entries, come from construction.tree_rescaling.
+The invariance system has n unknowns, as an invariant G has column s equal
+to lambda_s c_s^T; the reduction holds mod every odd prime too, so its
+route is that of the n^2 unknowns.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .construction import CartanMatrixData, ReflectionRep, cartan_matrix
+from .construction import CartanMatrixData, ReflectionRep, cartan_matrix, tree_rescaling
 from .cyclotomic import FieldContext, FieldElement
-from .graph import chord_circuit, precedes
 
 Matrix = Sequence[Sequence[FieldElement]]
 
@@ -93,8 +94,8 @@ def involutive_automorphisms(ctx: FieldContext) -> list[Automorphism]:
 
 def tree_product(rep: ReflectionRep, s: int) -> FieldElement:
     """Product of the edge coefficients along the tree path from the root
-    to s; the empty product (s = root) is 1."""
-    return rep.params.path_product(rep.tree.path_to_root(s))
+    to s; the empty product (s = root) is 1 (ReflectionRep.tree_products)."""
+    return rep.tree_products[s]
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,10 @@ def form_exists(rep: ReflectionRep, theta: Automorphism) -> FormExistence:
     """Constructive criterion for a nonzero invariant theta-sesquilinear form.
 
     Checks, in order: theta is an involution; theta fixes every chosen edge
-    coefficient; and for every chord, the two scalars balance against the
-    prefix/suffix coefficient products around the circuit entry; the
-    scalar of s -> t is entry (s, t) of generator s.
+    coefficient; and every chord (s, t) balances, theta(l_st) P_s = l_ts P_t
+    with P the tree products and l_st, the scalar of s -> t, entry (s, t)
+    of generator s: the balance around the chord's circuit, times the
+    nonzero tree product of its entry.
     """
     params, gens = rep.params, rep.generators
     if not theta.is_involution():
@@ -122,15 +124,10 @@ def form_exists(rep: ReflectionRep, theta: Automorphism) -> FormExistence:
         alpha = params.alpha(*edge)
         if theta(alpha) != alpha:
             return FormExistence(False, "moves_alpha", edge)
-    for chord in rep.tree.chords:
-        circuit = chord_circuit(rep.tree, chord)
-        path = circuit.path
-        s, t = path[0], path[-1]
-        forward, backward = gens[s][s][t], gens[t][t][s]
-        prefix = params.path_product(path[:circuit.entry_index + 1])
-        suffix = params.path_product(path[circuit.entry_index:])
-        if theta(forward) * prefix != backward * suffix:
-            return FormExistence(False, "chord_balance", chord)
+    products = rep.tree_products
+    for s, t in rep.tree.chords:
+        if theta(gens[s][s][t]) * products[s] != gens[t][t][s] * products[t]:
+            return FormExistence(False, "chord_balance", (s, t))
     return FormExistence(True)
 
 
@@ -163,15 +160,14 @@ def build_form(rep: ReflectionRep, theta: Automorphism,
             f"no invariant form: {existence.obstruction} at {existence.detail}")
     ctx = rep.ctx
     n = rep.rank
-    products = [tree_product(rep, s) for s in range(n)]
+    products = rep.tree_products
     gram = [[ctx.zero] * n for _ in range(n)]
     for s in range(n):
         gram[s][s] = 2 * products[s]
     for s, t in rep.diagram.edges:
         if rep.tree.is_tree_edge(s, t):
-            low, high = (s, t) if precedes(rep.tree, s, t) else (t, s)
-            gram[s][t] = -products[high]
-            gram[t][s] = -products[high]
+            high = t if rep.tree.parent[t] == s else s
+            gram[s][t] = gram[t][s] = -products[high]
         else:
             forward = rep.generators[s][s][t]
             gram[s][t] = -theta(forward) * products[s]
@@ -262,7 +258,7 @@ class DualRep:
     again a reflection representation on the same spanning tree,
     I - e_s * (row s of P^-1 C^T P) with P = diag(scalings): its tree
     entries are those of the primal, and each chord's two scalars are
-    swapped and rescaled by a tree-product ratio (adapted_generators).
+    swapped and rescaled by a tree-product ratio (dual_representation).
     """
 
     primal: ReflectionRep
@@ -291,8 +287,9 @@ class DualRep:
         return self.cartan.rank
 
 
-def adapted_generators(rep: ReflectionRep, products: Sequence[FieldElement]) -> tuple:
-    """The dual generators in the adapted basis B = C^T P, P = diag(products).
+def adapted_generators(rep: ReflectionRep, chord_entries: dict) -> tuple:
+    """The dual generators in the adapted basis B = C^T P, P = diag(tree
+    products), given entry (s, t) of row s for each chord in each direction.
 
     The dual generator D_s = I - (column s of C^T) e_s^T, and column s of
     C^T is B e_s / p_s, so B^-1 D_s B = I - e_s (row s of B) / p_s: row s
@@ -300,18 +297,12 @@ def adapted_generators(rep: ReflectionRep, products: Sequence[FieldElement]) -> 
     On the tree that row is row s of generator s: -1 at s, 1 at the tree
     parent (c_(parent, s) = -alpha_e and p_s = alpha_e p_parent) and
     alpha_e at each tree child (c_(child, s) = -1 and p_child = alpha_e p_s).
-    Only a chord (s, t) needs a ratio, -c_ts p_t / p_s, and -c_ts is entry
-    (t, s) of generator t; each chord endpoint's tree product is inverted
-    at most once, no other.
+    Only a chord (s, t) needs a ratio, -c_ts p_t / p_s: the scalar that
+    tree_rescaling gives the chord for the transposed Cartan entries.
     """
-    gens = rep.generators
-    rows = [list(gen[s]) for s, gen in enumerate(gens)]
-    inverses: dict[int, FieldElement] = {}
-    for chord in rep.tree.chords:
-        for s, t in (chord, chord[::-1]):
-            if s not in inverses:
-                inverses[s] = products[s].invert()
-            rows[s][t] = gens[t][t][s] * products[t] * inverses[s]
+    rows = [list(gen[s]) for s, gen in enumerate(rep.generators)]
+    for (s, t), x in chord_entries.items():
+        rows[s][t] = x
     return linalg.identity_with_rows(rep.ctx, rows)
 
 
@@ -322,24 +313,28 @@ def dual_representation(rep: ReflectionRep) -> DualRep:
     The candidate adapted basis vectors are the Cartan rows scaled by tree
     products; they form a basis exactly when the discriminant is nonzero,
     and the degenerate case is flagged with the rank evidence instead.
-    The adapted generators come in closed form (adapted_generators: the
-    primal's tree entries, and a tree-product ratio only at chords) and
-    are accepted only by the exact check D_s B = B A'_s for every s, which
-    fixes them since B is invertible; a failure raises AdaptedBasisMismatch.
-    It reads each A'_s from its row s once the other rows are checked to be
-    the identity's (linalg.generator_rows), and compares the rank-one
-    differences D_s - I and A'_s - I (linalg.intertwines).
+    One tree_rescaling of the transposed Cartan entries gives the tree
+    products p as its scales and, only when the discriminant is nonzero,
+    each chord's adapted entries -c_ts p_t / p_s and -c_st p_s / p_t as its
+    scalars.  The adapted generators come in closed form (adapted_generators)
+    and are accepted only by the exact check D_s B = B A'_s for every s,
+    which fixes them since B is invertible; a failure raises
+    AdaptedBasisMismatch.  It reads each A'_s from its row s once the other
+    rows are checked to be the identity's (linalg.generator_rows), and
+    compares the rank-one differences D_s - I and A'_s - I (linalg.intertwines).
     """
     ctx = rep.ctx
     n = rep.rank
     duals = tuple(linalg.mat_freeze(linalg.transpose(g)) for g in rep.generators)
     data = cartan_matrix(rep)
     rows = data.entries
-    products = tuple(tree_product(rep, s) for s in range(n))
     degenerate = data.discriminant.is_zero()
+    chords = () if degenerate else [e for c in rep.tree.chords for e in (c, c[::-1])]
+    scale, chord_entries = tree_rescaling(rep.tree, lambda s, t: rows[t][s], ctx.one, chords)
+    products = tuple(scale)
     adapted = None
     if not degenerate:
-        adapted = adapted_generators(rep, products)
+        adapted = adapted_generators(rep, chord_entries)
         adapted_rows = linalg.generator_rows(ctx, adapted)
         basis_cols = [[products[j] * rows[j][i] for j in range(n)] for i in range(n)]
         if adapted_rows is None or not linalg.intertwines(

@@ -174,7 +174,7 @@ def _tree_from_edge_set(diagram: Diagram, root: int,
 
 def spanning_tree(diagram: Diagram, root: int | str) -> SpanningTree:
     """Breadth-first spanning tree from the root, neighbor ties broken by
-    ascending vertex index (deterministic)."""
+    ascending vertex index (deterministic), read off that one search."""
     if isinstance(root, str):
         root = diagram.vertex_index(root)
     n = diagram.rank
@@ -183,8 +183,9 @@ def spanning_tree(diagram: Diagram, root: int | str) -> SpanningTree:
     parent, depth = breadth_first(n, root, diagram.neighbors)
     if any(d < 0 for d in depth):
         raise Disconnected("diagram is not connected")
-    return _tree_from_edge_set(
-        diagram, root, [(v, p) for v, p in enumerate(parent) if p is not None])
+    edges = frozenset(_edge_key(v, p) for v, p in enumerate(parent) if p is not None)
+    return SpanningTree(diagram, root, tuple(parent), tuple(depth), edges,
+                        tuple(e for e in diagram.edges if e not in edges))
 
 
 def spanning_tree_from_edges(diagram: Diagram, root: int | str,

@@ -24,8 +24,11 @@ that its closed form replaced, and helpers only tests call: a
 generator's checked ReflectionData, the parse of a representation
 document's generator matrices, Horner evaluation of an IntPolynomial, a
 circuit's entry vertex and the full characteristic polynomial of a pair
-product; and the sparse fold table, rows b_d to b_(N/2) of (index, value)
-pairs, that the packed rows of canonical indices replaced."""
+product; the sparse fold table, rows b_d to b_(N/2) of (index, value)
+pairs, that the packed rows of canonical indices replaced; and the tree
+products as products of the alphas along each root path, and the form
+criterion's chord balance around each circuit's entry, that the one walk
+down the tree (construction.tree_rescaling) replaced."""
 
 from __future__ import annotations
 
@@ -53,7 +56,7 @@ from coxrep.cyclotomic import (
     field_context,
     prime_factors,
 )
-from coxrep.forms import tree_product
+from coxrep.forms import FormExistence
 from coxrep.graph import ChordCircuit, SpanningTree, chord_circuit
 from coxrep.io import InputError, scalar_from_json
 
@@ -170,6 +173,42 @@ def equivalence_by_solve(rep1: ReflectionRep, rep2: ReflectionRep) -> Equivalenc
     return EquivalenceVerdict("inconclusive")
 
 
+def _path_product(rep: ReflectionRep, path) -> FieldElement:
+    acc = rep.ctx.one
+    for s, t in zip(path, path[1:]):
+        acc = acc * rep.params.alpha(s, t)
+    return acc
+
+
+def root_path_product(rep: ReflectionRep, s: int) -> FieldElement:
+    """The tree product of s: the product of the alphas along the tree path
+    from s to the root, 1 at the root."""
+    return _path_product(rep, rep.tree.path_to_root(s))
+
+
+def form_exists_by_circuits(rep: ReflectionRep, theta) -> FormExistence:
+    """The form criterion with each chord balanced around its circuit: theta
+    of the scalar of s -> t times the product of the alphas from s to the
+    circuit's entry against the scalar of t -> s times the product from
+    the entry to t."""
+    params, gens = rep.params, rep.generators
+    if not theta.is_involution():
+        return FormExistence(False, "not_involution", (theta.index,))
+    for edge in rep.diagram.edges:
+        alpha = params.alpha(*edge)
+        if theta(alpha) != alpha:
+            return FormExistence(False, "moves_alpha", edge)
+    for chord in rep.tree.chords:
+        circuit = chord_circuit(rep.tree, chord)
+        path = circuit.path
+        s, t = path[0], path[-1]
+        prefix = _path_product(rep, path[:circuit.entry_index + 1])
+        suffix = _path_product(rep, path[circuit.entry_index:])
+        if theta(gens[s][s][t]) * prefix != gens[t][t][s] * suffix:
+            return FormExistence(False, "chord_balance", chord)
+    return FormExistence(True)
+
+
 def adapted_by_conjugation(rep: ReflectionRep) -> tuple:
     """The dual generators in the adapted basis B = C^T diag(tree products),
     as B^-1 D_s B with B^-1 from linalg.inverse; the discriminant must be
@@ -177,7 +216,7 @@ def adapted_by_conjugation(rep: ReflectionRep) -> tuple:
     ctx = rep.ctx
     n = rep.rank
     rows = cartan_matrix(rep).entries
-    products = [tree_product(rep, s) for s in range(n)]
+    products = [root_path_product(rep, s) for s in range(n)]
     basis = [[products[j] * rows[j][i] for j in range(n)] for i in range(n)]
     basis_inv = linalg.inverse(ctx, basis)
     return tuple(
@@ -369,7 +408,7 @@ def adapted_by_inversions(rep: ReflectionRep) -> tuple:
     ctx = rep.ctx
     n = rep.rank
     rows = cartan_matrix(rep).entries
-    products = [tree_product(rep, s) for s in range(n)]
+    products = [root_path_product(rep, s) for s in range(n)]
     out = []
     for s in range(n):
         mat = linalg.identity(ctx, n)

@@ -1,12 +1,14 @@
 """Invariant forms: existence, Gram matrices, the nullspace oracle, duals."""
 
+import collections
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import adapted_by_inversions, form_exists_by_circuits, root_path_product
 
-from coxrep import linalg
+from coxrep import construction, forms, graph, linalg
 from coxrep.analysis import verify_good_morphism
 from coxrep.construction import (
     build,
@@ -34,6 +36,10 @@ B3 = validate([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
 BC3 = validate([[1, 4, 2], [4, 1, 4], [2, 4, 1]])
 H3 = validate([[1, 3, 2], [3, 1, 5], [2, 5, 1]])
 TRIANGLE = validate([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+# a 5-cycle 0-1-2-3-4 with the edge 1-3: rooted at 0 the tree has depth 2
+# and the chords (2, 3) and (3, 4)
+PENTAGON = validate([[1, 4, 2, 2, 3], [4, 1, 5, 3, 2], [2, 5, 1, 3, 2],
+                     [2, 3, 3, 1, 4], [3, 2, 2, 4, 1]])
 
 
 def as_fractions(matrix):
@@ -393,3 +399,63 @@ def test_involutive_automorphisms_identity_first():
     autos = involutive_automorphisms(ctx)
     assert autos[0].is_identity
     assert all(a.squared().is_identity for a in autos)
+
+
+def test_form_criterion_matches_the_circuit_balance_on_the_corpus(suite_instances):
+    # every Galois automorphism, the 523 involutions and the others
+    verdicts = collections.Counter()
+    for inst in suite_instances:
+        ctx = inst.rep.ctx
+        indices = {ctx.galois_index(j) for j in range(1, ctx.N + 1) if math.gcd(j, ctx.N) == 1}
+        for j in sorted(indices):
+            theta = Automorphism(ctx, j)
+            existence = form_exists(inst.rep, theta)
+            assert existence == form_exists_by_circuits(inst.rep, theta)
+            verdicts[existence.obstruction] += 1
+    assert sum(verdicts.values()) > 1000
+    assert all(verdicts[obstruction] for obstruction in
+               (None, "not_involution", "moves_alpha", "chord_balance"))
+
+
+def test_dual_scalings_and_adapted_generators_match_the_inversions_on_the_corpus(
+        suite_instances):
+    checked = 0
+    for inst in suite_instances:
+        rep = inst.rep
+        products = [root_path_product(rep, s) for s in range(rep.rank)]
+        assert list(rep.tree_products) == products
+        dual = dual_representation(rep)
+        assert list(dual.scalings) == products
+        if not dual.degenerate:
+            expected = adapted_by_inversions(rep)
+            assert all(linalg.mat_eq(a, b) for a, b in zip(dual.adapted_generators, expected))
+            checked += 1
+    assert checked > 150
+
+
+def test_the_form_criterion_and_gram_matrix_walk_the_tree_once(monkeypatch):
+    rep = geometric_representation(PENTAGON)
+    assert rep.tree.chords == ((2, 3), (3, 4)) and max(rep.tree.depth) == 2
+    walks = []
+    rescaling = construction.tree_rescaling
+
+    def counted(*args):
+        walks.append(args)
+        return rescaling(*args)
+
+    def no_circuit(*args):
+        raise AssertionError("the form criterion walked a chord's circuit")
+
+    for module in (construction, forms):
+        monkeypatch.setattr(module, "tree_rescaling", counted)
+    monkeypatch.setattr(graph, "chord_circuit", no_circuit)
+    monkeypatch.setattr(forms, "chord_circuit", no_circuit, raising=False)
+    theta = Automorphism.identity(rep.ctx)
+    existence = form_exists(rep, theta)
+    assert existence
+    gram = build_form(rep, theta, existence)
+    products = [tree_product(rep, s) for s in range(rep.rank)]
+    assert len(walks) == 1
+    assert [gram.entries[s][s] for s in range(rep.rank)] == [2 * p for p in products]
+    assert verify_invariance(rep, gram)
+    assert products == [root_path_product(rep, s) for s in range(rep.rank)]

@@ -162,3 +162,13 @@ def test_chord_circuit_rejects_tree_edge():
     tree = spanning_tree(validate(B3), 0)
     with pytest.raises(NotAChord):
         chord_circuit(tree, (0, 1))
+
+
+def test_breadth_first_tree_matches_the_checked_tree_of_its_edges(suite_instances):
+    trees = 0
+    for inst in suite_instances:
+        for root in range(inst.diagram.rank):
+            tree = spanning_tree(inst.diagram, root)
+            assert tree == spanning_tree_from_edges(inst.diagram, root, tree.tree_edges)
+            trees += 1
+    assert trees > 700

@@ -136,13 +136,13 @@ def test_adapted_rank_matches_the_rank_of_the_cartan_rows(suite_instances, monke
 def test_document_chord_scalars_skip_the_geometric_walk(suite_instances, monkeypatch):
     rng = random.Random(12)
     walked = []
-    rescaling = construction._tree_rescaling
+    rescaling = construction.tree_rescaling
 
     def counted(tree, c, one, chords=None):
         walked.append(None if chords is None else tuple(chords))
         return rescaling(tree, c, one, chords)
 
-    monkeypatch.setattr(construction, "_tree_rescaling", counted)
+    monkeypatch.setattr(construction, "tree_rescaling", counted)
     for inst in suite_instances:
         tree = inst.tree
         full = json.loads(_json_text(params_to_json(inst.params)))

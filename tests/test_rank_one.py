@@ -522,8 +522,9 @@ def test_a_finite_class_with_coefficient_4_is_an_order_mismatch(monkeypatch):
 
 def test_no_command_returns_to_the_n2_routes(suite_instances, tmp_path, monkeypatch, capsys):
     # verify and form build no n^2-unknown system, the order check multiplies
-    # no n x n matrices, and the intertwining checks of dual and equiv
-    # compare no matrices: they all go through linalg.intertwines
+    # no n x n matrices, and the intertwining checks of dual, equiv and form
+    # compare no matrices: they all go through linalg.intertwines; verify
+    # makes none, as the commutant's lower bound 1 needs no check
     _, command_lines = _corpus_job(suite_instances, tmp_path)
     # geometric K4 (three chords): an equivalent root change and a form
     bundled = ["--diagram", "k4", "--root", "s1", "--format", "json"]
@@ -563,7 +564,8 @@ def test_no_command_returns_to_the_n2_routes(suite_instances, tmp_path, monkeypa
             assert document.get("verdict", "equivalent") == "equivalent"
             assert document.get("exists", True)
     capsys.readouterr()
-    assert all(seen[c].get("intertwines", 0) >= 1 for c in seen)
+    assert all(seen[c].get("intertwines", 0) >= 1 for c in ("dual", "equiv", "form"))
+    assert seen["verify"].get("intertwines", 0) == 0
     assert seen["verify"]["_matrix_order_check"] >= 1
     assert all(seen[c].get("_sylvester_rows", 0) == 0 for c in ("verify", "form"))
     assert seen["verify"].get("order check near_identity_mul", 0) == 0
