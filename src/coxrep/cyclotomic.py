@@ -38,11 +38,11 @@ The power basis is kept at the boundary and in ``invert`` only:
 ``from_coeffs`` (and so ``io.scalar_from_json``) takes power-basis
 coordinates and ``power_num`` (``io.scalar_to_json``, ``__str__``) gives
 them back, each conversion O(d) packed big-integer steps.
-``FieldContext.modular_image`` maps the basis to F_p for split primes p,
-the ground of the modular rank bounds in ``linalg``, of ``cos_index`` and
-of ``invert``, which inverts the power-basis image modulo (psi, p),
-converts the inverse back, lifts it p-adically in the cosine basis and
-accepts it only by the exact product.
+``FieldElement.residue``, the ring map Z[c] -> F_p through the basis
+images of ``FieldContext.modular_image`` at split primes p, is the ground
+of the modular rank bounds in ``linalg`` and of ``cos_index``; ``invert``
+takes p only, inverts the power-basis image modulo (psi, p), converts the
+inverse back, lifts it p-adically and accepts it by the exact product.
 """
 
 from __future__ import annotations
@@ -477,37 +477,35 @@ class FieldContext:
     # -- special values ----------------------------------------------------
 
     def cos_element(self, k: int, m: int) -> "FieldElement":
-        """The element 2*cos(2*pi*k/m), +-b_j for the canonical index j of
-        kN/m; requires m | N."""
+        """2*cos(2*pi*k/m) = +-b_j, j the canonical index of kN/m (m | N): a
+        basis vector below the degree, else a fold-table row (``_fold_into``)."""
         if m < 1 or self.N % m != 0:
             raise NonDivisorOrder(f"order {m} does not divide conductor {self.N}")
         sign, j = self._canonical(k % m * (self.N // m))
         if j >= self.degree:
-            row = self._rows(j)[j - self.degree]
-            return FieldElement(self, _unpack(sign * row, self._slot_bits // 8, self.degree))
+            return FieldElement(self, self._fold_into([0] * self.degree, [(j, sign)]))
         return FieldElement(self, (0,) * j + (sign,) if j else (2 * sign,), _normalized=True)
 
     def cos_index(self, x: "FieldElement") -> int | None:
-        """The j with 0 <= j <= N/2 and x == cos_element(j, N), or None.  An
-        integral x is mapped to F_p by modular_image(0) and its residue
-        looked up among those of b_0, ..., b_(N/2), made once by
-        b_(j+1) = c_p b_j - b_(j-1) with c_p the image of c, and distinct
+        """The j with 0 <= j <= N/2 and x == cos_element(j, N), or None.  The
+        residue of an integral x (``FieldElement.residue(0)``) is looked up
+        among those of b_0, ..., b_(N/2), made once by
+        b_(j+1) = c_p b_j - b_(j-1) with c_p the residue of c, and distinct
         as z has order N; the candidate is accepted only by the exact
-        comparison, which reads a table row only when its canonical index
+        comparison, which folds a table row only when its canonical index
         is at least the degree."""
         if x.ctx is not self:
             raise ContextMismatch("element belongs to a different context")
         if x.den != 1:
             return None
-        p, images = self.modular_image(0)
         index = self._cos_residues
         if not index:
-            c = sum(map(operator.mul, self.generator.num, images)) % p
+            p, c = self.modular_image(0)[0], self.generator.residue(0)
             prev, cur = 2, c
             for j in range(self.N // 2 + 1):
                 index[prev] = j
                 prev, cur = cur, (c * cur - prev) % p
-        j = index.get(sum(map(operator.mul, x.num, images)) % p)
+        j = index.get(x.residue(0))
         return j if j is not None and x == self.cos_element(j, self.N) else None
 
     # -- the fold of b_m, m >= degree ------------------------------------------
@@ -526,7 +524,7 @@ class FieldContext:
 
     def _rows(self, top: int) -> list[int]:
         """The fold table as far as the canonical top, built only as far as
-        `_fold_into` and `cos_element` read it: entry k - degree packs
+        `_fold_into`, its one reader, reads it: entry k - degree packs
         coordinate i of b_k in slot i of `_slot_bits` = w bits.  Row d is
         -a_d - sum a_(d+i) b_i off z^-d Phi_N(z) = 0; row k + 1 is
         b_1 b_k - b_(k-1): row k shifted up one slot and down one, its
@@ -673,8 +671,8 @@ class FieldContext:
         extends to a ring map from the elements whose denominator p does not
         divide onto F_p: it sends c to c_p = z + 1/z, a root of psi mod p.
         """
-        qs = prime_factors(self.N)
         while len(self._modular) <= k:
+            qs = prime_factors(self.N)
             p = _split_prime_above(self.N, self._modular[-1][0] if self._modular
                                    else 2 ** 31)
             z = next(z for z in (pow(a, (p - 1) // self.N, p) for a in range(2, p))
@@ -834,6 +832,14 @@ class FieldElement:
     def is_integral(self) -> bool:
         """True when the element lies in Z[c] (integer coordinates)."""
         return self.den == 1
+
+    def residue(self, k: int) -> int | None:
+        """The image in F_p under the ring map of the k-th split prime p
+        (FieldContext.modular_image), or None when p divides den."""
+        p, images = self.ctx.modular_image(k)
+        if self.den % p == 0:
+            return None
+        return sum(map(operator.mul, self.num, images)) * pow(self.den, -1, p) % p
 
     @property
     def power_num(self) -> tuple[int, ...]:

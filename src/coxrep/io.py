@@ -100,8 +100,8 @@ def diagram_from_json(obj: Any) -> Diagram:
             isinstance(row, list) and all(map(_is_integer, row)) for row in rows):
         raise InputError('"m" must be a list of rows of integers')
     rank = obj.get("rank", len(rows))
-    if rank != len(rows):
-        raise InputError("declared rank does not match the matrix")
+    if not _is_integer(rank) or rank != len(rows):
+        raise InputError(f"declared rank does not match the matrix ({rank!r})")
     labels = obj.get("labels")
     if labels is not None and not (
             isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
@@ -145,14 +145,19 @@ def tree_from_json(diagram: Diagram, root: int, obj: Any) -> SpanningTree:
         raise InputError(str(exc)) from exc
 
 
-def _edge_from_key(diagram: Diagram, key: str) -> tuple[int, int]:
+def _edge_from_key(diagram: Diagram, key: str, seen: dict) -> tuple[int, int]:
+    """The edge (s, t), s < t, the key names in either order; `seen` maps the
+    edges read so far to their keys, and a second key for one is refused."""
     parts = key.split("-")
     if len(parts) != 2:
         raise InputError(f"bad edge key {key!r}; expected 'label-label'")
-    s, t = (_vertex(diagram, p) for p in parts)
+    s, t = sorted(_vertex(diagram, p) for p in parts)
     if not diagram.is_edge(s, t):
         raise InputError(f"{key!r} is not an edge of the diagram")
-    return (s, t) if s < t else (t, s)
+    if (s, t) in seen:
+        raise InputError(f"{key!r} names the same edge as {seen[s, t]!r}")
+    seen[s, t] = key
+    return s, t
 
 
 def params_from_json(tree: SpanningTree, obj: Any) -> ParameterSystem:
@@ -167,16 +172,16 @@ def params_from_json(tree: SpanningTree, obj: Any) -> ParameterSystem:
     alpha, chords = ({} if obj.get(k) is None else obj[k] for k in ("alpha", "chords"))
     if not isinstance(alpha, Mapping) or not isinstance(chords, Mapping):
         raise InputError('"alpha" and "chords" must be objects')
-    alpha_index = {}
+    alpha_index, alpha_keys, chord_keys = {}, {}, {}
     for key, k in alpha.items():
-        edge = _edge_from_key(diagram, key)
+        edge = _edge_from_key(diagram, key, alpha_keys)
         if not _is_integer(k):
             raise InputError(f"alpha index for {key!r} must be an integer")
         alpha_index[edge] = k
     ctx = field_context(conductor_for(diagram))
     chord_l = {}
     for key, spec in chords.items():
-        edge = _edge_from_key(diagram, key)
+        edge = _edge_from_key(diagram, key, chord_keys)
         if edge not in tree.chords:
             raise InputError(f"{key!r} is not a chord of the chosen tree")
         chord_l[edge] = scalar_from_json(ctx, spec)

@@ -23,11 +23,11 @@ have generators that differ from I in one row or one column, read by
 generator_rows, which checks that shape.  A_s - I and B_s - I are rank
 one, so intertwines checks a witness by one row and one column per s,
 and reduced_dimension solves n unknowns, not n^2.  Its dimensions are
-certified: the rank modulo a split prime bounds the dimension from
-above, an exactly checked witness from below, and exact elimination
-decides only when the two bounds stay apart.  The n^2-unknown rows
-(_sylvester_rows) give the exact bases of intertwiner_space, which the
-tests use as the reference.
+certified: the rank of the residues mod a split prime (FieldElement.residue)
+bounds the dimension from above, an exactly checked witness from below,
+and exact elimination decides only when the two bounds stay apart.  The
+n^2-unknown rows (_sylvester_rows) give the exact bases of
+intertwiner_space, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -358,25 +358,6 @@ def intertwiner_space(ctx: FieldContext, gens_a: Sequence[Matrix],
     return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in basis]
 
 
-def _images_mod(mats: Sequence[Matrix], p: int, images: Sequence[int]):
-    """The matrices with each entry mapped to F_p by the ring map that sends
-    the basis to `images` (FieldContext.modular_image), or None when p
-    divides a denominator."""
-    out = []
-    for m in mats:
-        image = []
-        for row in m:
-            cells = []
-            for x in row:
-                if x.den % p == 0:
-                    return None
-                v = sum(a * b for a, b in zip(x.num, images) if a)
-                cells.append(v * pow(x.den, -1, p) % p if x.den != 1 else v % p)
-            image.append(cells)
-        out.append(image)
-    return out
-
-
 def _rank_mod(rows: Iterable[Sequence[int]], p: int, cap: int) -> int:
     """Rank over F_p of integer rows, or cap once the rank reaches it.
 
@@ -452,33 +433,32 @@ def reduced_dimension(ctx: FieldContext, pairing: Matrix, rows: Matrix,
     B_s = I + e_s (x) y_s, given pairing_st = v_s . u_t and rows_s = y_s.
     With u_s and y_s nonzero, X e_s = lambda_s u_s and v_s X = lambda_s y_s:
     n unknowns, one row pairing_st lambda_t - rows_st lambda_s per s != t
-    that is not zero (the callers' row s = t vanishes, as
-    pairing_ss = rows_ss = -2).  n minus the rank mod a split prime bounds
-    the dimension from above, `lower` (1 for a witness that passed
-    intertwines) from below; when they differ a second prime is tried (a
-    prime dividing a denominator is skipped), then exact elimination."""
+    that is not zero (the callers' row s = t vanishes, as pairing_ss and
+    rows_ss are -2).  n minus the rank of those entries' residues mod a
+    split prime bounds the dimension from above, `lower` (1 for a witness
+    that passed intertwines) from below; when they differ a second prime is
+    tried (one dividing a denominator is skipped), then exact elimination."""
     n = len(rows)
+    pairs = [(s, t) for s in range(n) for t in range(n)
+             if s != t and (pairing[s][t] or rows[s][t])]
+    entries = [(pairing[s][t], rows[s][t]) for s, t in pairs]
 
-    def system(zero, pairing: Matrix, rows: Matrix) -> list[list]:
-        """The rows that are not zero, over the ring of `zero`; one zero row
-        when none is left, so the solvers still see the n unknowns."""
-        out = []
-        for s in range(n):
-            for t in range(n):
-                if s != t and (pairing[s][t] or rows[s][t]):
-                    out.append([zero] * n)
-                    out[-1][t], out[-1][s] = pairing[s][t], -rows[s][t]
-        return out or [[zero] * n]
+    def system(zero, values) -> list[list]:
+        """The rows over the ring of `zero`, from (pairing_st, rows_st) per
+        pair; one zero row for none, so the solvers see the n unknowns."""
+        out = [[zero] * n for _ in pairs] or [[zero] * n]
+        for row, (s, t), (a, b) in zip(out, pairs, values):
+            row[t], row[s] = a, -b
+        return out
 
     k = tried = 0
     while tried < 2:
-        p, basis = ctx.modular_image(k)
+        p = ctx.modular_image(k)[0]
+        residues = [(a.residue(k), b.residue(k)) for a, b in entries]
         k += 1
-        images = _images_mod([rows] if pairing is rows else [pairing, rows], p, basis)
-        if images is None:
+        if any(None in pair for pair in residues):
             continue
         tried += 1
-        rank_p = _rank_mod(system(0, images[0], images[-1]), p, n - lower)
-        if n - rank_p == lower:
+        if n - _rank_mod(system(0, residues), p, n - lower) == lower:
             return lower, f"mod {p}"
-    return nullity(ctx, system(ctx.zero, pairing, rows)), "exact"
+    return nullity(ctx, system(ctx.zero, entries)), "exact"

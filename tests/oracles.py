@@ -543,12 +543,19 @@ def intertwiner_dimension(ctx, gens_a, gens_b, witness=None) -> tuple[int, str]:
     elimination decides."""
     n = len(gens_a[0])
     lower = int(witness is not None and is_intertwiner(ctx, gens_a, gens_b, witness))
+
+    def residues(mats, k):
+        """The matrices' entries mod the k-th split prime (FieldElement.residue),
+        or None when it divides a denominator."""
+        out = [[[x.residue(k) for x in row] for row in m] for m in mats]
+        return None if any(None in row for m in out for row in m) else out
+
     k = tried = 0
     while tried < 2:
-        p, powers = ctx.modular_image(k)
+        p = ctx.modular_image(k)[0]
+        images_a = residues(gens_a, k)
+        images_b = images_a if gens_b is gens_a else residues(gens_b, k)
         k += 1
-        images_a = linalg._images_mod(gens_a, p, powers)
-        images_b = images_a if gens_b is gens_a else linalg._images_mod(gens_b, p, powers)
         if images_a is None or images_b is None:
             continue
         tried += 1

@@ -442,6 +442,11 @@ def assert_input_error(result, message):
     ("a3", [1], "parameter document must be an object"),
     ("affine_triangle", {"chords": {"s2-s3": True}}, "booleans are not scalars"),
     ("affine_triangle", {"chords": {"s2-s3": "1/x"}}, "bad rational literal '1/x'"),
+    ("affine_triangle", {"chords": {"s2-s3": 2, "s3-s2": 5}},
+     "'s3-s2' names the same edge as 's2-s3'"),
+    ("affine_triangle", {"chords": {"s3-s2": 5, "s2-s3": 2}},
+     "'s2-s3' names the same edge as 's3-s2'"),
+    ("a3", {"alpha": {"s1-s2": 1, "s2-s1": 1}}, "'s2-s1' names the same edge as 's1-s2'"),
 ])
 def test_bad_params_file_exit_2(capsys, tmp_path, diagram, document, message):
     params = _file(tmp_path, "params.json", document)
@@ -457,11 +462,27 @@ def test_bad_params_file_exit_2(capsys, tmp_path, diagram, document, message):
     ({"m": [[1, 3], [3, 1]], "labels": ["a", 2]}, "a", '"labels" must be a list of strings'),
     ({"rank": 2}, "s1", 'diagram document needs an "m" matrix'),
     ({"rank": 3, "m": [[1, 3], [3, 1]]}, "s1", "declared rank does not match the matrix"),
+    ({"rank": True, "m": [[1]]}, "s1", "declared rank does not match the matrix"),
+    ({"rank": 2.0, "m": [[1, 3], [3, 1]]}, "s1", "declared rank does not match the matrix"),
 ])
 def test_bad_diagram_file_exit_2(capsys, tmp_path, document, root, message):
     diagram = _file(tmp_path, "diagram.json", document)
     assert_input_error(run(capsys, "build", "--diagram", diagram, "--root", root),
                        message)
+
+
+def test_both_spellings_of_a_chord_key_name_one_edge(capsys, tmp_path):
+    """'s3-s2' builds what 's2-s3' does: the scalar is entry (s2, s3) of
+    generator s2, the lower vertex index, whichever order the key uses."""
+    docs = []
+    for key in ("s2-s3", "s3-s2"):
+        params = _file(tmp_path, f"{key}.json", {"chords": {key: 5}})
+        code, doc, _ = run_json(capsys, "build", "--diagram", "affine_triangle",
+                                "--root", "s1", "--params", params)
+        assert code == 0 and doc["chords"] == [["s2", "s3"]]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert fraction_matrix(docs[0]["generators"]["s2"])[1] == [1, -1, 5]
 
 
 def test_diagram_path_that_is_a_directory_exit_2(capsys, tmp_path):

@@ -6,6 +6,7 @@ cosines, and the images modulo split primes as a ring map.  The conductors
 include N = 2 (mod 4) (138) and degree 240 (1584)."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from oracles import (
     power_product,
 )
 
-from coxrep import linalg
 from coxrep.cyclotomic import (
     DivisionByZero,
     FieldElement,
@@ -230,15 +230,43 @@ def test_cos_element_matches_the_power_basis_walk(n):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_the_image_mod_p_is_the_ring_map_of_c(n, data):
-    """The images of the basis (FieldContext.modular_image) send an element
-    where c -> c_p sends its power-basis coordinates."""
+    """FieldElement.residue sends an element where c -> c_p sends its
+    power-basis coordinates, and is a ring map."""
     ctx = field_context(n)
-    p, images = ctx.modular_image(0)
+    p = ctx.modular_image(0)[0]
     x, y = (ctx.from_coeffs(data.draw(_coords(n))) for _ in range(2))
+    assert x.residue(0) == power_image(ctx, 0, x)
+    assert (x * y).residue(0) == x.residue(0) * y.residue(0) % p
+    assert (x + y).residue(0) == (x.residue(0) + y.residue(0)) % p
 
-    def image(z):
-        return linalg._images_mod([[[z]]], p, images)[0][0][0]
 
-    assert image(x) == power_image(ctx, 0, x)
-    assert image(x * y) == image(x) * image(y) % p
-    assert image(x + y) == (image(x) + image(y)) % p
+def test_residue_is_the_power_basis_image_on_the_corpus_conductors(suite_instances):
+    """FieldElement.residue at the first two split primes equals c -> c_p on
+    the power-basis coordinates: for every generator entry of the acceptance
+    corpus, and for the basis and dense elements over a denominator at each
+    of its conductors and at N = 2310."""
+    rng = random.Random(28)
+    elements: dict = {}
+    for inst in suite_instances:
+        elements.setdefault(inst.rep.ctx, set()).update(
+            x for m in inst.rep.generators for row in m for x in row)
+    elements.setdefault(field_context(2310), set())
+    for ctx, xs in elements.items():
+        xs.update(ctx.cos_element(j, ctx.N) for j in range(ctx.degree))
+        xs.update(ctx.from_coeffs([Fraction(rng.randint(-99, 99), rng.randint(1, 60))
+                                   for _ in range(ctx.degree)]) for _ in range(3))
+        for k in (0, 1):
+            assert all(x.residue(k) == power_image(ctx, k, x) for x in xs)
+    assert len(elements) > 10
+
+
+@pytest.mark.parametrize("n", (1, 7, 24, 2310))
+def test_residue_is_none_over_the_denominator_p(n):
+    """An element over a multiple of the k-th split prime has no residue at
+    k, and the oracle's at the other prime."""
+    ctx = field_context(n)
+    for k in (0, 1):
+        p = ctx.modular_image(k)[0]
+        for x in (ctx.from_rational(Fraction(1, p)), (ctx.generator + 3) / (2 * p)):
+            assert x.residue(k) is None
+            assert x.residue(1 - k) == power_image(ctx, 1 - k, x)
