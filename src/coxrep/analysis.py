@@ -369,11 +369,13 @@ def commutant_dimension(rep: ReflectionRep) -> tuple[int, str]:
     decided it (see linalg.reduced_dimension): a rank over F_p bounds it
     from above, and 1 from below, as I commutes with every zeta_s.  With
     zeta_s = I - e_s (x) c_s, X e_s = lambda_s e_s and c_s X = lambda_s c_s:
-    n unknowns, one row c_st (lambda_t - lambda_s) per s != t.  As c_ss = 2
+    n unknowns, one equation c_st lambda_t = c_st lambda_s per s != t with
+    c_st != 0, passed as (y_st, y_st) for the rows y_s = -c_s.  As c_ss = 2
     is a unit mod every odd prime, the nullity mod p, and so the route, is
     that of the n^2-unknown system."""
-    rows = rep.generator_rows
-    return linalg.reduced_dimension(rep.ctx, rows, rows, 1)
+    y, n = rep.generator_rows, rep.rank
+    return linalg.reduced_dimension(rep.ctx, n, {(s, t): (y[s][t], y[s][t]) for s in range(n)
+                                                 for t in range(n) if s != t and y[s][t]}, 1)
 
 
 @dataclass(frozen=True, eq=False)

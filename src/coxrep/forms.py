@@ -225,18 +225,21 @@ def form_space_dimension(rep: ReflectionRep, theta: Automorphism,
     of gram_intertwines on it as `witness` (False when the criterion finds
     no form); without it the criterion and the check run here.  With
     M^T = I - c_s^T (x) e_s and theta(M) = I - e_s (x) theta(c_s),
-    G e_s = lambda_s c_s^T: n unknowns, one row
-    c_ts lambda_t - theta(c_st) lambda_s per s != t.  As c_ss = 2 is a unit
-    mod every odd prime, the nullity mod p, and so the route, is that of the
-    n^2-unknown system.
+    G e_s = lambda_s c_s^T: n unknowns, one equation
+    c_ts lambda_t = theta(c_st) lambda_s per s != t where c_ts or c_st is
+    nonzero, passed as (y_ts, theta(y_st)) for the rows y_s = -c_s, so
+    theta maps only those entries.  As c_ss = 2 is a unit mod every odd
+    prime, the nullity mod p, and so the route, is that of the n^2-unknown
+    system.
     """
     if witness is None:
         existence = form_exists(rep, theta)
         witness = bool(existence) and \
             gram_intertwines(rep, build_form(rep, theta, existence))
-    rows = rep.generator_rows
-    return linalg.reduced_dimension(rep.ctx, linalg.transpose(rows),
-                                    theta.apply_matrix(rows), int(witness))
+    y, n = rep.generator_rows, rep.rank
+    return linalg.reduced_dimension(rep.ctx, n, {
+        (s, t): (y[t][s], theta(y[s][t])) for s in range(n) for t in range(n)
+        if s != t and (y[t][s] or y[s][t])}, int(witness))
 
 
 # ---------------------------------------------------------------------------

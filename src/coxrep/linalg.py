@@ -21,13 +21,13 @@ directing vectors' supports (analysis._pair_block).
 The systems A_s X = X B_s of the commands (commutant, invariant forms)
 have generators that differ from I in one row or one column, read by
 generator_rows, which checks that shape.  A_s - I and B_s - I are rank
-one, so intertwines checks a witness by one row and one column per s,
-and reduced_dimension solves n unknowns, not n^2.  Its dimensions are
-certified: the rank of the residues mod a split prime (FieldElement.residue)
-bounds the dimension from above, an exactly checked witness from below,
-and exact elimination decides only when the two bounds stay apart.  The
-n^2-unknown rows (_sylvester_rows) give the exact bases of
-intertwiner_space, which the tests use as the reference.
+one, so intertwines checks a witness by one row and one column per s, and
+the callers reduce each system to n unknowns, one equation
+a lambda_t = b lambda_s per s != t.  reduced_dimension certifies its
+dimension: the rank of the residues mod a split prime (FieldElement.residue)
+bounds it from above, an exactly checked witness from below, and one exact
+elimination decides only when the two bounds stay apart.  The n^2-unknown
+rows (_sylvester_rows) give intertwiner_space, the tests' exact reference.
 """
 
 from __future__ import annotations
@@ -279,14 +279,6 @@ def determinant_and_rank(ctx: FieldContext, a: Matrix) -> tuple[FieldElement, in
     return kept * scale / repeated, len(pivots)
 
 
-def determinant(ctx: FieldContext, a: Matrix) -> FieldElement:
-    return determinant_and_rank(ctx, a)[0]
-
-
-def rank(ctx: FieldContext, a: Matrix) -> int:
-    return len(eliminate(ctx, a)[1])
-
-
 def nullspace(ctx: FieldContext, a: Matrix) -> list[list[FieldElement]]:
     """Exact basis of the right nullspace {x : a.x = 0}."""
     if not a:
@@ -311,12 +303,6 @@ def nullspace(ctx: FieldContext, a: Matrix) -> list[list[FieldElement]]:
             vec[pc] = -rows[k][fc]
         basis.append(vec)
     return basis
-
-
-def nullity(ctx: FieldContext, a: Matrix) -> int:
-    if not a:
-        return 0
-    return len(a[0]) - rank(ctx, a)
 
 
 def _sylvester_rows(zero, gens_a: Sequence[Matrix],
@@ -358,16 +344,17 @@ def intertwiner_space(ctx: FieldContext, gens_a: Sequence[Matrix],
     return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in basis]
 
 
-def _rank_mod(rows: Iterable[Sequence[int]], p: int, cap: int) -> int:
-    """Rank over F_p of integer rows, or cap once the rank reaches it.
+def _rank_mod(rows: Iterable[dict[int, int]], p: int, cap: int) -> int:
+    """Rank over F_p of sparse integer rows {column: value}, or cap once
+    the rank reaches it.
 
-    Rows are sparse {column: residue} dicts, each reduced against the
-    pivot rows found so far (leading coefficient 1, keyed by the leading
-    column); one that does not reduce to zero becomes a pivot row.
+    Each row, reduced mod p, is reduced against the pivot rows found so far
+    (leading coefficient 1, keyed by the leading column); one that does not
+    reduce to zero becomes a pivot row.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for dense in rows:
-        vec = {j: v % p for j, v in enumerate(dense) if v % p}
+    for row in rows:
+        vec = {j: v % p for j, v in row.items() if v % p}
         while vec:
             lead = min(vec)
             pivot = pivots.get(lead)
@@ -426,39 +413,30 @@ def intertwines(ctx: FieldContext, rows_a: Matrix, rows_b: Matrix, w: Matrix,
     return True
 
 
-def reduced_dimension(ctx: FieldContext, pairing: Matrix, rows: Matrix,
+def reduced_dimension(ctx: FieldContext, n: int,
+                      rows: dict[tuple[int, int], tuple[FieldElement, FieldElement]],
                       lower: int) -> tuple[int, str]:
     """Dimension of {X : A_s X = X B_s for all s} and the route that
-    decided it, "mod <p>" or "exact", for A_s = I + u_s (x) v_s and
-    B_s = I + e_s (x) y_s, given pairing_st = v_s . u_t and rows_s = y_s.
-    With u_s and y_s nonzero, X e_s = lambda_s u_s and v_s X = lambda_s y_s:
-    n unknowns, one row pairing_st lambda_t - rows_st lambda_s per s != t
-    that is not zero (the callers' row s = t vanishes, as pairing_ss and
-    rows_ss are -2).  n minus the rank of those entries' residues mod a
-    split prime bounds the dimension from above, `lower` (1 for a witness
-    that passed intertwines) from below; when they differ a second prime is
-    tried (one dividing a denominator is skipped), then exact elimination."""
-    n = len(rows)
-    pairs = [(s, t) for s in range(n) for t in range(n)
-             if s != t and (pairing[s][t] or rows[s][t])]
-    entries = [(pairing[s][t], rows[s][t]) for s, t in pairs]
-
-    def system(zero, values) -> list[list]:
-        """The rows over the ring of `zero`, from (pairing_st, rows_st) per
-        pair; one zero row for none, so the solvers see the n unknowns."""
-        out = [[zero] * n for _ in pairs] or [[zero] * n]
-        for row, (s, t), (a, b) in zip(out, pairs, values):
-            row[t], row[s] = a, -b
-        return out
-
+    decided it, "mod <p>" or "exact", from the n unknowns lambda_s its
+    callers reduce it to: rows[s, t] = (a, b) for each s != t whose
+    equation a lambda_t = b lambda_s is not 0 = 0.  n minus the rank mod a
+    split prime, each distinct entry reduced once, bounds it from above,
+    `lower` (1 for a witness that passed intertwines) from below; when they
+    differ a second prime is tried (one dividing a denominator is skipped),
+    then n minus the pivots of one exact elimination decides."""
+    entries = {x for pair in rows.values() for x in pair}
     k = tried = 0
     while tried < 2:
         p = ctx.modular_image(k)[0]
-        residues = [(a.residue(k), b.residue(k)) for a, b in entries]
+        images = {x: x.residue(k) for x in entries}
         k += 1
-        if any(None in pair for pair in residues):
+        if None in images.values():
             continue
         tried += 1
-        if n - _rank_mod(system(0, residues), p, n - lower) == lower:
+        equations = ({t: images[a], s: -images[b]} for (s, t), (a, b) in rows.items())
+        if n - _rank_mod(equations, p, n - lower) == lower:
             return lower, f"mod {p}"
-    return nullity(ctx, system(ctx.zero, entries)), "exact"
+    exact = [[ctx.zero] * n for _ in rows]
+    for row, ((s, t), (a, b)) in zip(exact, rows.items()):
+        row[t], row[s] = a, -b
+    return n - len(eliminate(ctx, exact)[1]), "exact"

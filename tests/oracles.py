@@ -168,7 +168,7 @@ def equivalence_by_solve(rep1: ReflectionRep, rep2: ReflectionRep) -> Equivalenc
         if t1 != t2:
             return EquivalenceVerdict("distinct", word, (t1, t2))
     for candidate in linalg.intertwiner_space(rep1.ctx, rep1.generators, rep2.generators):
-        if not linalg.determinant(rep1.ctx, candidate).is_zero():
+        if not linalg.determinant_and_rank(rep1.ctx, candidate)[0].is_zero():
             return EquivalenceVerdict("equivalent", intertwiner=candidate)
     return EquivalenceVerdict("inconclusive")
 
@@ -559,10 +559,11 @@ def intertwiner_dimension(ctx, gens_a, gens_b, witness=None) -> tuple[int, str]:
         if images_a is None or images_b is None:
             continue
         tried += 1
-        rows = linalg._sylvester_rows(0, images_a, images_b)
+        rows = map(dict, map(enumerate, linalg._sylvester_rows(0, images_a, images_b)))
         if n * n - linalg._rank_mod(rows, p, n * n - lower) == lower:
             return lower, f"mod {p}"
-    return linalg.nullity(ctx, linalg._sylvester_rows(ctx.zero, gens_a, gens_b)), "exact"
+    rows = linalg._sylvester_rows(ctx.zero, gens_a, gens_b)
+    return n * n - len(linalg.eliminate(ctx, rows)[1]), "exact"
 
 
 def plane_meets_both_hyperplanes_by_nullspace(r: ReflectionData, s: ReflectionData) -> bool:

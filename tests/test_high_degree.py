@@ -4,8 +4,9 @@ and the FieldElement recurrence, the adapted dual generators (a
 tree-product inversion only at chord endpoints) against the closed form
 that inverts every tree product, the cross-multiplied dual chord check
 against its division form, the quadratic comparison of product_analysis,
-DualRep.adapted_rank against linalg.rank, and the geometric chord scalars
-of a parameter document against the geometric parameters overwritten."""
+DualRep.adapted_rank against the pivots of linalg.eliminate, and the
+geometric chord scalars of a parameter document against the geometric
+parameters overwritten."""
 
 import dataclasses
 import json
@@ -123,12 +124,12 @@ def test_adapted_rank_matches_the_rank_of_the_cartan_rows(suite_instances, monke
     assert any(dual.degenerate for _, dual in duals)
     for rep, dual in duals:
         rows = [list(row) for row in cartan_matrix(rep).entries]
-        assert dual.adapted_rank() == linalg.rank(rep.ctx, rows)
+        assert dual.adapted_rank() == len(linalg.eliminate(rep.ctx, rows)[1])
 
     def no_elimination(ctx, rows):
         raise AssertionError("eliminated with a nonzero discriminant")
 
-    monkeypatch.setattr(linalg, "rank", no_elimination)
+    monkeypatch.setattr(linalg, "_echelon", no_elimination)
     assert all(dual.adapted_rank() == rep.rank
                for rep, dual in duals if not dual.degenerate)
 

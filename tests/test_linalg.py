@@ -4,8 +4,8 @@ when the bounds stay apart, by the n^2-unknown route of tests/oracles.py
 and by the n-unknown reduced_dimension, which must agree on dimension and
 route; the rank-one intertwining check against the near-identity products.
 Also the elimination determinant and rank against Faddeev-LeVerrier and
-linalg.rank, the reference product mat_mul against the term-by-term
-product, and the near-identity kernel against mat_mul."""
+the pivots of linalg.eliminate, the reference product mat_mul against the
+term-by-term product, and the near-identity kernel against mat_mul."""
 
 import random
 from fractions import Fraction
@@ -58,6 +58,12 @@ def rational_matrix(ctx, rows):
 def diagonal_and_swap(ctx, a, b):
     """diag(a, b) and the swap: for a != b only the scalars commute with both."""
     return [rational_matrix(ctx, [[a, 0], [0, b]]), rational_matrix(ctx, [[0, 1], [1, 0]])]
+
+
+def sylvester_nullity(ctx, gens_a, gens_b):
+    """n^2 minus the pivots of one elimination of the n^2-unknown system."""
+    n = len(gens_a[0])
+    return n * n - len(linalg.eliminate(ctx, linalg._sylvester_rows(ctx.zero, gens_a, gens_b))[1])
 
 
 def use_split_primes_above(monkeypatch, ctx, floor):
@@ -154,9 +160,8 @@ def test_unlucky_primes_on_a_built_representation(monkeypatch):
     use_split_primes_above(monkeypatch, ctx, 6)
     assert [ctx.modular_image(k)[0] for k in range(3)] == [7, 13, 19]
     assert form_space_dimension(rep, theta) == (0, "exact")
-    assert linalg.nullity(ctx, linalg._sylvester_rows(
-        ctx.zero, [linalg.transpose(m) for m in rep.generators],
-        list(rep.generators))) == 0
+    assert sylvester_nullity(ctx, [linalg.transpose(m) for m in rep.generators],
+                             list(rep.generators)) == 0
 
 
 def test_a_denominator_divisible_by_p_moves_on_to_the_next_prime():
@@ -195,12 +200,11 @@ def test_rank_8_path_plus_chord_matches_exact_elimination():
     theta = Automorphism.identity(ctx)
     dim, route = commutant_dimension(rep)
     assert route.startswith("mod ")
-    assert dim == linalg.nullity(ctx, linalg._sylvester_rows(ctx.zero, gens, gens)) == 1
+    assert dim == sylvester_nullity(ctx, gens, gens) == 1
     dim, route = form_space_dimension(rep, theta)
     assert route.startswith("mod ")
     transposes = [linalg.transpose(m) for m in gens]
-    assert dim == linalg.nullity(ctx, linalg._sylvester_rows(ctx.zero, transposes,
-                                                             list(gens))) == 1
+    assert dim == sylvester_nullity(ctx, transposes, list(gens)) == 1
 
 
 def test_rank_10_path_plus_chord_by_the_modular_route():
@@ -358,7 +362,7 @@ def test_determinant_and_rank_of_every_corpus_cartan_matrix(suite_instances, mon
             assert len(inverted) <= 1
     for rep, data, det, rank in results:
         assert det == faddeev_leverrier_determinant(rep.ctx, data.entries)
-        assert rank == linalg.rank(rep.ctx, data.entries)
+        assert rank == len(linalg.eliminate(rep.ctx, data.entries)[1])
         assert det.is_zero() == (rank < rep.rank)
     assert any(det.is_zero() for _, _, det, _ in results)
 
@@ -372,7 +376,7 @@ def test_an_affine_cartan_matrix_has_determinant_zero(diagram):
     ctx = data.entries[0][0].ctx
     assert data.discriminant.is_zero()
     assert faddeev_leverrier_determinant(ctx, data.entries).is_zero()
-    assert data.rank == linalg.rank(ctx, data.entries) == diagram.rank - 1
+    assert data.rank == len(linalg.eliminate(ctx, data.entries)[1]) == diagram.rank - 1
 
 
 @pytest.mark.parametrize("n", [1, 5, 12, 60, 280])
@@ -387,15 +391,16 @@ def test_determinant_with_row_exchanges_and_of_rank_deficient_matrices(n):
             a[1][0] = a[1][0] or ctx.from_rational(rng.choice([1, -3, 5]))
         det, rank = linalg.determinant_and_rank(ctx, a)
         assert det == faddeev_leverrier_determinant(ctx, a)
-        assert rank == linalg.rank(ctx, a)
-        assert linalg.determinant(ctx, a[1:2] + a[:1] + a[2:]) == (-det if size > 1 else det)
+        assert rank == len(linalg.eliminate(ctx, a)[1])
+        assert linalg.determinant_and_rank(ctx, a[1:2] + a[:1] + a[2:])[0] == \
+            (-det if size > 1 else det)
         for dependent in range(1, size):
             # the last `dependent` rows are combinations of the others
             kept = a[:size - dependent]
             b = kept + [_combination(ctx, rng, kept) for _ in range(dependent)]
             det, rank = linalg.determinant_and_rank(ctx, b)
             assert det.is_zero() and faddeev_leverrier_determinant(ctx, b).is_zero()
-            assert rank == linalg.rank(ctx, b) <= size - dependent
+            assert rank == len(linalg.eliminate(ctx, b)[1]) <= size - dependent
 
 
 def _combination(ctx, rng, rows):
@@ -541,6 +546,93 @@ def test_unlucky_and_skipped_primes_give_the_n2_routes(monkeypatch, scalar, rout
     (commutant, form) = _assert_reduced_matches_n2(rep, Automorphism.identity(rep.ctx))
     assert (commutant[1], form[1]) == routes
     assert commutant[0] == 1 and form[0] == 0
+
+
+def _equation_entries(rep, theta):
+    """The distinct entries of the commutant's and the theta-form's
+    equations a lambda_t = b lambda_s, read off the generator rows y:
+    (y_st, y_st) and (y_ts, theta(y_st)) for each s != t whose equation is
+    not 0 = 0."""
+    y, n = rep.generator_rows, rep.rank
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    commutant = {y[s][t] for s, t in pairs if y[s][t]}
+    form = {x for s, t in pairs if y[t][s] or y[s][t] for x in (y[t][s], theta(y[s][t]))}
+    return commutant, form
+
+
+@pytest.mark.parametrize("case", ["B3", "H3", "triangle"])
+def test_each_distinct_entry_is_reduced_once_per_prime(monkeypatch, case):
+    if case == "triangle":
+        # a non-geometric chord scalar: a representation with no form
+        tree = spanning_tree(TRIANGLE, 0)
+        params = geometric_parameters(tree)
+        rep = build(tree, params.with_chord((1, 2), params.ctx.from_rational(7)))
+    else:
+        rep = geometric_representation(B3 if case == "B3" else H3, 1)
+    ctx = rep.ctx
+    theta = Automorphism.identity(ctx)
+    p = ctx.modular_image(0)[0]
+    calls = []
+    residue = cyclotomic.FieldElement.residue
+
+    def counted(x, k):
+        calls.append((x, k))
+        return residue(x, k)
+
+    def assert_once_at_the_first_prime(entries):
+        reduced = [x for x, _ in calls]
+        assert {k for _, k in calls} == {0}
+        assert len(reduced) == len(set(reduced)) == len(entries)
+        assert set(reduced) == entries
+        calls.clear()
+
+    commutant, form = _equation_entries(rep, theta)
+    monkeypatch.setattr(cyclotomic.FieldElement, "residue", counted)
+    assert commutant_dimension(rep) == (1, f"mod {p}")
+    assert_once_at_the_first_prime(commutant)
+    # the witness is the verdict of the exact check on the criterion's form
+    witness = case != "triangle"
+    assert form_space_dimension(rep, theta, witness) == (int(witness), f"mod {p}")
+    assert_once_at_the_first_prime(form)
+
+
+def _equation_generators(ctx, n, rows, side):
+    """I + e_s (x) v_s for each s, with v_ss = -2 and v_st the entry a
+    (side 0) or b (side 1) of rows[s, t], 0 when (s, t) has no equation:
+    A_s X = X B_s then holds for X = diag(lambda) exactly when
+    a lambda_t = b lambda_s for each equation, and for no other X."""
+    zero, minus_one = ctx.zero, ctx.from_rational(-1)
+    return linalg.identity_with_rows(ctx, [
+        [minus_one if t == s else rows.get((s, t), (zero, zero))[side] for t in range(n)]
+        for s in range(n)])
+
+
+@pytest.mark.parametrize("conductor, n, equations, dimension", [
+    (1, 1, {}, 1),
+    (1, 3, {}, 3),
+    (1, 2, {(0, 1): (0, 3)}, 1),                      # a = 0: lambda_0 = 0
+    (1, 3, {(0, 1): (5, 0), (1, 2): (2, 2)}, 1),      # b = 0: lambda_1 = 0
+    (1, 3, {(0, 1): (0, 1), (2, 1): (4, 0)}, 1),
+    (1, 2, {(0, 1): (2, 2), (1, 0): (3, 3)}, 1),
+    (5, 3, {(0, 1): ("c", 1), (1, 0): (1, "c"), (1, 2): (0, "c")}, 1),
+    (5, 2, {(0, 1): ("c", 1), (1, 0): ("c", 1)}, 0),
+])
+def test_reduced_dimension_of_written_equations_matches_the_n2_route(
+        conductor, n, equations, dimension):
+    ctx = field_context(conductor)
+    c = ctx.cos_element(1, conductor)
+    rows = {pair: tuple(c if x == "c" else ctx.from_rational(x) for x in ab)
+            for pair, ab in equations.items()}
+    gens_a, gens_b = (_equation_generators(ctx, n, rows, side) for side in (0, 1))
+    eye = linalg.identity(ctx, n)
+    witnesses = [(0, None)]
+    if all(a == b for a, b in rows.values()):
+        # the identity solves a lambda_t = a lambda_s
+        witnesses.append((1, eye))
+    for lower, witness in witnesses:
+        reduced = linalg.reduced_dimension(ctx, n, rows, lower)
+        assert reduced == intertwiner_dimension(ctx, gens_a, gens_b, witness)
+        assert reduced[0] == dimension
 
 
 def _shaped(ctx, rows, transposed=False):
