@@ -40,9 +40,11 @@ coordinates and ``power_num`` (``io.scalar_to_json``, ``__str__``) gives
 them back, each conversion O(d) packed big-integer steps.
 ``FieldElement.residue``, the ring map Z[c] -> F_p through the basis
 images of ``FieldContext.modular_image`` at split primes p, is the ground
-of the modular rank bounds in ``linalg`` and of ``cos_index``; ``invert``
-takes p only, inverts the power-basis image modulo (psi, p), converts the
-inverse back, lifts it p-adically and accepts it by the exact product.
+of the modular rank bounds in ``linalg`` and of ``cos_index``.  ``invert``
+works in the field of conductor N/g, g the gcd of N and the indices of the
+nonzero coordinates: it takes p only, inverts the power-basis image modulo
+(psi, p), converts the inverse back, lifts it p-adically, accepts it by the
+exact product and maps it back by b_i -> b_(g i).
 """
 
 from __future__ import annotations
@@ -965,17 +967,24 @@ class FieldElement:
         return result
 
     def invert(self) -> "FieldElement":
-        """Multiplicative inverse, found modulo a split prime and lifted.
+        """Multiplicative inverse, found modulo a split prime and lifted in
+        the subfield that the indices of the element show to hold it.
 
-        With the element num/den, num in Z[c], the power-basis image of num
-        is inverted modulo (psi, p) by an integer extended Euclid, for the
-        first split prime p of FieldContext.modular_image at which it is a
-        unit, and brought back to the cosine basis (both conversions exact,
-        the result then reduced mod p).  Newton's iteration
-        y <- y(2 - num*y), each product reduced mod q, squares the modulus
-        q = p^(2^k) (von zur Gathen and Gerhard, Modern Computer Algebra,
-        ch. 9).  At each q, _reconstruct proposes num^-1 = u/D; it is taken
-        only when the exact product num*u equals D.  Z[c] is the ring of
+        With the element num/den, num in Z[c], let g be the gcd of N and the
+        indices k >= 1 of the nonzero coordinates.  b_(g i) at conductor N is
+        b_i at conductor N/g, so num is the image of num[::g] (canonical
+        there: g i < d gives i < d/g <= phi(N/g)/2) under the injective ring
+        map b_i -> b_(g i).  In that field (this one for g = 1) the
+        power-basis image of num is inverted modulo (psi, p) by an integer
+        extended Euclid, for the first split prime p of
+        FieldContext.modular_image at which it is a unit, and brought back
+        to the cosine basis (both conversions exact, the result then reduced
+        mod p).  Newton's iteration y <- y(2 - num*y), each product reduced
+        mod q, squares the modulus q = p^(2^k) (von zur Gathen and Gerhard,
+        Modern Computer Algebra, ch. 9).  At each q, _reconstruct proposes
+        num^-1 = u/D; it is taken only when the exact product num*u equals
+        D, and mapped back by one ``_fold_into`` of its terms (g i, v): the
+        map is a ring map, so num*u = D holds here too.  Z[c] is the ring of
         integers, so D divides the norm of num, and a large enough q
         proposes the inverse: the loop ends, with no fallback.
         """
@@ -983,8 +992,9 @@ class FieldElement:
             raise DivisionByZero("cannot invert zero")
         if self.is_rational():
             return self.ctx.from_rational(1 / self.as_fraction())
-        ctx = self.ctx
-        num = self.num
+        g = math.gcd(self.ctx.N, *(k for k, v in enumerate(self.num) if k and v))
+        ctx = self.ctx if g == 1 else field_context(self.ctx.N // g)
+        num = self.num[::g]
         for k in itertools.count():
             q = ctx.modular_image(k)[0]
             y = _inverse_mod(_cosine_to_power(num), ctx.min_poly.coeffs, q)
@@ -995,7 +1005,11 @@ class FieldElement:
             found = _reconstruct(y, q)
             if found is not None and \
                     ctx._product(num, found[0]) == [found[1]] + [0] * (ctx.degree - 1):
-                return FieldElement(ctx, [v * self.den for v in found[0]], found[1])
+                u, den = found
+                if g > 1:
+                    u = self.ctx._fold_into([u[0]] + [0] * (self.ctx.degree - 1),
+                                            ((g * i, v) for i, v in enumerate(u[1:], 1)))
+                return FieldElement(self.ctx, [v * self.den for v in u], den)
             q *= q
             error = [-v % q for v in ctx._product(num, y)]
             error[0] = (error[0] + 2) % q

@@ -1,16 +1,21 @@
 """The cosine-basis arithmetic of coxrep.cyclotomic against the power-basis
 oracles of tests/oracles.py: products (also across slot widths, and both
 product kernels on sparse operands and at their selection), sums and
-negation, the change of basis both ways, the Galois action, inverses,
-cosines, and the images modulo split primes as a ring map.  The conductors
-include N = 2 (mod 4) (138) and degree 240 (1584)."""
+negation, the change of basis both ways, the Galois action, inverses
+(also of elements of a subfield, which invert inverts there: the alphas,
+their products and the `scale` workload's elements, with the degree of
+the field the inversion ran in), cosines, and the images modulo split
+primes as a ring map.  The conductors include N = 2 (mod 4) (138) and
+degree 240 (1584)."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import ALPHABETS
 from oracles import (
     power_cos_element,
     power_cosines,
@@ -20,9 +25,11 @@ from oracles import (
     power_product,
 )
 
+from coxrep import cyclotomic
 from coxrep.cyclotomic import (
     DivisionByZero,
     FieldElement,
+    euler_phi,
     field_context,
 )
 
@@ -61,6 +68,22 @@ def _structured(draw, n):
     for c in draw(st.lists(_small, min_size=1, max_size=4)):
         acc = power_product(acc, b) + c
     return acc
+
+
+@st.composite
+def _on_multiples(draw, n):
+    """A few small cosine coordinates at multiples of a divisor g of n, over
+    a denominator: an element of the field of conductor n/g, whose degree
+    is kept at most 24 for the oracle."""
+    ctx = field_context(n)
+    g = draw(st.sampled_from([g for g in range(1, n + 1)
+                              if n % g == 0 and euler_phi(n // g) <= 48]))
+    entries = draw(st.dictionaries(st.sampled_from(range(0, ctx.degree, g)),
+                                   st.integers(-9, 9), max_size=4))
+    num = [0] * ctx.degree
+    for i, v in entries.items():
+        num[i] = v
+    return FieldElement(ctx, num, draw(st.integers(1, 12)))
 
 
 def _exact(x):
@@ -205,8 +228,8 @@ def test_the_galois_action_at_high_degree(n, data):
 @given(data=st.data())
 def test_invert_matches_the_power_basis(n, data):
     ctx = field_context(n)
-    x = data.draw(_structured(n) if ctx.degree > 24 else
-                  _coords(n).map(ctx.from_coeffs))
+    x = data.draw(st.one_of(_structured(n) if ctx.degree > 24 else
+                            _coords(n).map(ctx.from_coeffs), _on_multiples(n)))
     if x.is_zero():
         with pytest.raises(DivisionByZero):
             x.invert()
@@ -270,3 +293,79 @@ def test_residue_is_none_over_the_denominator_p(n):
         for x in (ctx.from_rational(Fraction(1, p)), (ctx.generator + 3) / (2 * p)):
             assert x.residue(k) is None
             assert x.residue(1 - k) == power_image(ctx, 1 - k, x)
+
+
+# the conductors lcm(2 m) of the acceptance corpus's label alphabets, and
+# those of the `scale` triangles and the path labelled 3, 5, 7, 11
+ALPHA_CONDUCTORS = sorted({math.lcm(*(2 * m for m in alphabet)) for alphabet in ALPHABETS}
+                          | {336, 1260, 2310})
+
+
+@pytest.mark.parametrize("n", ALPHA_CONDUCTORS)
+def test_invert_of_alphas_and_their_products_matches_the_power_basis(n):
+    """The alphas 2 + 2cos(2 pi k/m), 0 < k < m/2, for the labels m with
+    2m | n, and the products of two and of three neighbours in that list,
+    folded ones included, also over a denominator: each lies in the field
+    of conductor lcm(m), which the index test finds unless the fold hides
+    it."""
+    ctx = field_context(n)
+    alphas = [2 + ctx.cos_element(k, m) for m in range(3, 14) if n % (2 * m) == 0
+              for k in range(1, (m + 1) // 2)]
+    elements = alphas + [a * b for a, b in zip(alphas, alphas[1:])]
+    elements += [a * b * c for a, b, c in zip(alphas, alphas[1:], alphas[2:])]
+    elements += [x / 6 for x in elements[::5]]
+    for x in elements:
+        assert _exact(x.invert()) == _exact(power_invert(x))
+
+
+def _cosine(n, coords, den=1):
+    num = [0] * field_context(n).degree
+    for k, v in coords.items():
+        num[k] = v
+    return FieldElement(field_context(n), num, den)
+
+
+# the two irrational inversions of a `scale` pass: the triangle `dual` jobs
+# at N = 336 and 1260 invert the tree product at the dual's chord, as these
+# read at seed 1001
+SCALE_ELEMENTS = [
+    (336, {0: 2, 16: -1, 40: 1}),
+    (1260, {0: 3, 6: -2, 12: -1, 18: -1, 24: -1, 30: -1, 36: -1, 48: -1, 66: 1, 78: 1,
+            84: 1, 90: -2, 96: 1, 108: 1, 114: 1, 120: 1, 126: 2, 138: 1}),
+]
+
+
+@pytest.mark.parametrize("n,coords", SCALE_ELEMENTS, ids=["336", "1260"])
+@pytest.mark.parametrize("den", [1, 10])
+def test_invert_of_the_scale_elements_descends(monkeypatch, n, coords, den):
+    """Both lie in a subfield: g = 8 at N = 336 and g = 6 at N = 1260, so
+    the one extended Euclid runs modulo psi of degree 6 and 24, and the
+    public invert is entered once."""
+    x = _cosine(n, coords, den)
+    degrees, entered = [], []
+    inverse_mod, invert = cyclotomic._inverse_mod, FieldElement.invert
+    monkeypatch.setattr(cyclotomic, "_inverse_mod",
+                        lambda a, m, p: degrees.append(len(m) - 1) or inverse_mod(a, m, p))
+    monkeypatch.setattr(FieldElement, "invert", lambda y: entered.append(y) or invert(y))
+    y = x.invert()
+    assert entered == [x]
+    assert degrees == [{336: 6, 1260: 24}[n]]
+    assert _exact(y) == _exact(power_invert(x))
+    assert x * y == 1
+
+
+@pytest.mark.slow
+def test_invert_at_conductor_10010_is_exact():
+    """2 + 2cos(2 pi/m) for m in 7, 10, 11, 13, 14, 22 and 26 (the labels of
+    the path 5, 7, 11, 13 and their doubles, but 5, whose cosine folds),
+    the products of two that no fold makes dense, and one over a
+    denominator: each is inverted in its subfield, and its product with
+    the inverse is 1 at degree 1440.  (A dense one takes the general path
+    at degree 1440, about a second each.)"""
+    ctx = field_context(10010)
+    alphas = [2 + ctx.cos_element(1, m) for m in (7, 10, 11, 13, 14, 22, 26)]
+    products = [a * b for a, b in itertools.combinations(alphas, 2)]
+    elements = alphas + [x for x in products if sum(map(bool, x.num)) <= 5]
+    assert len(elements) > 10
+    for x in elements + [elements[-1] / 15]:
+        assert x * x.invert() == 1

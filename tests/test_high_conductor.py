@@ -5,9 +5,11 @@ labelled 3, 5, 7, 11 and 5, 7, 11, 13 at the composite N = 2310 (degree
 240) and N = 10010 (degree 1440), with their verdicts and exit codes; that
 no command calls minimal_poly_real_cyclotomic; that `verify` at m = 5003
 (N = 10006, degree 2501) keeps no structure that grows as N times the
-degree; and that `verify` and `dual` at N = 10010 and `verify` on the
-path 3, 5, 7, 11, 13 (N = 30030, degree 2880) stay within traced-memory
-bounds that a sparse fold table of every index to N/2 broke."""
+degree; that `equiv --root2 s2` at N = 10010 and the N = 1260 triangle
+`dual` invert in subfields of degree at most 2 and 24; and that `verify`
+and `dual` at N = 10010 and `verify` on the path 3, 5, 7, 11, 13
+(N = 30030, degree 2880) stay within traced-memory bounds that a sparse
+fold table of every index to N/2 broke."""
 
 import contextlib
 import functools
@@ -165,6 +167,52 @@ def test_composite_path_at_conductor_2310(tmp_path, command, extra, check):
     ("form", _assert_form), ("dual", _assert_dual)], ids=["build", "verify", "form", "dual"])
 def test_composite_path_at_conductor_10010(tmp_path, command, check):
     check(*run_json(tmp_path, command, PATH_10010))
+
+
+def _modulus_degrees(monkeypatch):
+    """The degree of the modulus of each cyclotomic._inverse_mod call, as the
+    calls come."""
+    degrees = []
+    real = cyclotomic._inverse_mod
+
+    def spy(a, m, p):
+        degrees.append(len(m) - 1)
+        return real(a, m, p)
+
+    monkeypatch.setattr(cyclotomic, "_inverse_mod", spy)
+    return degrees
+
+
+@pytest.mark.slow
+def test_equiv_at_conductor_10010_inverts_in_subfields(tmp_path, monkeypatch):
+    # the one irrational scalar that the diagonal of the root change
+    # inverts is 1 + b_1001, so it is inverted at conductor 10 (degree 2),
+    # not by an extended Euclid modulo psi of degree 1440 (about 1.2 s)
+    degrees = _modulus_degrees(monkeypatch)
+    _assert_equivalent(*run_json(tmp_path, "equiv", PATH_10010, "--root2", "s2"))
+    assert degrees and max(degrees) <= 2
+
+
+def test_triangle_dual_at_conductor_1260_inverts_at_degree_24(tmp_path, monkeypatch):
+    # the `scale` triangle job: the tree product at the dual's chord has
+    # every nonzero index a multiple of 6, so it is inverted at conductor 210
+    # (degree 24) and mapped back, in place of degree 144
+    documents = {"diagram": {"m": TRIANGLE_1260},
+                 "tree": {"edges": [["s1", "s2"], ["s1", "s3"]]},
+                 "params": {"alpha": {"s1-s2": 2, "s1-s3": 3, "s2-s3": 2},
+                            "chords": {"s2-s3": 4}}}
+    paths = {}
+    for name, document in documents.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(document))
+    degrees = _modulus_degrees(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["dual", "--diagram", str(paths["diagram"]), "--root", "s2",
+                     "--tree", str(paths["tree"]), "--params", str(paths["params"]),
+                     "--format", "json"])
+    _assert_dual(code, json.loads(out.getvalue()))
+    assert degrees == [24]
 
 
 # The fold table holds the packed rows of canonical indices, at most N/4:
