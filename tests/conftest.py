@@ -3,7 +3,8 @@
 Instances are generated once per session from a fixed seed and reused by
 the soundness, equivalence, form and dual suites.  Label alphabets are
 drawn per diagram so every label in 2..7 occurs across the corpus while
-each single conductor stays at a practical size.
+each single conductor stays at a practical size.  The fixture
+`modulus_degrees` records the field degree each inversion runs at.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxrep import cyclotomic
 from coxrep.cartanpoly import admissible_root_indices
 from coxrep.construction import (
     ParameterSystem,
@@ -130,3 +132,14 @@ def get_suite() -> list[SuiteInstance]:
 @pytest.fixture(scope="session")
 def suite_instances() -> list[SuiteInstance]:
     return get_suite()
+
+
+@pytest.fixture
+def modulus_degrees(monkeypatch) -> list[int]:
+    """The degree of the modulus of each cyclotomic._inverse_mod call, as the
+    calls come."""
+    degrees = []
+    real = cyclotomic._inverse_mod
+    monkeypatch.setattr(cyclotomic, "_inverse_mod",
+                        lambda a, m, p: degrees.append(len(m) - 1) or real(a, m, p))
+    return degrees

@@ -337,19 +337,16 @@ SCALE_ELEMENTS = [
 
 @pytest.mark.parametrize("n,coords", SCALE_ELEMENTS, ids=["336", "1260"])
 @pytest.mark.parametrize("den", [1, 10])
-def test_invert_of_the_scale_elements_descends(monkeypatch, n, coords, den):
+def test_invert_of_the_scale_elements_descends(monkeypatch, modulus_degrees, n, coords, den):
     """Both lie in a subfield: g = 8 at N = 336 and g = 6 at N = 1260, so
     the one extended Euclid runs modulo psi of degree 6 and 24, and the
     public invert is entered once."""
     x = _cosine(n, coords, den)
-    degrees, entered = [], []
-    inverse_mod, invert = cyclotomic._inverse_mod, FieldElement.invert
-    monkeypatch.setattr(cyclotomic, "_inverse_mod",
-                        lambda a, m, p: degrees.append(len(m) - 1) or inverse_mod(a, m, p))
+    entered, invert = [], FieldElement.invert
     monkeypatch.setattr(FieldElement, "invert", lambda y: entered.append(y) or invert(y))
     y = x.invert()
     assert entered == [x]
-    assert degrees == [{336: 6, 1260: 24}[n]]
+    assert modulus_degrees == [{336: 6, 1260: 24}[n]]
     assert _exact(y) == _exact(power_invert(x))
     assert x * y == 1
 
@@ -369,3 +366,15 @@ def test_invert_at_conductor_10010_is_exact():
     assert len(elements) > 10
     for x in elements + [elements[-1] / 15]:
         assert x * x.invert() == 1
+
+
+@pytest.mark.slow
+def test_invert_at_conductor_30030_descends_to_conductor_13(modulus_degrees):
+    """Label 13's alpha 2 + b_2310 at N = 30030 (degree 2880) is inverted at
+    conductor 13, degree 6 (at degree 2880 it takes about 21 s), and its
+    product with the inverse is 1.  Mapping the inverse back builds the
+    fold table to N/4, so the context is made afresh and goes with it."""
+    ctx = cyclotomic.FieldContext(30030)
+    x = 2 + ctx.cos_element(1, 13)
+    assert x * x.invert() == 1
+    assert modulus_degrees == [6]

@@ -169,31 +169,16 @@ def test_composite_path_at_conductor_10010(tmp_path, command, check):
     check(*run_json(tmp_path, command, PATH_10010))
 
 
-def _modulus_degrees(monkeypatch):
-    """The degree of the modulus of each cyclotomic._inverse_mod call, as the
-    calls come."""
-    degrees = []
-    real = cyclotomic._inverse_mod
-
-    def spy(a, m, p):
-        degrees.append(len(m) - 1)
-        return real(a, m, p)
-
-    monkeypatch.setattr(cyclotomic, "_inverse_mod", spy)
-    return degrees
-
-
 @pytest.mark.slow
-def test_equiv_at_conductor_10010_inverts_in_subfields(tmp_path, monkeypatch):
+def test_equiv_at_conductor_10010_inverts_in_subfields(tmp_path, modulus_degrees):
     # the one irrational scalar that the diagonal of the root change
     # inverts is 1 + b_1001, so it is inverted at conductor 10 (degree 2),
     # not by an extended Euclid modulo psi of degree 1440 (about 1.2 s)
-    degrees = _modulus_degrees(monkeypatch)
     _assert_equivalent(*run_json(tmp_path, "equiv", PATH_10010, "--root2", "s2"))
-    assert degrees and max(degrees) <= 2
+    assert modulus_degrees and max(modulus_degrees) <= 2
 
 
-def test_triangle_dual_at_conductor_1260_inverts_at_degree_24(tmp_path, monkeypatch):
+def test_triangle_dual_at_conductor_1260_inverts_at_degree_24(tmp_path, modulus_degrees):
     # the `scale` triangle job: the tree product at the dual's chord has
     # every nonzero index a multiple of 6, so it is inverted at conductor 210
     # (degree 24) and mapped back, in place of degree 144
@@ -205,14 +190,13 @@ def test_triangle_dual_at_conductor_1260_inverts_at_degree_24(tmp_path, monkeypa
     for name, document in documents.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(document))
-    degrees = _modulus_degrees(monkeypatch)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["dual", "--diagram", str(paths["diagram"]), "--root", "s2",
                      "--tree", str(paths["tree"]), "--params", str(paths["params"]),
                      "--format", "json"])
     _assert_dual(code, json.loads(out.getvalue()))
-    assert degrees == [24]
+    assert modulus_degrees == [24]
 
 
 # The fold table holds the packed rows of canonical indices, at most N/4:
